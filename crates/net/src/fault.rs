@@ -241,23 +241,6 @@ impl FaultPlan {
     }
 }
 
-/// Counters of the faults a [`ChaosComm`] actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages the wrapped protocol asked to send.
-    pub sent: u64,
-    /// Messages dropped.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages with a flipped byte.
-    pub corrupted: u64,
-    /// Messages held back past the link's next message.
-    pub delayed: u64,
-    /// Whether this endpoint crashed.
-    pub crashed: bool,
-}
-
 /// A held-back (delayed) message awaiting release.
 struct Held {
     /// Operation count at which it was held; released once a *later*
@@ -290,7 +273,6 @@ pub struct ChaosComm<C: Comm> {
     /// Count of communicator operations, for `Crash::AfterOps`.
     ops: u64,
     dark: bool,
-    stats: FaultStats,
 }
 
 impl<C: Comm> ChaosComm<C> {
@@ -305,7 +287,6 @@ impl<C: Comm> ChaosComm<C> {
             holdback: Vec::new(),
             ops: 0,
             dark: false,
-            stats: FaultStats::default(),
         }
     }
 
@@ -315,11 +296,6 @@ impl<C: Comm> ChaosComm<C> {
 
     fn inner_mut(&mut self) -> &mut C {
         self.inner.as_mut().expect("inner taken")
-    }
-
-    /// The fault counters so far.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
     }
 
     /// Unwrap the inner communicator (releases any held-back messages
@@ -342,7 +318,6 @@ impl<C: Comm> ChaosComm<C> {
         };
         if fire {
             self.dark = true;
-            self.stats.crashed = true;
             self.holdback.clear(); // a crashed node's queued packets die with it
         }
         self.dark
@@ -403,16 +378,13 @@ impl<C: Comm> Comm for ChaosComm<C> {
         let k = self.link_seq[to];
         self.link_seq[to] += 1;
         let lf = self.plan.link_faults(src, to);
-        self.stats.sent += 1;
 
         if self.plan.strikes(lf.drop_p, SALT_DROP, src, to, k) {
-            self.stats.dropped += 1;
             self.tel_bump(tag, Counter::FaultsDropped);
         } else {
             let payload = if !payload.is_empty()
                 && self.plan.strikes(lf.corrupt_p, SALT_CORRUPT, src, to, k)
             {
-                self.stats.corrupted += 1;
                 self.tel_bump(tag, Counter::FaultsCorrupted);
                 let mut buf = payload.to_vec();
                 let pos = self.plan.corrupt_pos(src, to, k, buf.len());
@@ -422,7 +394,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
                 payload
             };
             if self.plan.strikes(lf.delay_p, SALT_DELAY, src, to, k) {
-                self.stats.delayed += 1;
                 self.tel_bump(tag, Counter::FaultsDelayed);
                 self.holdback.push(Held {
                     op: self.ops,
@@ -432,7 +403,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
                 });
             } else {
                 if self.plan.strikes(lf.dup_p, SALT_DUP, src, to, k) {
-                    self.stats.duplicated += 1;
                     self.tel_bump(tag, Counter::FaultsDuplicated);
                     self.inner_mut().send(to, tag, payload.clone());
                 }
@@ -520,21 +490,26 @@ mod tests {
     use crate::checksum::checksum;
     use crate::tag::Phase;
     use crate::thread_comm::ThreadComm;
+    use kylix_telemetry::{Clock, Telemetry};
+    use std::sync::Arc;
 
     fn tag(seq: u32) -> Tag {
         Tag::new(Phase::App, 0, seq)
     }
 
-    fn pair() -> (ThreadComm, ThreadComm) {
-        let mut v = ThreadComm::make_cluster(2);
+    /// Two endpoints counting into one telemetry instance: the wire
+    /// counts of the bottom substrate and the faults `ChaosComm` injects.
+    fn pair() -> (ThreadComm, ThreadComm, Arc<Telemetry>) {
+        let tel = Telemetry::new(2, Clock::Wall);
+        let mut v = ThreadComm::make_cluster_with_telemetry(2, &tel);
         let b = v.pop().unwrap();
         let a = v.pop().unwrap();
-        (a, b)
+        (a, b, tel)
     }
 
     #[test]
     fn empty_plan_is_transparent() {
-        let (a, mut b) = pair();
+        let (a, mut b, tel) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(1));
         for i in 0..10 {
             a.send(1, tag(i), Bytes::from(vec![i as u8]));
@@ -542,25 +517,28 @@ mod tests {
         for i in 0..10 {
             assert_eq!(b.recv(0, tag(i)).unwrap()[0], i as u8);
         }
-        assert_eq!(a.stats().dropped, 0);
-        assert_eq!(a.stats().sent, 10);
+        let rep = tel.report();
+        assert_eq!(rep.total(Counter::FaultsDropped), 0);
+        assert_eq!(rep.ranks[0].total(Counter::MsgsSent), 10);
     }
 
     #[test]
     fn drop_rate_one_drops_everything() {
-        let (a, mut b) = pair();
+        let (a, mut b, tel) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(1).drop_rate(1.0));
         a.send(1, tag(0), Bytes::from_static(b"gone"));
         assert!(b
             .recv_timeout(0, tag(0), Duration::from_millis(30))
             .is_err());
-        assert_eq!(a.stats().dropped, 1);
+        let rep = tel.report();
+        assert_eq!(rep.total(Counter::FaultsDropped), 1);
+        assert_eq!(rep.total(Counter::MsgsSent), 0);
     }
 
     #[test]
     fn fault_decisions_are_deterministic() {
-        let run = |seed: u64| -> (Vec<u32>, FaultStats) {
-            let (a, mut b) = pair();
+        let run = |seed: u64| -> (Vec<u32>, u64) {
+            let (a, mut b, tel) = pair();
             let mut a = ChaosComm::new(a, FaultPlan::new(seed).drop_rate(0.4));
             for i in 0..64 {
                 a.send(1, tag(i), Bytes::from(vec![i as u8]));
@@ -571,13 +549,15 @@ mod tests {
                     got.push(i);
                 }
             }
-            (got, a.stats())
+            let dropped = tel.report().total(Counter::FaultsDropped);
+            assert_eq!(dropped as usize, 64 - got.len(), "every loss counted");
+            (got, dropped)
         };
-        let (g1, s1) = run(42);
-        let (g2, s2) = run(42);
+        let (g1, d1) = run(42);
+        let (g2, d2) = run(42);
         assert_eq!(g1, g2);
-        assert_eq!(s1, s2);
-        assert!(s1.dropped > 0, "40% of 64 sends should drop some");
+        assert_eq!(d1, d2);
+        assert!(d1 > 0, "40% of 64 sends should drop some");
         assert!(g1.len() > 10, "most messages should survive");
         // A different seed picks different victims.
         let (g3, _) = run(43);
@@ -586,29 +566,31 @@ mod tests {
 
     #[test]
     fn corruption_flips_exactly_one_byte() {
-        let (a, mut b) = pair();
+        let (a, mut b, tel) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(9).corrupt_rate(1.0));
         let original = vec![0u8; 32];
         a.send(1, tag(0), Bytes::from(original.clone()));
         let got = b.recv(0, tag(0)).unwrap();
         let diffs: Vec<usize> = (0..32).filter(|&i| got[i] != original[i]).collect();
         assert_eq!(diffs.len(), 1, "exactly one byte flipped");
-        assert_eq!(a.stats().corrupted, 1);
+        assert_eq!(tel.report().total(Counter::FaultsCorrupted), 1);
     }
 
     #[test]
     fn duplicates_deliver_twice() {
-        let (a, mut b) = pair();
+        let (a, mut b, tel) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(9).duplicate_rate(1.0));
         a.send(1, tag(0), Bytes::from_static(b"twin"));
         assert_eq!(&b.recv(0, tag(0)).unwrap()[..], b"twin");
         assert_eq!(&b.recv(0, tag(0)).unwrap()[..], b"twin");
-        assert_eq!(a.stats().duplicated, 1);
+        let rep = tel.report();
+        assert_eq!(rep.total(Counter::FaultsDuplicated), 1);
+        assert_eq!(rep.total(Counter::MsgsSent), 2);
     }
 
     #[test]
     fn delay_reorders_behind_next_message() {
-        let (a, mut b) = pair();
+        let (a, mut b, _) = pair();
         // Delay every message: each send holds its message and releases
         // the previously held one, so arrival order is shifted by one.
         let mut a = ChaosComm::new(a, FaultPlan::new(9).delay_rate(1.0));
@@ -622,11 +604,10 @@ mod tests {
 
     #[test]
     fn crash_after_ops_goes_dark() {
-        let (a, mut b) = pair();
+        let (a, mut b, _) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(9).crash_after_ops(0, 2));
         a.send(1, tag(0), Bytes::from_static(b"alive"));
         a.send(1, tag(1), Bytes::from_static(b"never sent")); // op 2: crash fires
-        assert!(a.stats().crashed);
         let err = a.recv_timeout(1, tag(9), Duration::from_millis(5));
         assert!(matches!(err, Err(CommError::Crashed { rank: 0 })));
         assert_eq!(&b.recv(0, tag(0)).unwrap()[..], b"alive");
@@ -637,7 +618,7 @@ mod tests {
 
     #[test]
     fn crash_at_time_zero_is_dark_immediately() {
-        let (a, _b) = pair();
+        let (a, _b, _) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(9).crash_at(0, 0.0));
         let err = a.recv_timeout(1, tag(0), Duration::from_millis(5));
         assert!(matches!(err, Err(CommError::Crashed { rank: 0 })));
@@ -662,7 +643,7 @@ mod tests {
 
     #[test]
     fn into_inner_releases_holdback() {
-        let (a, mut b) = pair();
+        let (a, mut b, _) = pair();
         let mut a = ChaosComm::new(a, FaultPlan::new(9).delay_rate(1.0));
         a.send(1, tag(0), Bytes::from_static(b"held"));
         let _inner = a.into_inner();

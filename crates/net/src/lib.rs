@@ -61,10 +61,10 @@ pub mod thread_comm;
 pub use checksum::checksum;
 pub use cluster::LocalCluster;
 pub use comm::{Comm, CommError, PatienceComm, RawComm, RawMessage};
-pub use fault::{ChaosComm, Crash, FaultPlan, FaultStats, LinkFaults};
+pub use fault::{ChaosComm, Crash, FaultPlan, LinkFaults};
 pub use frame::{encode_frame, FrameDecoder, FrameError, FRAME_HEADER, MAX_FRAME_BYTES};
 pub use mailbox::Mailbox;
-pub use reliable::{ReliableComm, ReliableStats, RetryConfig};
+pub use reliable::{ReliableComm, RetryConfig};
 pub use tag::{Phase, Tag};
 pub use tcp_comm::{TcpCluster, TcpComm};
 pub use thread_comm::ThreadComm;

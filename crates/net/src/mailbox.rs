@@ -411,6 +411,7 @@ impl Inbox {
 mod tests {
     use super::*;
     use crate::tag::Phase;
+    use kylix_telemetry::{Clock, Telemetry};
 
     fn tag(layer: u16, seq: u32) -> Tag {
         Tag::new(Phase::App, layer, seq)
@@ -421,7 +422,7 @@ mod tests {
     }
 
     fn counted() -> (Mailbox<()>, Arc<RankTelemetry>) {
-        let shard = Arc::new(RankTelemetry::new_detached());
+        let shard = Arc::clone(Telemetry::new(1, Clock::Wall).rank(0));
         (Mailbox::new(Some(Arc::clone(&shard))), shard)
     }
 

@@ -38,18 +38,14 @@
 //! * [`nic`] — the LogGP-style NIC/link cost model and EC2 presets.
 //! * [`simcomm`] — [`simcomm::SimComm`] (implements `Comm`) and
 //!   [`simcomm::SimCluster`] (thread-per-node runner with failure
-//!   injection).
-//! * [`stats`] — shared per-layer traffic accounting (Fig. 5).
+//!   injection). Every count a run makes, and the message events of a
+//!   traced run, land in the cluster's `kylix_telemetry` instance.
 //! * [`throughput`] — effective-throughput curves (Fig. 2) both closed
 //!   form and measured through the simulator.
 
 pub mod nic;
 pub mod simcomm;
-pub mod stats;
 pub mod throughput;
-pub mod trace;
 
 pub use nic::NicModel;
 pub use simcomm::{SimCluster, SimComm};
-pub use stats::{TrafficReport, TrafficStats};
-pub use trace::{LayerSummary, Trace, TraceEvent};

@@ -52,8 +52,6 @@
 //! every *live* replica's copy is in.
 
 use crate::nic::NicModel;
-use crate::stats::TrafficReport;
-use crate::trace::{Trace, TraceEvent};
 use bytes::Bytes;
 use kylix_net::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use kylix_net::{Comm, CommError, FaultPlan, Mailbox, RawComm, RawMessage, Tag};
@@ -67,6 +65,12 @@ use std::time::{Duration, Instant};
 /// Poll interval for re-checking liveness flags while blocked: a peer
 /// crashing mid-run flips a flag but sends nothing to wake us.
 const LIVENESS_POLL: Duration = Duration::from_millis(2);
+
+/// Per-rank event-ring capacity of a [`SimCluster::traced`] cluster.
+/// Each message costs its sender two events, so a rank can emit 4096
+/// messages before the ring wraps (`events_total > events.len()` in the
+/// report then tells how many were lost).
+const TRACE_CAPACITY: usize = 1 << 13;
 
 /// A simulated in-flight message: payload plus virtual delivery time.
 struct SimEnvelope {
@@ -86,9 +90,8 @@ pub struct SimComm {
     rx: Receiver<SimEnvelope>,
     alive: Arc<Vec<AtomicBool>>,
     /// This rank's telemetry shard (always present: the cluster owns a
-    /// virtual-clock `Telemetry`, and `traffic()` is a view over it).
+    /// virtual-clock `Telemetry`).
     shard: Arc<RankTelemetry>,
-    trace: Option<Arc<Trace>>,
     /// Arrivals, each tagged with its virtual delivery time. Every
     /// arrival parks here (the simulator has no direct-delivery path),
     /// so its `StashParks` count is not comparable across substrates.
@@ -210,15 +213,12 @@ impl Comm for SimComm {
         let xfer = self.nic.xfer_time(payload.len()) * self.slowdown;
         self.nic_free = start + xfer;
         let deliver_t = start + xfer + self.nic.latency * self.jitter(to);
-        if let Some(trace) = &self.trace {
-            trace.record(TraceEvent {
-                src: self.rank,
-                dst: to,
-                tag,
-                bytes: payload.len(),
-                emit_t: start,
-                deliver_t,
-            });
+        if self.shard.tracing() {
+            let (phase, layer, bytes) = (tag.phase(), tag.layer(), payload.len() as u64);
+            self.shard
+                .trace_event(start, phase, layer, "sim_emit", bytes);
+            self.shard
+                .trace_event(deliver_t, phase, layer, "sim_deliver", bytes);
         }
         if self.is_alive(to) {
             // Disconnected receiver == dead node: drop silently.
@@ -392,7 +392,6 @@ pub struct SimCluster {
     dead: Vec<usize>,
     crashes: Vec<(usize, f64)>,
     telemetry: Arc<Telemetry>,
-    trace: Option<Arc<Trace>>,
     slowdowns: Vec<(usize, f64)>,
 }
 
@@ -407,7 +406,6 @@ impl SimCluster {
             dead: Vec::new(),
             crashes: Vec::new(),
             telemetry: Telemetry::new(m, Clock::Virtual),
-            trace: None,
             slowdowns: Vec::new(),
         }
     }
@@ -424,15 +422,14 @@ impl SimCluster {
         self
     }
 
-    /// Enable message-level tracing (see [`crate::trace::Trace`]).
+    /// Enable message-level tracing: every send pushes two events onto
+    /// the sender's telemetry ring, `"sim_emit"` at the virtual time its
+    /// NIC starts emitting and `"sim_deliver"` at its virtual delivery
+    /// time, each with the payload bytes as `value`. The ring holds
+    /// `TRACE_CAPACITY` (8192) events per rank.
     pub fn traced(mut self) -> Self {
-        self.trace = Some(Trace::new_shared());
+        self.telemetry = Telemetry::with_trace(self.m, Clock::Virtual, TRACE_CAPACITY);
         self
-    }
-
-    /// The trace buffer, if tracing is enabled.
-    pub fn trace(&self) -> Option<Arc<Trace>> {
-        self.trace.clone()
     }
 
     /// Set the jitter seed (default 0).
@@ -471,19 +468,9 @@ impl SimCluster {
         self
     }
 
-    /// Shared traffic statistics (readable after `run`): the per-layer
-    /// distillation of [`SimCluster::telemetry`].
-    pub fn traffic(&self) -> TrafficReport {
-        TrafficReport::from_telemetry(&self.telemetry.report())
-    }
-
-    /// Reset traffic counters (between phases of an experiment).
-    pub fn reset_traffic(&self) {
-        self.telemetry.reset();
-    }
-
-    /// The cluster's telemetry instance (virtual-clock flavour): full
-    /// per-rank, per-phase counters behind [`SimCluster::traffic`].
+    /// The cluster's telemetry instance (virtual-clock flavour): every
+    /// per-rank, per-phase, per-layer count of a run, and the event
+    /// ring of a [`SimCluster::traced`] one. Readable after `run`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
@@ -519,7 +506,6 @@ impl SimCluster {
                 rx,
                 alive: Arc::clone(&alive),
                 shard: Arc::clone(self.telemetry.rank(rank)),
-                trace: self.trace.clone(),
                 mailbox: Mailbox::new(Some(Arc::clone(self.telemetry.rank(rank)))),
                 t_local: 0.0,
                 nic_free: 0.0,
@@ -905,9 +891,48 @@ mod tests {
                 c.recv(0, t(3, 0)).unwrap();
             }
         });
-        let r = cluster.traffic();
-        assert_eq!(r.bytes_on(3), 125);
-        assert_eq!(r.messages_on(3), 2);
+        let r = cluster.telemetry().report();
+        assert_eq!(r.on_layer(3, Counter::BytesSent), 125);
+        assert_eq!(r.on_layer(3, Counter::MsgsSent), 2);
+    }
+
+    #[test]
+    fn traced_ring_holds_each_sends_emit_and_delivery() {
+        let nic = NicModel::ec2_10g_nojitter();
+        let sz = 500_000;
+        let cluster = SimCluster::new(2, nic).traced();
+        cluster.run_all(|mut c| {
+            if c.rank() == 0 {
+                c.send(1, t(2, 0), Bytes::from(vec![0u8; sz]));
+                c.send(1, t(2, 1), Bytes::from(vec![0u8; sz]));
+            } else {
+                c.recv(0, t(2, 0)).unwrap();
+                c.recv(0, t(2, 1)).unwrap();
+            }
+        });
+        let rep = cluster.telemetry().report();
+        assert!(rep.ranks[1].events.is_empty(), "receives push nothing");
+        let evs: Vec<(&str, f64, u16, u64)> = rep.ranks[0]
+            .events
+            .iter()
+            .map(|e| (e.label, e.t, e.layer, e.value))
+            .collect();
+        // The NIC serialises the two sends: the second starts emitting
+        // when the first has left.
+        let x = nic.xfer_time(sz);
+        let b = sz as u64;
+        assert_eq!(
+            evs,
+            [
+                ("sim_emit", 0.0, 2, b),
+                ("sim_deliver", x + nic.latency, 2, b),
+                ("sim_emit", x, 2, b),
+                ("sim_deliver", x + x + nic.latency, 2, b),
+            ]
+        );
+        // Untraced clusters keep no ring.
+        let plain = SimCluster::new(1, nic);
+        assert!(!plain.telemetry().rank(0).tracing());
     }
 
     #[test]

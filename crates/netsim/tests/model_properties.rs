@@ -177,18 +177,23 @@ fn trace_records_all_messages() {
             }
         }
     });
-    let trace = cluster.trace().expect("tracing enabled");
-    let events = trace.events();
-    assert_eq!(events.len(), 6, "3 nodes x 2 peers");
-    for e in &events {
-        assert!(e.deliver_t > e.emit_t, "delivery after emission");
-        assert_eq!(e.bytes, 1000);
-        assert_ne!(e.src, e.dst);
+    // Each send pushes an emit/deliver pair onto its sender's ring.
+    let report = cluster.telemetry().report();
+    for (rank, r) in report.ranks.iter().enumerate() {
+        assert_eq!(
+            r.events_total,
+            r.events.len() as u64,
+            "rank {rank}: ring wrapped"
+        );
+        assert_eq!(r.events.len(), 4, "rank {rank}: 2 peers x emit+deliver");
+        for pair in r.events.chunks(2) {
+            let (emit, deliver) = (&pair[0], &pair[1]);
+            assert_eq!((emit.label, deliver.label), ("sim_emit", "sim_deliver"));
+            assert!(deliver.t > emit.t, "delivery after emission");
+            assert_eq!((emit.value, deliver.value), (1000, 1000));
+            assert_eq!((emit.layer, deliver.layer), (0, 0));
+        }
     }
-    let summary = trace.layer_summary();
-    assert_eq!(summary.len(), 1);
-    assert_eq!(summary[0].messages, 6);
-    assert_eq!(summary[0].mean_packet(), 1000.0);
 }
 
 /// A straggler slows its own path proportionally and cannot speed

@@ -247,13 +247,6 @@ pub fn hist_bucket(nanos: u64) -> usize {
 }
 
 impl RankTelemetry {
-    /// A standalone shard belonging to no [`Telemetry`] instance, for
-    /// adapters that want the lock-free cells without per-rank
-    /// structure (tracing disabled).
-    pub fn new_detached() -> Self {
-        Self::new(0)
-    }
-
     fn new(trace_capacity: usize) -> Self {
         let cells: Vec<AtomicU64> = (0..PHASES * MAX_LAYERS * KINDS)
             .map(|_| AtomicU64::new(0))
@@ -487,8 +480,10 @@ impl RankReport {
             .map_or(0, |k| k[kind as usize])
     }
 
-    /// Sum a counter kind over every phase of one layer.
+    /// Sum a counter kind over every phase of one layer (clamped like
+    /// the live shard's).
     pub fn on_layer(&self, layer: u16, kind: Counter) -> u64 {
+        let layer = layer.min(MAX_LAYERS as u16 - 1);
         self.counters
             .iter()
             .filter(|((_, l), _)| *l == layer)
@@ -627,6 +622,19 @@ mod tests {
         t.add(SELF_PHASE, 3, Counter::BytesSent, 10);
         assert_eq!(t.on_layer(3, Counter::BytesSent), 135);
         assert_eq!(t.total(Counter::MsgsSent), 8);
+    }
+
+    #[test]
+    fn out_of_range_layer_reads_the_same_live_and_snapshot() {
+        let tel = Telemetry::new(1, Clock::Wall);
+        let shard = tel.rank(0);
+        shard.add(1, 70, Counter::BytesSent, 11);
+        shard.add(2, 70, Counter::BytesSent, 4);
+        assert_eq!(shard.on_layer(70, Counter::BytesSent), 15);
+        let rep = tel.report();
+        assert_eq!(rep.ranks[0].on_layer(70, Counter::BytesSent), 15);
+        assert_eq!(rep.on_layer(70, Counter::BytesSent), 15);
+        assert_eq!(rep.on_layer(MAX_LAYERS as u16 - 1, Counter::BytesSent), 15);
     }
 
     #[test]

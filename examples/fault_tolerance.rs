@@ -10,6 +10,7 @@
 //! ```
 
 use kylix::{Kylix, NetworkPlan, ReplicatedComm};
+use kylix_net::telemetry::{Clock, Counter, Telemetry};
 use kylix_net::{Comm, FaultPlan, LocalCluster, ReliableComm};
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_sparse::SumReducer;
@@ -115,7 +116,8 @@ fn main() {
         .drop_rate(0.15)
         .duplicate_rate(0.05)
         .corrupt_rate(0.02);
-    let out = LocalCluster::run_with_faults(8, &faults, |chaos| {
+    let tel = Telemetry::new(8, Clock::Wall);
+    let out = LocalCluster::run_with_faults_telemetry(8, &faults, &tel, |chaos| {
         let mut comm = ReliableComm::new(chaos);
         let me = comm.rank() as u64;
         let kylix = Kylix::new(NetworkPlan::new(&[4, 2]));
@@ -123,14 +125,15 @@ fn main() {
             .allreduce_combined(&mut comm, &[0u64], &[me % 4], &[1.0f64], SumReducer, 0)
             .map(|(v, _)| v[0])
             .expect("reliable delivery must complete despite loss");
-        let stats = comm.flush().expect("flush");
-        (v, stats.retransmits, stats.duplicates_dropped)
+        comm.flush().expect("flush");
+        v
     });
-    let rexmit: u64 = out.iter().map(|(_, r, _)| r).sum();
-    let dups: u64 = out.iter().map(|(_, _, d)| d).sum();
+    let report = tel.report();
+    let rexmit = report.total(Counter::Retransmits);
+    let dups = report.total(Counter::DupesDropped);
     println!(
         "  all 8 ranks correct (v[0] = {}), {rexmit} retransmissions, {dups} duplicates dropped",
-        out[0].0
+        out[0]
     );
-    assert!(out.iter().all(|(v, _, _)| *v == 2.0));
+    assert!(out.iter().all(|&v| v == 2.0));
 }

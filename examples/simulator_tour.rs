@@ -10,6 +10,7 @@ use kylix_net::Comm;
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::SumReducer;
+use std::collections::BTreeMap;
 
 fn makespan(cluster: &SimCluster, plan: &NetworkPlan, indices: &[Vec<u64>]) -> f64 {
     cluster
@@ -65,16 +66,30 @@ fn main() {
     // 3. Tracing: where did the bytes go?
     let traced = SimCluster::new(m, nic).seed(1).traced();
     makespan(&traced, &plan, &indices);
-    let trace = traced.trace().unwrap();
-    println!("\n3. trace: {} messages total", trace.len());
-    for s in trace.layer_summary() {
+    // Each send left an emit/deliver pair on its sender's event ring.
+    // Per layer: messages, bytes, first emit, last delivery.
+    let mut layers: BTreeMap<u16, (u64, u64, f64, f64)> = BTreeMap::new();
+    for r in &traced.telemetry().report().ranks {
+        assert_eq!(r.events_total, r.events.len() as u64, "trace ring wrapped");
+        for e in r.events.iter().filter(|e| e.label.starts_with("sim_")) {
+            let s = layers.entry(e.layer).or_insert((0, 0, f64::INFINITY, 0.0));
+            if e.label == "sim_emit" {
+                s.0 += 1;
+                s.1 += e.value;
+                s.2 = s.2.min(e.t);
+            } else {
+                s.3 = s.3.max(e.t);
+            }
+        }
+    }
+    let total: u64 = layers.values().map(|s| s.0).sum();
+    println!("\n3. trace: {total} messages total");
+    for (layer, (msgs, bytes, first_emit, last_deliver)) in layers {
         println!(
-            "   layer {}: {:4} msgs, {:7.1} KB total, mean packet {:6.1} KB, span {:.3} ms",
-            s.layer,
-            s.messages,
-            s.bytes as f64 / 1e3,
-            s.mean_packet() / 1e3,
-            s.span() * 1e3
+            "   layer {layer}: {msgs:4} msgs, {:7.1} KB total, mean packet {:6.1} KB, span {:.3} ms",
+            bytes as f64 / 1e3,
+            bytes as f64 / msgs as f64 / 1e3,
+            (last_deliver - first_emit).max(0.0) * 1e3
         );
     }
 

@@ -1,6 +1,7 @@
 //! Cross-crate invariants on traffic accounting and virtual timing.
 
 use kylix::{Kylix, NetworkPlan};
+use kylix_net::telemetry::Counter;
 use kylix_net::Comm;
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
@@ -42,11 +43,11 @@ fn traffic_stats_match_routing_state_volumes() {
     // Expected reduce-phase value bytes per layer: every element of the
     // down pass costs 8 bytes of payload plus an 8-byte count header
     // per message/self-part (d messages incl. self per node per layer).
-    let report = cluster.traffic();
+    let report = cluster.telemetry().report();
     for (layer, &d) in plan.degrees().iter().enumerate() {
         let elems: usize = per_node.iter().map(|p| p.0[layer]).sum();
         let payload = elems as u64 * 8;
-        let measured = report.bytes_on(layer as u16);
+        let measured = report.on_layer(layer as u16, Counter::BytesSent);
         // Layer traffic includes config (8B/index + headers) and reduce
         // down (8B/value + headers) and reduce up (8B/value + headers):
         // bound it between the pure down-pass payload and 4x it. Each of
