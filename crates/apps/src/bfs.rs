@@ -10,7 +10,7 @@
 
 use kylix::{Kylix, Result};
 use kylix_net::Comm;
-use kylix_sparse::{IndexSet, Key, MinReducer};
+use kylix_sparse::{IndexSet, MinReducer};
 
 /// Distance label for unreached vertices.
 pub const UNREACHED: u64 = u64::MAX;
@@ -26,22 +26,14 @@ pub fn distributed_bfs<C: Comm>(
     root: u32,
     max_rounds: usize,
 ) -> Result<Vec<(u64, u64)>> {
-    let verts = IndexSet::from_indices(
-        local_edges
-            .iter()
-            .flat_map(|&(s, d)| [s as u64, d as u64])
-            .chain([root as u64]),
-    );
-    let vert_ids: Vec<u64> = verts.indices().collect();
-    let edge_pos: Vec<(u32, u32)> = local_edges
+    let endpoints: Vec<u64> = local_edges
         .iter()
-        .map(|&(s, d)| {
-            (
-                verts.position(Key::new(s as u64)).expect("own vertex") as u32,
-                verts.position(Key::new(d as u64)).expect("own vertex") as u32,
-            )
-        })
+        .flat_map(|&(s, d)| [s as u64, d as u64])
+        .chain([root as u64])
         .collect();
+    let (verts, pos) = IndexSet::with_positions(&endpoints);
+    let vert_ids: Vec<u64> = verts.indices().collect();
+    let edge_pos: Vec<(u32, u32)> = pos.chunks_exact(2).map(|p| (p[0], p[1])).collect();
 
     let out_idx: Vec<u64> = local_edges
         .iter()

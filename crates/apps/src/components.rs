@@ -12,7 +12,7 @@
 
 use kylix::{Kylix, Result};
 use kylix_net::Comm;
-use kylix_sparse::{IndexSet, Key, MinReducer};
+use kylix_sparse::{IndexSet, MinReducer};
 
 /// Run distributed connected components on this machine's edge share.
 ///
@@ -25,17 +25,13 @@ pub fn distributed_components<C: Comm>(
     max_rounds: usize,
 ) -> Result<Vec<(u64, u64)>> {
     // Local vertex set = endpoints of local edges.
-    let verts = IndexSet::from_indices(local_edges.iter().flat_map(|&(s, d)| [s as u64, d as u64]));
-    let vert_ids: Vec<u64> = verts.indices().collect();
-    let edge_pos: Vec<(u32, u32)> = local_edges
+    let endpoints: Vec<u64> = local_edges
         .iter()
-        .map(|&(s, d)| {
-            (
-                verts.position(Key::new(s as u64)).expect("own vertex") as u32,
-                verts.position(Key::new(d as u64)).expect("own vertex") as u32,
-            )
-        })
+        .flat_map(|&(s, d)| [s as u64, d as u64])
         .collect();
+    let (verts, pos) = IndexSet::with_positions(&endpoints);
+    let vert_ids: Vec<u64> = verts.indices().collect();
+    let edge_pos: Vec<(u32, u32)> = pos.chunks_exact(2).map(|p| (p[0], p[1])).collect();
 
     // Labels allreduce: in = local vertices; out = one candidate per
     // edge endpoint + own label per vertex. Index lists are fixed across

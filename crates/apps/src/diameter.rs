@@ -12,7 +12,7 @@
 
 use kylix::{Kylix, Result};
 use kylix_net::Comm;
-use kylix_sparse::{BitOrReducer, IndexSet, Key, SumReducer, Xoshiro256};
+use kylix_sparse::{BitOrReducer, IndexSet, SumReducer, Xoshiro256};
 
 /// Flajolet–Martin correction constant.
 const FM_PHI: f64 = 0.77351;
@@ -52,17 +52,13 @@ pub fn distributed_diameter<C: Comm>(
     seed: u64,
 ) -> Result<DiameterEstimate> {
     let r = sketches as u64;
-    let verts = IndexSet::from_indices(local_edges.iter().flat_map(|&(s, d)| [s as u64, d as u64]));
-    let vert_ids: Vec<u64> = verts.indices().collect();
-    let edge_pos: Vec<(u32, u32)> = local_edges
+    let endpoints: Vec<u64> = local_edges
         .iter()
-        .map(|&(s, d)| {
-            (
-                verts.position(Key::new(s as u64)).expect("own") as u32,
-                verts.position(Key::new(d as u64)).expect("own") as u32,
-            )
-        })
+        .flat_map(|&(s, d)| [s as u64, d as u64])
         .collect();
+    let (verts, pos) = IndexSet::with_positions(&endpoints);
+    let vert_ids: Vec<u64> = verts.indices().collect();
+    let edge_pos: Vec<(u32, u32)> = pos.chunks_exact(2).map(|p| (p[0], p[1])).collect();
 
     // Feature space: vertex v copy r -> v*R + r. In = our vertices'
     // copies; out = per (undirected) edge the neighbour's copies, plus

@@ -7,7 +7,7 @@
 //! straight into the allreduce as `out` (rows) and `in` (columns) —
 //! exactly the wiring of paper §I.A.2.
 
-use kylix_sparse::{IndexSet, Key};
+use kylix_sparse::IndexSet;
 
 /// One machine's triplet share of a sparse matrix, locally compacted.
 #[derive(Debug, Clone)]
@@ -28,17 +28,14 @@ impl DistMatrix {
         triplets: impl IntoIterator<Item = (u64, u64, f64)>,
     ) -> Self {
         let triplets: Vec<(u64, u64, f64)> = triplets.into_iter().collect();
-        let rows = IndexSet::from_indices(triplets.iter().map(|t| t.0));
-        let cols = IndexSet::from_indices(triplets.iter().map(|t| t.1));
+        let row_ids: Vec<u64> = triplets.iter().map(|t| t.0).collect();
+        let col_ids: Vec<u64> = triplets.iter().map(|t| t.1).collect();
+        let (rows, row_pos) = IndexSet::with_positions(&row_ids);
+        let (cols, col_pos) = IndexSet::with_positions(&col_ids);
         let entries = triplets
-            .into_iter()
-            .map(|(r, c, v)| {
-                (
-                    rows.position(Key::new(r)).expect("own row") as u32,
-                    cols.position(Key::new(c)).expect("own col") as u32,
-                    v,
-                )
-            })
+            .iter()
+            .zip(row_pos.iter().zip(&col_pos))
+            .map(|(t, (&r, &c))| (r, c, t.2))
             .collect();
         Self {
             n_rows,

@@ -73,17 +73,11 @@ impl GasEngine {
         channel: u32,
     ) -> Result<Self> {
         let m = comm.size();
-        let srcs = IndexSet::from_indices(local_edges.iter().map(|e| e.0 as u64));
-        let dsts = IndexSet::from_indices(local_edges.iter().map(|e| e.1 as u64));
-        let edge_pos: Vec<(u32, u32)> = local_edges
-            .iter()
-            .map(|&(s, d)| {
-                (
-                    srcs.position(Key::new(s as u64)).expect("own src") as u32,
-                    dsts.position(Key::new(d as u64)).expect("own dst") as u32,
-                )
-            })
-            .collect();
+        let src_ids: Vec<u64> = local_edges.iter().map(|e| e.0 as u64).collect();
+        let dst_ids: Vec<u64> = local_edges.iter().map(|e| e.1 as u64).collect();
+        let (srcs, src_pos) = IndexSet::with_positions(&src_ids);
+        let (dsts, dst_pos) = IndexSet::with_positions(&dst_ids);
+        let edge_pos: Vec<(u32, u32)> = src_pos.into_iter().zip(dst_pos).collect();
 
         // Partition local src / dst vertex lists by master.
         let split_by_master = |set: &IndexSet| -> Vec<Vec<Key>> {

@@ -46,11 +46,10 @@ where
     let down_tag = Tag::new(Phase::App, 1, channel);
 
     // Local combine of the caller's contribution.
-    let out0 = IndexSet::from_indices(out_indices.iter().copied());
+    let (out0, out_pos) = IndexSet::with_positions(out_indices);
     let mut vals = vec![reducer.identity(); out0.len()];
-    for (&i, &v) in out_indices.iter().zip(out_values) {
-        let p = out0.position(Key::new(i)).expect("own index");
-        reducer.combine(&mut vals[p], v);
+    for (&p, &v) in out_pos.iter().zip(out_values) {
+        reducer.combine(&mut vals[p as usize], v);
     }
     let mut keys = out0.into_keys();
 

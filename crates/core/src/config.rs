@@ -215,16 +215,8 @@ where
         plan.size(),
         comm.size()
     );
-    let in0 = IndexSet::from_indices(in_indices.iter().copied());
-    let out0 = IndexSet::from_indices(out_indices.iter().copied());
-    let in_user_map: Vec<u32> = in_indices
-        .iter()
-        .map(|&i| in0.position(Key::new(i)).expect("own index present") as u32)
-        .collect();
-    let out_user_map: Vec<u32> = out_indices
-        .iter()
-        .map(|&i| out0.position(Key::new(i)).expect("own index present") as u32)
-        .collect();
+    let (in0, in_user_map) = IndexSet::with_positions(in_indices);
+    let (out0, out_user_map) = IndexSet::with_positions(out_indices);
 
     // Combined-mode rider: fold the user's values into sorted layout.
     let mut values: Option<Vec<V>> = match user_out_values {
@@ -249,11 +241,10 @@ where
         Phase::Config
     };
 
-    let mut cur_in = in0.clone();
-    let mut cur_out = out0.clone();
-    let mut layers = Vec::with_capacity(plan.layers());
+    let mut layers: Vec<LayerRouting> = Vec::with_capacity(plan.layers());
 
     for layer in 0..plan.layers() {
+        let (cur_out, cur_in) = current_sets(&layers, &out0, &in0);
         let d = plan.degrees()[layer];
         let group = plan.group(rank, layer);
         let my_pos = plan.coordinate(rank, layer);
@@ -337,20 +328,16 @@ where
             values = Some(acc);
         }
 
-        let out_union = IndexSet::from_sorted_keys(out_merged.union);
-        let in_union = IndexSet::from_sorted_keys(in_merged.union);
         layers.push(LayerRouting {
             group,
             my_pos,
             out_spans,
-            out_union: out_union.clone(),
+            out_union: IndexSet::from_sorted_keys(out_merged.union),
             out_maps: out_merged.maps,
             in_spans,
-            in_union: in_union.clone(),
+            in_union: IndexSet::from_sorted_keys(in_merged.union),
             in_maps: in_merged.maps,
         });
-        cur_out = out_union;
-        cur_in = in_union;
     }
 
     // Bottom: locate every requested (in) key inside the reduced (out)
@@ -359,11 +346,8 @@ where
     // callers need not zero-pad their out sets for coverage (the paper
     // states the `∪ in ⊆ ∪ out` contract; we weaken it to "uncovered
     // requests read as identity", which subsumes it).
-    let bottom_in_to_out = cur_in
-        .keys()
-        .iter()
-        .map(|k| cur_out.position(*k).map_or(MISSING, |p| p as u32))
-        .collect();
+    let (cur_out, cur_in) = current_sets(&layers, &out0, &in0);
+    let bottom_in_to_out = locate_sorted(cur_in.keys(), cur_out.keys());
 
     Ok(DownResult {
         configured: Configured {
@@ -383,6 +367,37 @@ where
         },
         bottom_values: values,
     })
+}
+
+/// The node's current `(out, in)` sets: the last layer's unions, or the
+/// top-layer sets before the first layer.
+fn current_sets<'a>(
+    layers: &'a [LayerRouting],
+    out0: &'a IndexSet,
+    in0: &'a IndexSet,
+) -> (&'a IndexSet, &'a IndexSet) {
+    layers
+        .last()
+        .map_or((out0, in0), |l| (&l.out_union, &l.in_union))
+}
+
+/// Position of each of the sorted `needles` in the sorted `hay`, or
+/// [`MISSING`]: one linear walk of both.
+fn locate_sorted(needles: &[Key], hay: &[Key]) -> Vec<u32> {
+    let mut j = 0;
+    needles
+        .iter()
+        .map(|k| {
+            while j < hay.len() && hay[j] < *k {
+                j += 1;
+            }
+            if hay.get(j) == Some(k) {
+                j as u32
+            } else {
+                MISSING
+            }
+        })
+        .collect()
 }
 
 impl Configured {
@@ -409,5 +424,42 @@ impl Configured {
             .iter()
             .map(|l| l.out_spans.iter().map(|s| s.len()).sum())
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kylix_net::LocalCluster;
+    use kylix_sparse::SumReducer;
+
+    /// The bottom map's linear walk agrees with a binary search of every
+    /// bottom in-key in the bottom out-set, uncovered requests included.
+    #[test]
+    fn bottom_in_to_out_matches_binary_search() {
+        let plan = NetworkPlan::new(&[2, 2, 2]);
+        let results = LocalCluster::run(plan.size(), |mut comm| {
+            let r = comm.rank() as u64;
+            // Outs cover 0..400 between them; ins also ask for 1000.. ,
+            // which no rank contributes.
+            let out: Vec<u64> = (0..80).map(|i| (i * 5 + r * 7) % 400).collect();
+            let inn: Vec<u64> = (0..60).map(|i| (i * 11 + r * 13) % 1200).collect();
+            run_down_pass::<_, f64, _>(&mut comm, &plan, 0, &inn, &out, None, SumReducer)
+                .expect("configure")
+                .configured
+        });
+        let mut missing = 0;
+        for cfg in &results {
+            let bottom = cfg.layers.last().expect("three layers");
+            let oracle: Vec<u32> = bottom
+                .in_union
+                .keys()
+                .iter()
+                .map(|k| bottom.out_union.position(*k).map_or(MISSING, |p| p as u32))
+                .collect();
+            assert_eq!(cfg.bottom_in_to_out, oracle, "rank {}", cfg.rank);
+            missing += oracle.iter().filter(|&&p| p == MISSING).count();
+        }
+        assert!(missing > 0, "no uncovered request exercised");
     }
 }

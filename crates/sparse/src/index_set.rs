@@ -7,7 +7,19 @@
 //! * unions of co-ranged sets are linear merges (see [`crate::merge`]),
 //! * positions in the set index directly into the value vectors exchanged
 //!   during reduction.
+//!
+//! Sets are built by one hash-bucket pass rather than a comparison sort.
+//! Keys are splitmix64 hashes, uniform by construction, so scattering
+//! them into about `n` buckets by the hash's top bits leaves each bucket
+//! with O(1) expected keys; a `sort_unstable` per bucket finishes the
+//! order (and keeps the worst case O(n log n) when adversarial indices
+//! share their top hash bits). The dedup pass that follows can also
+//! record where each input landed ([`IndexSet::with_positions`]), so
+//! callers that need their own list in set positions get it without a
+//! binary search per element — random-access lookups, not comparisons,
+//! were the cost (§VI.A's point, applied to set construction).
 
+use crate::hash::mix64;
 use crate::key::Key;
 use crate::range::HashRange;
 
@@ -25,10 +37,42 @@ impl IndexSet {
 
     /// Build from raw feature indices (hashes computed, sorted, deduped).
     pub fn from_indices(indices: impl IntoIterator<Item = u64>) -> Self {
-        let mut keys: Vec<Key> = indices.into_iter().map(Key::new).collect();
-        keys.sort_unstable();
+        let mut keys = bucket_sort(indices.into_iter().map(Key::new).collect());
         keys.dedup();
         Self { keys }
+    }
+
+    /// Build from raw feature indices and report where each one landed:
+    /// `map[i]` is the position of `indices[i]` in the returned set.
+    /// Duplicates share a position.
+    pub fn with_positions(indices: &[u64]) -> (Self, Vec<u32>) {
+        // Sort (hash, input position) pairs; the index is restored in
+        // the dedup pass. mix64 is a bijection, so equal hashes mean
+        // equal indices and the (hash, index) order is the hash order.
+        let tagged = indices
+            .iter()
+            .enumerate()
+            .map(|(p, &i)| Key {
+                hash: mix64(i),
+                index: p as u64,
+            })
+            .collect();
+        let mut keys = bucket_sort(tagged);
+        let mut map = vec![0u32; indices.len()];
+        let mut len = 0;
+        for r in 0..keys.len() {
+            let Key { hash, index: pos } = keys[r];
+            let index = indices[pos as usize];
+            if len == 0 || keys[len - 1].hash != hash {
+                // `len <= r`: the write never clobbers an unread entry.
+                keys[len] = Key { hash, index };
+                len += 1;
+            }
+            debug_assert_eq!(keys[len - 1].index, index, "mix64 collision");
+            map[pos as usize] = (len - 1) as u32;
+        }
+        keys.truncate(len);
+        (Self { keys }, map)
     }
 
     /// Build from keys that are already sorted and deduplicated.
@@ -107,6 +151,49 @@ impl IndexSet {
     pub fn all_within(&self, range: &HashRange) -> bool {
         self.keys.iter().all(|k| range.contains(k.hash))
     }
+}
+
+/// Most hash bits a bucket pass splits on: at most 2^16 buckets.
+const MAX_BUCKET_BITS: u32 = 16;
+
+/// Sort `keys` by scattering them into about `keys.len()` buckets by the
+/// hash's top bits, then sorting each bucket. Linear expected time on
+/// splitmix64 hashes; `sort_unstable` bounds the worst case.
+fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
+    if keys.len() < 2 {
+        return keys;
+    }
+    assert!(u32::try_from(keys.len()).is_ok(), "set positions are u32");
+    let bits = keys
+        .len()
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(MAX_BUCKET_BITS);
+    let shift = 64 - bits;
+    // ends[b] counts bucket b, then becomes its start, then (after the
+    // scatter) its end.
+    let mut ends = vec![0u32; 1 << bits];
+    for k in &keys {
+        ends[(k.hash >> shift) as usize] += 1;
+    }
+    let mut start = 0;
+    for e in &mut ends {
+        let count = *e;
+        *e = start;
+        start += count;
+    }
+    let mut sorted = vec![Key { hash: 0, index: 0 }; keys.len()];
+    for k in &keys {
+        let e = &mut ends[(k.hash >> shift) as usize];
+        sorted[*e as usize] = *k;
+        *e += 1;
+    }
+    let mut lo = 0;
+    for &hi in &ends {
+        sorted[lo..hi as usize].sort_unstable();
+        lo = hi as usize;
+    }
+    sorted
 }
 
 impl FromIterator<u64> for IndexSet {

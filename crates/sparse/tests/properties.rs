@@ -1,6 +1,7 @@
 //! Property tests on the foundation kernels: merges, splits, maps,
 //! scatter/gather — the algebra the whole protocol rests on.
 
+use kylix_sparse::hash::unmix64;
 use kylix_sparse::merge::hash_union;
 use kylix_sparse::vec::{gather, scatter_combine};
 use kylix_sparse::Xoshiro256;
@@ -129,4 +130,65 @@ fn index_set_is_canonical() {
         let b = IndexSet::from_indices(ids.iter().copied());
         assert_eq!(a, b, "seed {seed}");
     }
+}
+
+/// The oracle for set construction: comparison sort, dedup, and a
+/// binary search per input for its position.
+fn sort_dedup_oracle(indices: &[u64]) -> (Vec<Key>, Vec<u32>) {
+    let mut keys: Vec<Key> = indices.iter().map(|&i| Key::new(i)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let map = indices
+        .iter()
+        .map(|&i| keys.binary_search(&Key::new(i)).unwrap() as u32)
+        .collect();
+    (keys, map)
+}
+
+/// Check both constructors against the oracle.
+fn assert_matches_oracle(indices: &[u64], what: &str) {
+    let (keys, map) = sort_dedup_oracle(indices);
+    let (set, positions) = IndexSet::with_positions(indices);
+    assert_eq!(set.keys(), keys.as_slice(), "{what}: keys");
+    assert_eq!(positions, map, "{what}: positions");
+    let plain = IndexSet::from_indices(indices.iter().copied());
+    assert_eq!(plain, set, "{what}: from_indices");
+}
+
+/// The bucket kernel equals sort + dedup + binary search at every size,
+/// including past the 2^16 bucket cap, on distinct-heavy and
+/// duplicate-heavy inputs alike.
+#[test]
+fn bucket_construction_matches_oracle() {
+    for seed in 0..4u64 {
+        let mut rng = Xoshiro256::new(seed);
+        for n in [0usize, 1, 2, 17, 1_000, 70_000] {
+            let spread: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            assert_matches_oracle(&spread, &format!("seed {seed} n {n} spread"));
+            let universe = (n as u64 / 8).max(1);
+            let dupes: Vec<u64> = (0..n).map(|_| rng.next_below(universe)).collect();
+            assert_matches_oracle(&dupes, &format!("seed {seed} n {n} dupes"));
+        }
+    }
+}
+
+/// Indices whose hashes all share their top 16 bits land in one bucket;
+/// the per-bucket sort must stay O(n log n) there (well under 2 s even
+/// unoptimised) and still match the oracle.
+#[test]
+fn bucket_construction_survives_shared_top_bits() {
+    let mut rng = Xoshiro256::new(99);
+    let top = 0xABCD_u64 << 48;
+    let mut indices: Vec<u64> = (0..50_000)
+        .map(|_| unmix64(top | (rng.next_u64() >> 16)))
+        .collect();
+    indices.extend_from_within(..1_000); // some duplicates too
+    assert!(indices.iter().all(|&i| mix64(i) >> 48 == 0xABCD));
+    let t0 = std::time::Instant::now();
+    let (set, positions) = IndexSet::with_positions(&indices);
+    let took = t0.elapsed();
+    assert!(took.as_secs_f64() < 2.0, "adversarial build took {took:?}");
+    let (keys, map) = sort_dedup_oracle(&indices);
+    assert_eq!(set.keys(), keys.as_slice());
+    assert_eq!(positions, map);
 }
