@@ -9,7 +9,9 @@
 //! comparison cancels everything that is not the hot path itself.
 //! Both paths are measured *marginally*: allocations at two operation
 //! counts, subtracted, so one-time costs (thread spawn, configuration,
-//! scratch warm-up) drop out.
+//! scratch warm-up) drop out. The pooled path also runs over loopback
+//! TCP, where each cross-rank frame may cost its receiver the body
+//! `Vec` and the `Bytes` around it, and nothing more.
 //!
 //! Everything lives in one `#[test]` — the counter is process-global
 //! and concurrent tests would pollute each other's readings.
@@ -43,8 +45,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use kylix::codec::{decode_values, encode_values};
 use kylix::config::MISSING;
 use kylix::{Configured, Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Telemetry};
-use kylix_net::{Comm, LocalCluster, Phase, Tag};
+use kylix_net::telemetry::{Clock, Counter, Telemetry};
+use kylix_net::{Comm, LocalCluster, Phase, Tag, TcpCluster};
 use kylix_sparse::vec::{gather, scatter_combine};
 use kylix_sparse::SumReducer;
 
@@ -122,38 +124,54 @@ fn old_reduce<C: Comm>(state: &mut Configured, comm: &mut C, out_values: &[f64])
         .collect()
 }
 
+/// One rank's part: configure, then `ops` steady-state reduce ops;
+/// returns the last result.
+fn rank_ops<C: Comm>(mut comm: C, ops: usize, pooled: bool) -> Vec<f64> {
+    let me = comm.rank();
+    let idx = indices(me);
+    let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + i as f64 * 0.5).collect();
+    let kylix = Kylix::new(NetworkPlan::new(&DEGREES));
+    let mut state = kylix.configure(&mut comm, &idx, &idx, 0).unwrap();
+    let mut out = Vec::new();
+    for _ in 0..ops {
+        if pooled {
+            state
+                .reduce_into(&mut comm, &vals, SumReducer, &mut out)
+                .unwrap();
+        } else {
+            out = old_reduce(&mut state, &mut comm, &vals);
+        }
+    }
+    out
+}
+
 /// Run `ops` steady-state reduce ops on a fresh cluster and return the
 /// global allocation count consumed, plus rank 0's last result. With
 /// `telemetry`, the cluster records full per-rank counters and per-op
 /// timings — the claim under test is that this instrumentation is
 /// allocation-free in steady state.
 fn measure(ops: usize, pooled: bool, telemetry: Option<&Telemetry>) -> (u64, Vec<f64>) {
-    let plan = NetworkPlan::new(&DEGREES);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let body = |mut comm: kylix_net::ThreadComm| {
-        let me = comm.rank();
-        let idx = indices(me);
-        let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + i as f64 * 0.5).collect();
-        let kylix = Kylix::new(plan.clone());
-        let mut state = kylix.configure(&mut comm, &idx, &idx, 0).unwrap();
-        let mut out = Vec::new();
-        for _ in 0..ops {
-            if pooled {
-                state
-                    .reduce_into(&mut comm, &vals, SumReducer, &mut out)
-                    .unwrap();
-            } else {
-                out = old_reduce(&mut state, &mut comm, &vals);
-            }
-        }
-        out
-    };
+    let body = |comm: kylix_net::ThreadComm| rank_ops(comm, ops, pooled);
     let results = match telemetry {
         Some(tel) => LocalCluster::run_with_telemetry(M, tel, body),
         None => LocalCluster::run(M, body),
     };
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
     (spent, results.into_iter().next().unwrap())
+}
+
+/// [`measure`] for the pooled path over loopback TCP. Also returns the
+/// messages the whole cluster received, counted by a telemetry shard
+/// (the pooled+telemetry thread run shows the counting allocates
+/// nothing).
+fn measure_tcp(ops: usize) -> (u64, Vec<f64>, u64) {
+    let tel = Telemetry::new(M, Clock::Wall);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let results = TcpCluster::run_with_telemetry(M, &tel, |comm| rank_ops(comm, ops, true));
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    let received = tel.report().total(Counter::MsgsRecv);
+    (spent, results.into_iter().next().unwrap(), received)
 }
 
 /// One test on purpose: see module docs.
@@ -170,6 +188,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
     let tel = Telemetry::new(M, Clock::Wall);
     let (tel_lo, r_tel_lo) = measure(LO, true, Some(&tel));
     let (tel_hi, r_tel_hi) = measure(HI, true, Some(&tel));
+    let (tcp_lo, r_tcp_lo, recv_lo) = measure_tcp(LO);
+    let (tcp_hi, r_tcp_hi, recv_hi) = measure_tcp(HI);
     // Sanity: both paths compute the same thing, bit for bit (the
     // pooled path defaults to deterministic arrival-order combining,
     // which replays the legacy fixed order).
@@ -178,6 +198,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
         (&r_old_hi, &r_new_hi),
         (&r_new_lo, &r_tel_lo),
         (&r_new_hi, &r_tel_hi),
+        (&r_new_lo, &r_tcp_lo),
+        (&r_new_hi, &r_tcp_hi),
     ] {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -187,10 +209,17 @@ fn steady_state_reduce_allocates_90_percent_less() {
     let per_op_old = (old_hi.saturating_sub(old_lo)) as f64 / (HI - LO) as f64;
     let per_op_new = (new_hi.saturating_sub(new_lo)) as f64 / (HI - LO) as f64;
     let per_op_tel = (tel_hi.saturating_sub(tel_lo)) as f64 / (HI - LO) as f64;
+    let per_op_tcp = (tcp_hi.saturating_sub(tcp_lo)) as f64 / (HI - LO) as f64;
+    // A reduce op sends nothing to self (a rank's own share is only
+    // noted as traffic), so every message received crossed a socket.
+    let frames_per_op = (recv_hi - recv_lo) as f64 / (HI - LO) as f64;
+    let per_frame_tcp = per_op_tcp / frames_per_op;
     eprintln!(
         "marginal allocs/op (whole {M}-rank cluster): \
          legacy {per_op_old:.1}, pooled {per_op_new:.1}, \
-         pooled+telemetry {per_op_tel:.2}"
+         pooled+telemetry {per_op_tel:.2}, \
+         pooled over TCP {per_op_tcp:.2} ({frames_per_op:.0} frames/op, \
+         {per_frame_tcp:.3} allocs/frame)"
     );
     // The legacy path allocates per message and per layer; make sure
     // the measurement itself is alive before comparing.
@@ -210,5 +239,15 @@ fn steady_state_reduce_allocates_90_percent_less() {
         per_op_tel <= 0.4,
         "telemetry-enabled steady state must stay allocation-free: \
          {per_op_tel:.2} allocs/op"
+    );
+    // Over TCP the receiver allocates each frame's body `Vec` and the
+    // `Bytes` around it; the send side writes the pooled payload as is,
+    // so a frame copy on the way out would show here. The 0.4 allocs/op
+    // on top is the slack the thread runs get for queue growth.
+    assert!(frames_per_op >= 1.0, "the TCP runs must send frames");
+    assert!(
+        per_op_tcp <= 2.0 * frames_per_op + 0.4,
+        "TCP steady state must allocate at most 2 per cross-rank frame: \
+         {per_frame_tcp:.3} allocs/frame ({per_op_tcp:.2} allocs/op)"
     );
 }

@@ -1,7 +1,6 @@
 //! Unbounded multi-producer, single-consumer channel: the funnel every
 //! in-process substrate delivers through (`ThreadComm`'s per-rank inbox,
-//! `TcpComm`'s reader-to-rank funnel and per-link writer queues, and
-//! `kylix-netsim`'s `SimComm`).
+//! `TcpComm`'s reader-to-rank funnel, and `kylix-netsim`'s `SimComm`).
 //!
 //! The queue is a `VecDeque` behind a `Mutex` and `Condvar`. Its storage
 //! is reused once it has grown, so a steady send/receive loop does not

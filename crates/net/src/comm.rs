@@ -103,10 +103,16 @@ pub trait Comm: Send {
     /// Number of nodes in the cluster.
     fn size(&self) -> usize;
 
-    /// Fire-and-forget send. Sends to dead/absent ranks are silently
-    /// dropped (commodity clusters lose nodes; the protocol layers above
-    /// decide whether that is tolerable — see the replication module of
-    /// the `kylix` crate).
+    /// Fire-and-forget send: it never waits for the receiver to call a
+    /// receive. A substrate may wait for its own buffer space —
+    /// `TcpComm` writes on the caller's thread and can wait for kernel
+    /// socket buffer space — but that always frees up, because every
+    /// peer's reader thread drains its socket into an unbounded queue
+    /// whether or not the peer is receiving. So ranks that send to each
+    /// other before receiving cannot deadlock. Sends to dead/absent
+    /// ranks are silently dropped (commodity clusters lose nodes; the
+    /// protocol layers above decide whether that is tolerable — see the
+    /// replication module of the `kylix` crate).
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes);
 
     /// Blocking selective receive of the next message from `from` with

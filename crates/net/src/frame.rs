@@ -12,21 +12,23 @@
 //! source is established once at connection handshake and implied for
 //! every frame after that.
 //!
-//! The decoder is a push-style streaming parser: TCP is a byte stream,
-//! so a single `read` may return half a header, one and a half frames,
-//! or ten concatenated frames, and [`FrameDecoder`] must reassemble
-//! exactly the frames that were written regardless of how the kernel
-//! tears them. A declared body length above [`MAX_FRAME_BYTES`] (or
-//! below the 8-byte tag) is rejected as [`FrameError`] rather than
-//! trusted: a corrupted or adversarial length prefix would otherwise
-//! make the reader attempt a multi-gigabyte allocation or desynchronise
-//! the stream silently. Framing errors are unrecoverable for the
-//! connection — once the length prefix cannot be trusted, no later
-//! byte boundary can — so the TCP substrate maps them to
-//! [`crate::CommError::Corrupt`] and closes the link.
+//! [`write_frame`] hands the header and the payload to the writer as
+//! two slices, so the payload is never copied into a frame buffer.
+//! [`read_frame`] pulls exactly one frame from a byte stream; TCP may
+//! tear or concatenate frames arbitrarily, and `read_exact` hides that.
+//! A declared body length above [`MAX_FRAME_BYTES`] (or below the
+//! 8-byte tag) is rejected as a [`FrameError`] as soon as the length
+//! word arrives, before the tag is read or the body allocated: a
+//! corrupted or adversarial length prefix would otherwise make the
+//! reader attempt a multi-gigabyte allocation, or wait for bytes that
+//! never come. Framing errors are unrecoverable for the connection —
+//! once the length prefix cannot be trusted, no later byte boundary
+//! can — so the TCP substrate maps them to [`crate::CommError::Corrupt`]
+//! and closes the link.
 
 use crate::tag::Tag;
 use bytes::Bytes;
+use std::io::{self, IoSlice, Read, Write};
 
 /// Upper bound on the *payload* of one frame (64 MiB). Generously above
 /// any packet the protocol produces (the paper's largest direct-topology
@@ -68,80 +70,56 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Encode one message as a length-prefixed frame ready for `write_all`.
-pub fn encode_frame(tag: Tag, payload: &[u8]) -> Bytes {
+/// Write one message as a length-prefixed frame. The header and the
+/// payload go to the writer as two slices of one `write_vectored` loop,
+/// so the payload is not copied.
+pub fn write_frame(w: &mut impl Write, tag: Tag, payload: &[u8]) -> io::Result<()> {
     assert!(
         payload.len() <= MAX_FRAME_BYTES,
         "payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame cap",
         payload.len()
     );
-    let mut buf = Vec::with_capacity(FRAME_HEADER + payload.len());
-    buf.extend_from_slice(&((8 + payload.len()) as u32).to_le_bytes());
-    buf.extend_from_slice(&tag.raw().to_le_bytes());
-    buf.extend_from_slice(payload);
-    Bytes::from(buf)
+    let mut header = [0u8; FRAME_HEADER];
+    header[..4].copy_from_slice(&((8 + payload.len()) as u32).to_le_bytes());
+    header[4..].copy_from_slice(&tag.raw().to_le_bytes());
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
-/// Streaming frame reassembler: feed it raw socket bytes with
-/// [`FrameDecoder::push`], pull complete frames with
-/// [`FrameDecoder::next_frame`].
-#[derive(Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    /// Consumed prefix of `buf`; compacted lazily on `push` so frame
-    /// extraction itself never memmoves.
-    pos: usize,
-}
-
-impl FrameDecoder {
-    /// A decoder with an empty reassembly buffer.
-    pub fn new() -> Self {
-        Self::default()
+/// Read exactly one frame. A stream that ends anywhere, even mid-frame,
+/// yields an `UnexpectedEof` error; a bad length word yields an
+/// `InvalidData` error wrapping the [`FrameError`], checked before
+/// anything after it is read.
+pub fn read_frame(r: &mut impl Read) -> io::Result<(Tag, Bytes)> {
+    let mut word = [0u8; 4];
+    r.read_exact(&mut word)?;
+    let body_len = u32::from_le_bytes(word) as usize;
+    if body_len < 8 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            FrameError::Undersized { len: body_len },
+        ));
     }
-
-    /// Append raw bytes read from the socket.
-    pub fn push(&mut self, data: &[u8]) {
-        // Compact before growing: everything before `pos` is dead.
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(data);
+    if body_len > MAX_FRAME_BYTES + 8 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            FrameError::Oversized { len: body_len },
+        ));
     }
-
-    /// Bytes buffered but not yet returned as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Extract the next complete frame, if one is fully buffered.
-    ///
-    /// `Ok(None)` means "need more bytes" (a torn read mid-frame);
-    /// `Err` means the stream is unrecoverable. After an `Err` the
-    /// decoder is poisoned only by convention — callers must stop
-    /// feeding the connection.
-    pub fn next_frame(&mut self) -> Result<Option<(Tag, Bytes)>, FrameError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let body_len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        if body_len < 8 {
-            return Err(FrameError::Undersized { len: body_len });
-        }
-        if body_len > MAX_FRAME_BYTES + 8 {
-            return Err(FrameError::Oversized { len: body_len });
-        }
-        if avail.len() < 4 + body_len {
-            return Ok(None);
-        }
-        let tag = Tag::from_raw(u64::from_le_bytes([
-            avail[4], avail[5], avail[6], avail[7], avail[8], avail[9], avail[10], avail[11],
-        ]));
-        let payload = Bytes::from(avail[12..4 + body_len].to_vec());
-        self.pos += 4 + body_len;
-        Ok(Some((tag, payload)))
-    }
+    let mut tag = [0u8; 8];
+    r.read_exact(&mut tag)?;
+    let mut payload = vec![0u8; body_len - 8];
+    r.read_exact(&mut payload)?;
+    Ok((Tag::from_raw(u64::from_le_bytes(tag)), Bytes::from(payload)))
 }
 
 #[cfg(test)]
@@ -153,95 +131,111 @@ mod tests {
         Tag::new(Phase::App, layer, seq)
     }
 
+    fn encode(tag: Tag, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, tag, payload).unwrap();
+        wire
+    }
+
+    /// A reader that hands out at most one byte per `read`.
+    struct ByteByByte<'a>(&'a [u8]);
+
+    impl Read for ByteByByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.0.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    fn is_eof(r: io::Result<(Tag, Bytes)>) -> bool {
+        matches!(r, Err(e) if e.kind() == io::ErrorKind::UnexpectedEof)
+    }
+
+    fn frame_error(r: io::Result<(Tag, Bytes)>) -> Option<FrameError> {
+        let e = r.err()?.into_inner()?;
+        e.downcast_ref::<FrameError>().copied()
+    }
+
     #[test]
     fn single_frame_round_trip() {
-        let f = encode_frame(tag(3, 9), b"hello");
-        let mut dec = FrameDecoder::new();
-        dec.push(&f);
-        let (t, p) = dec.next_frame().unwrap().expect("complete frame");
+        let wire = encode(tag(3, 9), b"hello");
+        let mut r = &wire[..];
+        let (t, p) = read_frame(&mut r).expect("complete frame");
         assert_eq!(t, tag(3, 9));
         assert_eq!(&p[..], b"hello");
-        assert!(dec.next_frame().unwrap().is_none());
-        assert_eq!(dec.buffered(), 0);
+        assert!(is_eof(read_frame(&mut r)));
     }
 
     #[test]
     fn empty_payload_is_a_valid_frame() {
-        let f = encode_frame(tag(0, 0), b"");
-        assert_eq!(f.len(), FRAME_HEADER);
-        let mut dec = FrameDecoder::new();
-        dec.push(&f);
-        let (t, p) = dec.next_frame().unwrap().expect("complete frame");
+        let wire = encode(tag(0, 0), b"");
+        assert_eq!(wire.len(), FRAME_HEADER);
+        let (t, p) = read_frame(&mut &wire[..]).expect("complete frame");
         assert_eq!(t, tag(0, 0));
         assert!(p.is_empty());
     }
 
     #[test]
     fn torn_reads_reassemble_byte_by_byte() {
-        let f = encode_frame(tag(1, 2), b"torn across many reads");
-        let mut dec = FrameDecoder::new();
-        for (i, b) in f.iter().enumerate() {
-            dec.push(&[*b]);
-            let got = dec.next_frame().unwrap();
-            if i + 1 < f.len() {
-                assert!(got.is_none(), "frame complete early at byte {i}");
-            } else {
-                let (t, p) = got.expect("complete at last byte");
-                assert_eq!(t, tag(1, 2));
-                assert_eq!(&p[..], b"torn across many reads");
-            }
+        let wire = encode(tag(1, 2), b"torn across many reads");
+        for cut in 0..wire.len() {
+            assert!(
+                is_eof(read_frame(&mut ByteByByte(&wire[..cut]))),
+                "frame complete early at byte {cut}"
+            );
         }
+        let (t, p) = read_frame(&mut ByteByByte(&wire)).expect("complete at last byte");
+        assert_eq!(t, tag(1, 2));
+        assert_eq!(&p[..], b"torn across many reads");
     }
 
     #[test]
     fn concatenated_frames_split_correctly() {
         let mut wire = Vec::new();
         for i in 0..10u32 {
-            wire.extend_from_slice(&encode_frame(tag(0, i), &[i as u8; 7]));
+            write_frame(&mut wire, tag(0, i), &[i as u8; 7]).unwrap();
         }
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
+        let mut r = &wire[..];
         for i in 0..10u32 {
-            let (t, p) = dec.next_frame().unwrap().expect("frame i");
+            let (t, p) = read_frame(&mut r).expect("frame i");
             assert_eq!(t, tag(0, i));
             assert_eq!(&p[..], &[i as u8; 7]);
         }
-        assert!(dec.next_frame().unwrap().is_none());
+        assert!(is_eof(read_frame(&mut r)));
     }
 
     #[test]
     fn oversized_length_is_rejected_not_allocated() {
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(u32::MAX).to_le_bytes());
-        wire.extend_from_slice(&[0u8; 16]);
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert!(matches!(
-            dec.next_frame(),
-            Err(FrameError::Oversized { len }) if len == u32::MAX as usize
-        ));
+        // The length word alone: rejection must not wait for the tag.
+        let wire = u32::MAX.to_le_bytes();
+        assert_eq!(
+            frame_error(read_frame(&mut &wire[..])),
+            Some(FrameError::Oversized {
+                len: u32::MAX as usize
+            })
+        );
     }
 
     #[test]
     fn undersized_length_is_rejected() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&3u32.to_le_bytes());
-        dec.push(&[0u8; 8]);
-        assert!(matches!(
-            dec.next_frame(),
-            Err(FrameError::Undersized { len: 3 })
-        ));
+        let mut wire = 3u32.to_le_bytes().to_vec();
+        wire.extend_from_slice(&[0u8; 8]);
+        assert_eq!(
+            frame_error(read_frame(&mut &wire[..])),
+            Some(FrameError::Undersized { len: 3 })
+        );
     }
 
     #[test]
     fn length_exactly_at_cap_is_accepted() {
-        // Header declaring exactly MAX_FRAME_BYTES + 8 must parse (the
-        // decoder just waits for the body), one more must not.
-        let mut dec = FrameDecoder::new();
-        dec.push(&((MAX_FRAME_BYTES + 8) as u32).to_le_bytes());
-        assert!(dec.next_frame().unwrap().is_none(), "cap-sized body waits");
-        let mut dec = FrameDecoder::new();
-        dec.push(&((MAX_FRAME_BYTES + 9) as u32).to_le_bytes());
-        assert!(dec.next_frame().is_err());
+        // A header declaring exactly MAX_FRAME_BYTES + 8 must parse (the
+        // reader just runs out of bytes waiting for the tag), one more
+        // must not.
+        let wire = ((MAX_FRAME_BYTES + 8) as u32).to_le_bytes();
+        assert!(is_eof(read_frame(&mut &wire[..])), "cap-sized body waits");
+        let wire = ((MAX_FRAME_BYTES + 9) as u32).to_le_bytes();
+        assert!(frame_error(read_frame(&mut &wire[..])).is_some());
     }
 }

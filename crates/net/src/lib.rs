@@ -62,7 +62,7 @@ pub use checksum::checksum;
 pub use cluster::LocalCluster;
 pub use comm::{Comm, CommError, PatienceComm, RawComm, RawMessage};
 pub use fault::{ChaosComm, Crash, FaultPlan, LinkFaults};
-pub use frame::{encode_frame, FrameDecoder, FrameError, FRAME_HEADER, MAX_FRAME_BYTES};
+pub use frame::{read_frame, write_frame, FrameError, FRAME_HEADER, MAX_FRAME_BYTES};
 pub use mailbox::Mailbox;
 pub use reliable::{ReliableComm, RetryConfig};
 pub use tag::{Phase, Tag};

@@ -11,16 +11,20 @@
 //!
 //! ### Threading model
 //!
-//! Each endpoint owns, per remote peer, one **writer thread** draining
-//! an unbounded frame queue into the outgoing socket — so
-//! [`Comm::send`] keeps the fire-and-forget, never-blocking semantics
-//! of the other substrates regardless of kernel buffer backpressure —
-//! and one **reader thread** reassembling frames from the incoming
-//! socket. All readers funnel into a single per-endpoint event channel
-//! feeding the shared receive side in [`crate::mailbox`] — the same
-//! stash, racing discards and receive loops `ThreadComm` runs; the
-//! protocol above cannot tell the substrates apart (the three-way
-//! differential tests pin this).
+//! [`Comm::send`] writes the frame on the calling rank's own thread,
+//! header and payload in one vectored write, without copying the
+//! payload. Each endpoint owns one **reader thread** per remote peer,
+//! which reads frames from the incoming socket and funnels them into a
+//! single per-endpoint event channel feeding the shared receive side in
+//! [`crate::mailbox`] — the same stash, racing discards and receive
+//! loops `ThreadComm` runs; the protocol above cannot tell the
+//! substrates apart (the three-way differential tests pin this). A
+//! cluster of `m` ranks runs `m·(m−1)` I/O threads.
+//!
+//! The blocking write cannot deadlock. Every reader thread drains its
+//! socket into the unbounded funnel whether or not its rank is
+//! receiving, so kernel buffer space on every link always frees up: a
+//! send may wait for that, but never for the receiver to call `recv`.
 //! Self-addressed sends loop back through the funnel directly, skipping
 //! the socket layer just as `ThreadComm` skips the wire — send-side
 //! telemetry accounting is identical on all substrates.
@@ -30,28 +34,31 @@
 //! [`TcpCluster::make_cluster`] builds the full `m × (m−1)` directed
 //! mesh up front: each ordered pair gets one connection, carrying
 //! traffic in one direction only, identified by an 8-byte
-//! `[magic, src-rank]` handshake. Dropping an endpoint closes its
-//! write sides (peers' readers see EOF) and shuts down its read sides
-//! (its own readers unblock), then joins every worker thread — `Drop`
-//! is deterministic and leak-free. A peer's death is *observable*:
-//! once the incoming connection from rank `p` is gone and nothing from
-//! `p` remains stashed, a selective receive from `p` fails fast with
-//! [`CommError::Closed`] instead of burning its full timeout, and a
-//! framing violation on the link surfaces [`CommError::Corrupt`].
+//! `[magic, src-rank]` handshake. A write that fails (the peer has
+//! gone) closes that outgoing connection, and later sends to the peer
+//! vanish. Dropping an endpoint half-closes its outgoing connections
+//! (peers' readers see EOF after everything already sent) and shuts
+//! down its incoming ones (its own readers unblock), then joins its
+//! reader threads — `Drop` is deterministic and leak-free. A peer's
+//! death is *observable*: once the incoming connection from rank `p` is
+//! gone and nothing from `p` remains stashed, a selective receive from
+//! `p` fails fast with [`CommError::Closed`] instead of burning its full
+//! timeout, and a framing violation on the link surfaces
+//! [`CommError::Corrupt`].
 //! [`RawComm::recv_raw_timeout`] deliberately keeps reporting silence
 //! as `Ok(None)` (not `Closed`): the reliability layer's retransmit /
 //! linger loops treat peer silence as loss, and must keep servicing
 //! *other* live links after one peer exits.
 
-use crate::channel::{unbounded, Receiver, Sender};
+use crate::channel::{unbounded, Sender};
 use crate::cluster::run_each;
 use crate::comm::{Comm, CommError, RawComm, RawMessage};
-use crate::frame::{encode_frame, FrameDecoder};
+use crate::frame::{read_frame, write_frame};
 use crate::mailbox::{Event, Inbox};
 use crate::tag::Tag;
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry, Telemetry};
-use std::io::{Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -60,7 +67,7 @@ use std::time::{Duration, Instant};
 /// Connection-handshake magic: "KYLX".
 const HELLO_MAGIC: u32 = 0x4B59_4C58;
 
-/// Socket read granularity for the reader threads.
+/// Buffer size of each reader thread's `BufReader`.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// A rank's endpoint in a loopback-TCP cluster. See the module docs for
@@ -68,17 +75,17 @@ const READ_CHUNK: usize = 64 * 1024;
 pub struct TcpComm {
     rank: usize,
     size: usize,
-    /// Per-destination frame queues feeding the writer threads. `None`
-    /// at our own index (self-sends loop back through `self_tx`) and
-    /// after `Drop` started.
-    writers: Vec<Option<Sender<Bytes>>>,
+    /// Outgoing connection per destination. `None` at our own index
+    /// (self-sends loop back through `self_tx`) and after a write to
+    /// that peer failed.
+    writers: Vec<Option<TcpStream>>,
     /// Loopback sender for self-addressed messages.
     self_tx: Sender<Event>,
     /// Clones of the incoming sockets, kept so `Drop` can shut down
     /// their read sides and unblock the reader threads.
     incoming: Vec<Option<TcpStream>>,
-    /// Reader + writer threads, joined on `Drop`.
-    workers: Vec<JoinHandle<()>>,
+    /// Reader threads, joined on `Drop`.
+    readers: Vec<JoinHandle<()>>,
     /// The reader funnel and the mailbox it feeds.
     inbox: Inbox,
     epoch: Instant,
@@ -207,30 +214,26 @@ impl TcpCluster {
             .collect();
 
         // Connect side: the directed mesh, one connection per ordered
-        // pair, introduced by the handshake. The writer threads spawn
-        // here; their queues are what `send` pushes into.
-        let mut writer_txs: Vec<Vec<Option<Sender<Bytes>>>> =
-            (0..m).map(|_| (0..m).map(|_| None).collect()).collect();
-        let mut writer_handles: Vec<Vec<JoinHandle<()>>> = (0..m).map(|_| Vec::new()).collect();
-        for src in 0..m {
-            for dst in 0..m {
-                if dst == src {
-                    continue;
-                }
-                let mut stream = TcpStream::connect(addrs[dst])
-                    .unwrap_or_else(|e| panic!("connect {src} -> {dst}: {e}"));
-                stream.set_nodelay(true).ok();
-                let mut hello = [0u8; 8];
-                hello[..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
-                hello[4..].copy_from_slice(&(src as u32).to_le_bytes());
-                stream
-                    .write_all(&hello)
-                    .unwrap_or_else(|e| panic!("handshake {src} -> {dst}: {e}"));
-                let (tx, rx) = unbounded::<Bytes>();
-                writer_txs[src][dst] = Some(tx);
-                writer_handles[src].push(std::thread::spawn(move || writer_loop(rx, stream)));
-            }
-        }
+        // pair, introduced by the handshake; `send` writes to these.
+        let connect = |src: usize, dst: usize| {
+            let mut stream = TcpStream::connect(addrs[dst])
+                .unwrap_or_else(|e| panic!("connect {src} -> {dst}: {e}"));
+            stream.set_nodelay(true).ok();
+            let mut hello = [0u8; 8];
+            hello[..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
+            hello[4..].copy_from_slice(&(src as u32).to_le_bytes());
+            stream
+                .write_all(&hello)
+                .unwrap_or_else(|e| panic!("handshake {src} -> {dst}: {e}"));
+            stream
+        };
+        let mut writers: Vec<Vec<Option<TcpStream>>> = (0..m)
+            .map(|src| {
+                (0..m)
+                    .map(|dst| (dst != src).then(|| connect(src, dst)))
+                    .collect()
+            })
+            .collect();
 
         // Collect the accept side, routing each rank's incoming stream
         // clones and reader handles back to its endpoint.
@@ -251,15 +254,13 @@ impl TcpCluster {
         let epoch = Instant::now();
         let mut endpoints = Vec::with_capacity(m);
         for rank in 0..m {
-            let mut workers = std::mem::take(&mut writer_handles[rank]);
-            workers.append(&mut reader_handles[rank]);
             endpoints.push(TcpComm {
                 rank,
                 size: m,
-                writers: std::mem::take(&mut writer_txs[rank]),
+                writers: std::mem::take(&mut writers[rank]),
                 self_tx: funnel_txs[rank].clone(),
                 incoming: std::mem::take(&mut incoming[rank]),
-                workers,
+                readers: std::mem::take(&mut reader_handles[rank]),
                 inbox: Inbox::new(
                     funnel_rxs.remove(0),
                     m,
@@ -272,62 +273,30 @@ impl TcpCluster {
     }
 }
 
-/// Reader thread: reassemble frames, funnel them, report EOF / framing
+/// Reader thread: read frames, funnel them, report EOF / framing
 /// violations, exit.
-fn reader_loop(src: usize, mut stream: TcpStream, tx: Sender<Event>) {
-    let mut dec = FrameDecoder::new();
-    let mut buf = vec![0u8; READ_CHUNK];
+fn reader_loop(src: usize, stream: TcpStream, tx: Sender<Event>) {
+    let mut reader = BufReader::with_capacity(READ_CHUNK, &stream);
     loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                let _ = tx.send(Event::Eof { src });
+        match read_frame(&mut reader) {
+            Ok((tag, payload)) => {
+                let _ = tx.send(Event::Msg { src, tag, payload });
+            }
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                // Unrecoverable framing violation: surface it, tear the
+                // connection down.
+                let _ = tx.send(Event::Corrupt { src });
+                let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
-            Ok(n) => {
-                dec.push(&buf[..n]);
-                loop {
-                    match dec.next_frame() {
-                        Ok(Some((tag, payload))) => {
-                            let _ = tx.send(Event::Msg { src, tag, payload });
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Unrecoverable framing violation: surface
-                            // it, tear the connection down.
-                            let _ = tx.send(Event::Corrupt { src });
-                            let _ = stream.shutdown(Shutdown::Both);
-                            return;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // A reset/abort from a dying peer is the same as EOF for
-            // the protocol: the peer stopped talking.
+            // EOF, or a reset from a dying peer: either way the peer
+            // stopped talking.
             Err(_) => {
                 let _ = tx.send(Event::Eof { src });
                 return;
             }
         }
     }
-}
-
-/// Writer thread: drain the frame queue into the socket; on queue close
-/// flush and half-close so the peer's reader sees a clean EOF; on write
-/// error (peer died) swallow the rest — sends to dead ranks are dropped
-/// silently, like every other substrate.
-fn writer_loop(rx: Receiver<Bytes>, mut stream: TcpStream) {
-    let mut broken = false;
-    // Loop ends when the endpoint drops the sender: queue is drained.
-    while let Ok(frame) = rx.recv() {
-        if !broken && stream.write_all(&frame).is_err() {
-            broken = true;
-        }
-    }
-    if !broken {
-        let _ = stream.flush();
-    }
-    let _ = stream.shutdown(Shutdown::Write);
 }
 
 impl TcpComm {
@@ -380,12 +349,12 @@ impl Comm for TcpComm {
             });
             return;
         }
-        let frame = encode_frame(tag, &payload);
-        // A closed queue means the writer already shut down (endpoint
-        // mid-drop); a broken socket is swallowed inside the writer.
-        // Either way: a send to a dead rank vanishes, by contract.
-        if let Some(tx) = &self.writers[to] {
-            let _ = tx.send(frame);
+        // A send to a dead rank vanishes, by contract. The first failed
+        // write finds the peer gone; dropping the stream closes it.
+        if let Some(stream) = &mut self.writers[to] {
+            if write_frame(stream, tag, &payload).is_err() {
+                self.writers[to] = None;
+            }
         }
     }
 
@@ -428,10 +397,11 @@ impl RawComm for TcpComm {
 
 impl Drop for TcpComm {
     fn drop(&mut self) {
-        // 1. Close the writer queues: writer threads drain whatever is
-        //    still buffered, flush, half-close (peers see clean EOF).
-        for w in &mut self.writers {
-            *w = None;
+        // 1. Half-close the outgoing connections: every frame `send`
+        //    wrote is already in the kernel, so peers read it all and
+        //    then a clean EOF.
+        for s in self.writers.iter().flatten() {
+            let _ = s.shutdown(Shutdown::Write);
         }
         // 2. Unblock our reader threads: shut down the read sides.
         //    Peers that already exited closed these sockets themselves;
@@ -439,12 +409,9 @@ impl Drop for TcpComm {
         for s in self.incoming.iter().flatten() {
             let _ = s.shutdown(Shutdown::Both);
         }
-        // 3. Join every worker: after (1) and (2) all of them terminate
-        //    promptly, so an endpoint drop never leaks threads or
-        //    sockets. Ordering matters: writers were signalled first,
-        //    so a peer blocked on our traffic receives it before the
-        //    EOF, and only then do we wait.
-        for h in self.workers.drain(..) {
+        // 3. Join the readers: after (2) they all terminate promptly,
+        //    so an endpoint drop never leaks threads or sockets.
+        for h in self.readers.drain(..) {
             let _ = h.join();
         }
     }
@@ -452,12 +419,12 @@ impl Drop for TcpComm {
 
 #[cfg(test)]
 impl TcpComm {
-    /// Test-only hook: queue raw bytes on the wire to `to`, bypassing
-    /// the frame encoder — the only way to present the peer's decoder
-    /// with a hostile length prefix over a real socket.
+    /// Test-only hook: write raw bytes on the wire to `to`, bypassing
+    /// the framing — the only way to present the peer's reader with a
+    /// hostile length prefix over a real socket.
     fn inject_raw_wire_bytes(&self, to: usize, bytes: &[u8]) {
-        if let Some(tx) = &self.writers[to] {
-            let _ = tx.send(Bytes::from(bytes.to_vec()));
+        if let Some(mut stream) = self.writers[to].as_ref() {
+            let _ = stream.write_all(bytes);
         }
     }
 }
@@ -721,6 +688,75 @@ mod tests {
         drop(comms.remove(0));
         drop(comms);
         assert!(start.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Run `f` on its own thread and fail the test if it has not
+    /// returned within `limit` — a blocked send shows up as a hang, and
+    /// this turns the hang into a failure.
+    fn finishes_within<T: Send + 'static>(
+        limit: Duration,
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (tx, rx) = channel();
+        let worker = thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        match rx.recv_timeout(limit) {
+            Ok(out) => {
+                worker.join().expect("worker sent its result");
+                out
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("did not finish within {limit:?}"),
+            // `f` panicked: re-raise its panic here.
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
+            }
+        }
+    }
+
+    #[test]
+    fn crossed_bulk_sends_do_not_deadlock() {
+        // Both ranks write far more than the socket buffers hold before
+        // either receives: the peers' reader threads must drain it.
+        const FRAMES: u32 = 16;
+        const MIB: usize = 1 << 20;
+        let payload = |from: usize, i: u32| -> Vec<u8> {
+            (0..MIB)
+                .map(|j| (j as u32 ^ i.wrapping_mul(31) ^ from as u32) as u8)
+                .collect()
+        };
+        finishes_within(Duration::from_secs(10), move || {
+            let comms = TcpCluster::make_cluster(2);
+            thread::scope(|s| {
+                for mut c in comms {
+                    s.spawn(move || {
+                        let me = c.rank();
+                        let peer = 1 - me;
+                        for i in 0..FRAMES {
+                            c.send(peer, tag(0, i), Bytes::from(payload(me, i)));
+                        }
+                        for i in 0..FRAMES {
+                            let got = c.recv(peer, tag(0, i)).unwrap();
+                            assert!(got[..] == payload(peer, i)[..], "frame {i} differs");
+                        }
+                    });
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn sends_to_dropped_peer_return_promptly() {
+        let big = Bytes::from(vec![7u8; 1 << 20]);
+        finishes_within(Duration::from_secs(5), move || {
+            let mut comms = TcpCluster::make_cluster(2);
+            drop(comms.pop().unwrap());
+            let mut c0 = comms.pop().unwrap();
+            for i in 0..64 {
+                c0.send(1, tag(0, i), big.clone());
+            }
+        });
     }
 
     #[test]
