@@ -13,7 +13,7 @@
 
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::merge::hash_union;
-use kylix_sparse::{tree_merge, IndexSet, Key};
+use kylix_sparse::{tree_merge, IndexSet, Key, MergeResult};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -61,8 +61,15 @@ pub fn run(seed: u64, quick: bool) -> Vec<MergeRow> {
         .map(|&k| {
             let sets = power_law_sets(k, seed);
             let refs: Vec<&[Key]> = sets.iter().map(|s| s.as_slice()).collect();
-            let union = tree_merge(&refs).union;
+            let MergeResult { union, maps } = tree_merge(&refs);
             assert_eq!(union, hash_union(&refs), "k = {k}: the kernels disagree");
+            for (set, map) in refs.iter().zip(&maps) {
+                let mapped = map.iter().map(|&p| union[p as usize]);
+                assert!(
+                    mapped.eq(set.iter().copied()),
+                    "k = {k}: a map entry misses its key"
+                );
+            }
             let (mut tree, mut hash) = (Vec::new(), Vec::new());
             for _ in 0..reps {
                 let t = Instant::now();

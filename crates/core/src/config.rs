@@ -25,15 +25,20 @@
 //! in/out sets change every operation — §III: "it is more efficient to
 //! do configuration and reduction concurrently with combined network
 //! messages"). `run_down_pass` therefore takes an optional value
-//! rider and is shared by `configure` and `allreduce_combined`.
+//! rider and is shared by `configure` and `allreduce_combined`. The
+//! riders are scatter-combined straight from the wire once the merge
+//! has built the maps, in the reduce pass's deterministic order, so
+//! combined results are bit-identical to `configure` + `reduce`.
 
 use crate::codec::{put_keys, put_values, seal, Decoder, SEAL_LEN};
 use crate::error::{comm_err, surface_corrupt, KylixError, Result};
 use crate::plan::NetworkPlan;
+use bytes::Bytes;
 use kylix_net::{Comm, Phase, Tag};
-use kylix_sparse::vec::scatter_combine;
+use kylix_sparse::vec::{scatter_combine, scatter_combine_le};
 use kylix_sparse::{tree_merge, IndexSet, Key, Reducer, Scalar};
 use std::any::{Any, TypeId};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -279,33 +284,29 @@ where
             comm.send(peer, tag, seal(buf));
         }
 
-        // Collect every coordinate's parts (own part straight from the
-        // local slices).
-        let mut out_parts: Vec<Vec<Key>> = vec![Vec::new(); d];
-        let mut in_parts: Vec<Vec<Key>> = vec![Vec::new(); d];
-        let mut val_parts: Vec<Vec<V>> = vec![Vec::new(); d];
-        for (c, &peer) in group.iter().enumerate() {
-            if c == my_pos {
-                out_parts[c] = cur_out.keys()[out_spans[c].clone()].to_vec();
-                in_parts[c] = cur_in.keys()[in_spans[c].clone()].to_vec();
-                if let Some(vals) = &values {
-                    val_parts[c] = vals[out_spans[c].clone()].to_vec();
-                }
-                continue;
-            }
+        // Every coordinate's parts: the own part borrowed from the local
+        // sets, the peers' decoded. In combined mode each peer's value
+        // section stays on the wire until the union's maps exist.
+        let mut out_parts = vec![Cow::Borrowed(&cur_out.keys()[out_spans[my_pos].clone()]); d];
+        let mut in_parts = vec![Cow::Borrowed(&cur_in.keys()[in_spans[my_pos].clone()]); d];
+        let mut riders: Vec<(usize, Bytes)> = Vec::new();
+        for (c, &peer) in group.iter().enumerate().filter(|(c, _)| *c != my_pos) {
             let payload = comm.recv(peer, tag).map_err(comm_err("config down"))?;
             let mut dec =
                 Decoder::new(&payload).map_err(surface_corrupt("config down", peer, tag))?;
-            out_parts[c] = dec.keys()?;
+            out_parts[c] = Cow::Owned(dec.keys()?);
             if values.is_some() {
-                val_parts[c] = dec.values::<V>()?;
-                if val_parts[c].len() != out_parts[c].len() {
+                let (n, raw) = dec.raw_values::<V>()?;
+                if n != out_parts[c].len() {
                     return Err(KylixError::Codec {
                         what: "combined values misaligned with keys",
                     });
                 }
+                // The values follow the `n` keys and their own count.
+                let start = keys_wire_len(n) + 8;
+                riders.push((c, payload.slice(start..start + raw.len())));
             }
-            in_parts[c] = dec.keys()?;
+            in_parts[c] = Cow::Owned(dec.keys()?);
             if !dec.finished() {
                 return Err(KylixError::Codec {
                     what: "trailing bytes in config message",
@@ -314,16 +315,17 @@ where
         }
 
         // Union with maps (tree merge, §VI.A).
-        let out_refs: Vec<&[Key]> = out_parts.iter().map(|p| p.as_slice()).collect();
-        let out_merged = tree_merge(&out_refs);
-        let in_refs: Vec<&[Key]> = in_parts.iter().map(|p| p.as_slice()).collect();
-        let in_merged = tree_merge(&in_refs);
+        let out_merged = tree_merge(&out_parts.iter().map(|p| &p[..]).collect::<Vec<_>>());
+        let in_merged = tree_merge(&in_parts.iter().map(|p| &p[..]).collect::<Vec<_>>());
 
-        // Combined mode: reduce the value parts into the new union layout.
-        if values.is_some() {
+        // Combined mode: fold the values into the union layout in the
+        // reduce pass's deterministic order, own slice first.
+        if let Some(vals) = &values {
+            let (maps, own) = (&out_merged.maps, &vals[out_spans[my_pos].clone()]);
             let mut acc = vec![reducer.identity(); out_merged.union.len()];
-            for (c, part) in val_parts.iter().enumerate() {
-                scatter_combine(&mut acc, part, &out_merged.maps[c], reducer);
+            scatter_combine(&mut acc, own, &maps[my_pos], reducer);
+            for (c, raw) in &riders {
+                scatter_combine_le(&mut acc, raw, &maps[*c], reducer);
             }
             values = Some(acc);
         }

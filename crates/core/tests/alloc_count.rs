@@ -11,7 +11,9 @@
 //! counts, subtracted, so one-time costs (thread spawn, configuration,
 //! scratch warm-up) drop out. The pooled path also runs over loopback
 //! TCP, where each cross-rank frame may cost its receiver the body
-//! `Vec` and the `Bytes` around it, and nothing more.
+//! `Vec` and the `Bytes` around it, and nothing more. Finally
+//! `allreduce_combined`, which runs the whole config pass every op, is
+//! held to a budget of 90 allocations per rank-op.
 //!
 //! Everything lives in one `#[test]` — the counter is process-global
 //! and concurrent tests would pollute each other's readings.
@@ -174,6 +176,28 @@ fn measure_tcp(ops: usize) -> (u64, Vec<f64>, u64) {
     (spent, results.into_iter().next().unwrap(), received)
 }
 
+/// Run `ops` `allreduce_combined` ops on a fresh cluster — each op
+/// configures the sets anew, as minibatch workloads do — and return the
+/// global allocation count consumed plus rank 0's last result.
+fn measure_combined(ops: usize) -> (u64, Vec<f64>) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let results = LocalCluster::run(M, |mut comm| {
+        let idx = indices(comm.rank());
+        let vals: Vec<f64> = idx.iter().map(|&i| 1.0 + i as f64 * 0.5).collect();
+        let kylix = Kylix::new(NetworkPlan::new(&DEGREES));
+        let mut out = Vec::new();
+        for op in 0..ops {
+            out = kylix
+                .allreduce_combined(&mut comm, &idx, &idx, &vals, SumReducer, op as u32)
+                .unwrap()
+                .0;
+        }
+        out
+    });
+    let spent = ALLOCS.load(Ordering::Relaxed) - before;
+    (spent, results.into_iter().next().unwrap())
+}
+
 /// One test on purpose: see module docs.
 #[test]
 fn steady_state_reduce_allocates_90_percent_less() {
@@ -190,6 +214,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
     let (tel_hi, r_tel_hi) = measure(HI, true, Some(&tel));
     let (tcp_lo, r_tcp_lo, recv_lo) = measure_tcp(LO);
     let (tcp_hi, r_tcp_hi, recv_hi) = measure_tcp(HI);
+    let (comb_lo, r_comb_lo) = measure_combined(LO);
+    let (comb_hi, r_comb_hi) = measure_combined(HI);
     // Sanity: both paths compute the same thing, bit for bit (the
     // pooled path defaults to deterministic arrival-order combining,
     // which replays the legacy fixed order).
@@ -200,6 +226,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
         (&r_new_hi, &r_tel_hi),
         (&r_new_lo, &r_tcp_lo),
         (&r_new_hi, &r_tcp_hi),
+        (&r_new_lo, &r_comb_lo),
+        (&r_new_hi, &r_comb_hi),
     ] {
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(b) {
@@ -210,6 +238,7 @@ fn steady_state_reduce_allocates_90_percent_less() {
     let per_op_new = (new_hi.saturating_sub(new_lo)) as f64 / (HI - LO) as f64;
     let per_op_tel = (tel_hi.saturating_sub(tel_lo)) as f64 / (HI - LO) as f64;
     let per_op_tcp = (tcp_hi.saturating_sub(tcp_lo)) as f64 / (HI - LO) as f64;
+    let per_rank_op_comb = (comb_hi.saturating_sub(comb_lo)) as f64 / ((HI - LO) * M) as f64;
     // A reduce op sends nothing to self (a rank's own share is only
     // noted as traffic), so every message received crossed a socket.
     let frames_per_op = (recv_hi - recv_lo) as f64 / (HI - LO) as f64;
@@ -219,7 +248,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
          legacy {per_op_old:.1}, pooled {per_op_new:.1}, \
          pooled+telemetry {per_op_tel:.2}, \
          pooled over TCP {per_op_tcp:.2} ({frames_per_op:.0} frames/op, \
-         {per_frame_tcp:.3} allocs/frame)"
+         {per_frame_tcp:.3} allocs/frame); \
+         allreduce_combined {per_rank_op_comb:.1} per rank-op"
     );
     // The legacy path allocates per message and per layer; make sure
     // the measurement itself is alive before comparing.
@@ -249,5 +279,14 @@ fn steady_state_reduce_allocates_90_percent_less() {
         per_op_tcp <= 2.0 * frames_per_op + 0.4,
         "TCP steady state must allocate at most 2 per cross-rank frame: \
          {per_frame_tcp:.3} allocs/frame ({per_op_tcp:.2} allocs/op)"
+    );
+    // A combined op configures from scratch and returns an owned
+    // `Configured` (its sets, maps and spans), so it cannot be
+    // allocation-free; the budget pins the config pass's copies and
+    // per-level merge buffers as gone.
+    assert!(
+        per_rank_op_comb <= 90.0,
+        "allreduce_combined must stay within 90 allocs per rank-op: \
+         {per_rank_op_comb:.1}"
     );
 }

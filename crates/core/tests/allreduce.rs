@@ -3,11 +3,14 @@
 //! simulator), replication, failures, and property-based equivalence
 //! with the sequential reference semantics.
 
-use kylix::{reference_allreduce, Kylix, NetworkPlan, NodeContribution, ReplicatedComm};
-use kylix_net::{Comm, LocalCluster};
+use kylix::codec::{put_keys, put_values, seal};
+use kylix::{
+    reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
+};
+use kylix_net::{Comm, LocalCluster, Phase, Tag};
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
-use kylix_sparse::{BitOrReducer, MinReducer, SumReducer, Xoshiro256};
+use kylix_sparse::{BitOrReducer, IndexSet, MinReducer, SumReducer, Xoshiro256};
 
 /// Build node contributions from a deterministic seed: random sparse out
 /// sets with values, in sets drawn from the union of all out sets.
@@ -116,6 +119,110 @@ fn combined_mode_matches_separate_mode() {
     for (g, e) in got.iter().zip(&expected) {
         for (a, b) in g.iter().zip(e) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+}
+
+/// One rank's result from `allreduce_combined` and from `configure` +
+/// `reduce` on the same contribution (channels chosen so the two
+/// collectives' tags never meet).
+fn combined_and_separate<C: Comm>(
+    comm: &mut C,
+    plan: &NetworkPlan,
+    node: &NodeContribution<f64>,
+) -> (Vec<f64>, Vec<f64>) {
+    let kylix = Kylix::new(plan.clone());
+    let (combined, _) = kylix
+        .allreduce_combined(
+            comm,
+            &node.in_indices,
+            &node.out_indices,
+            &node.out_values,
+            SumReducer,
+            0,
+        )
+        .unwrap();
+    let mut state = kylix
+        .configure(comm, &node.in_indices, &node.out_indices, 1)
+        .unwrap();
+    let separate = state.reduce(comm, &node.out_values, SumReducer).unwrap();
+    (combined, separate)
+}
+
+/// Combined mode folds its rider in the reduce pass's deterministic
+/// order, so its results match `configure` + `reduce` bit for bit — on
+/// values whose sums round, where any other order shows in the low bits.
+#[test]
+fn combined_mode_is_bit_identical_to_configure_then_reduce() {
+    for (seed, degrees) in [
+        (11u64, vec![4usize, 2]),
+        (12, vec![3, 2]),
+        (13, vec![2, 2, 2]),
+    ] {
+        let plan = NetworkPlan::new(&degrees);
+        let m = plan.size();
+        let mut nodes = random_workload(m, 30, seed);
+        let mut rng = Xoshiro256::new(seed);
+        for v in nodes.iter_mut().flat_map(|n| n.out_values.iter_mut()) {
+            *v = rng.next_f64() * 2.0 - 0.7;
+        }
+        let on_threads = LocalCluster::run(m, |mut comm| {
+            let me = comm.rank();
+            combined_and_separate(&mut comm, &plan, &nodes[me])
+        });
+        let on_sim = SimCluster::new(m, NicModel::ec2_10g())
+            .seed(seed)
+            .run_all(|mut comm| {
+                let me = comm.rank();
+                combined_and_separate(&mut comm, &plan, &nodes[me])
+            });
+        for (substrate, runs) in [("threads", &on_threads), ("sim", &on_sim)] {
+            for (rank, (combined, separate)) in runs.iter().enumerate() {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(combined),
+                    bits(separate),
+                    "{substrate}: plan {plan}, rank {rank}"
+                );
+            }
+        }
+    }
+}
+
+/// A peer whose combined frame is malformed — a value count that is not
+/// its key count, or a value section cut short — fails the collective
+/// with a codec error instead of a panic.
+#[test]
+fn malformed_combined_frames_are_codec_errors() {
+    let keys = IndexSet::from_indices([1u64, 2, 3]);
+    let mut miscounted = Vec::new();
+    put_keys(&mut miscounted, keys.keys());
+    put_values(&mut miscounted, &[1.0f64, 2.0]);
+    put_keys(&mut miscounted, &[]);
+    let mut truncated = Vec::new();
+    put_keys(&mut truncated, keys.keys());
+    truncated.extend_from_slice(&3u64.to_le_bytes());
+    truncated.extend_from_slice(&[0u8; 16]);
+    for (case, frame) in [
+        ("miscounted", seal(miscounted)),
+        ("truncated", seal(truncated)),
+    ] {
+        let results = LocalCluster::run(2, |mut comm| {
+            if comm.rank() == 1 {
+                // Play the peer: send the forged frame and leave.
+                comm.send(0, Tag::new(Phase::Combined, 0, 0), frame.clone());
+                return None;
+            }
+            let kylix = Kylix::new(NetworkPlan::direct(2));
+            Some(
+                kylix
+                    .allreduce_combined(&mut comm, &[1], &[1, 2], &[1.0f64, 2.0], SumReducer, 0)
+                    .map(|(v, _)| v),
+            )
+        });
+        match &results[0] {
+            Some(Err(KylixError::Codec { .. })) => {}
+            other => panic!("{case}: expected a codec error, got {other:?}"),
         }
     }
 }

@@ -643,10 +643,10 @@ mod tests {
         // A hostile/buggy peer declares a ~4 GiB frame. The victim must
         // answer Corrupt — without allocating the claimed body and
         // without burning a full timeout. The bad prefix goes under the
-        // encoder via the test-only raw-wire hook: the writer queue
-        // carries opaque byte blobs, so a blob that is not a valid
-        // frame desynchronises the stream exactly like in-flight
-        // corruption of a length word would.
+        // encoder via the test-only raw-wire hook, which writes straight
+        // to the socket: bytes that are not a valid frame desynchronise
+        // the stream exactly like in-flight corruption of a length word
+        // would.
         let mut comms = TcpCluster::make_cluster(2);
         let mut c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
@@ -662,7 +662,8 @@ mod tests {
     #[test]
     fn drop_joins_all_worker_threads() {
         // Dropping every endpoint must terminate promptly — no leaked
-        // reader blocked in read(), no writer waiting on its queue.
+        // reader blocked in read(); sends run on the caller's thread,
+        // so there is no other worker to join.
         let comms = TcpCluster::make_cluster(4);
         let start = Instant::now();
         drop(comms);

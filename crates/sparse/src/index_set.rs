@@ -11,9 +11,11 @@
 //! Sets are built by one hash-bucket pass rather than a comparison sort.
 //! Keys are splitmix64 hashes, uniform by construction, so scattering
 //! them into about `n` buckets by the hash's top bits leaves each bucket
-//! with O(1) expected keys; a `sort_unstable` per bucket finishes the
-//! order (and keeps the worst case O(n log n) when adversarial indices
-//! share their top hash bits). The dedup pass that follows can also
+//! with O(1) expected keys, and one insertion pass over the scattered
+//! array finishes the order (each key moves only within its bucket).
+//! Should a bucket hold more than 16 keys (adversarial indices sharing
+//! their top hash bits), a `sort_unstable` per bucket keeps the worst
+//! case O(n log n) instead. The dedup pass that follows can also
 //! record where each input landed ([`IndexSet::with_positions`]), so
 //! callers that need their own list in set positions get it without a
 //! binary search per element — random-access lookups, not comparisons,
@@ -156,9 +158,13 @@ impl IndexSet {
 /// Most hash bits a bucket pass splits on: at most 2^16 buckets.
 const MAX_BUCKET_BITS: u32 = 16;
 
+/// Widest bucket the finishing insertion pass accepts.
+const INSERTION_MAX: u32 = 16;
+
 /// Sort `keys` by scattering them into about `keys.len()` buckets by the
-/// hash's top bits, then sorting each bucket. Linear expected time on
-/// splitmix64 hashes; `sort_unstable` bounds the worst case.
+/// hash's top bits, then sorting within the buckets: one insertion pass
+/// if none is wider than [`INSERTION_MAX`], else `sort_unstable` per
+/// bucket, which bounds the worst case.
 fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
     if keys.len() < 2 {
         return keys;
@@ -176,11 +182,12 @@ fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
     for k in &keys {
         ends[(k.hash >> shift) as usize] += 1;
     }
-    let mut start = 0;
+    let (mut start, mut widest) = (0, 0);
     for e in &mut ends {
         let count = *e;
         *e = start;
         start += count;
+        widest = widest.max(count);
     }
     let mut sorted = vec![Key { hash: 0, index: 0 }; keys.len()];
     for k in &keys {
@@ -188,10 +195,21 @@ fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
         sorted[*e as usize] = *k;
         *e += 1;
     }
-    let mut lo = 0;
-    for &hi in &ends {
-        sorted[lo..hi as usize].sort_unstable();
-        lo = hi as usize;
+    if widest <= INSERTION_MAX {
+        for i in 1..sorted.len() {
+            let (k, mut j) = (sorted[i], i);
+            while j > 0 && sorted[j - 1] > k {
+                sorted[j] = sorted[j - 1];
+                j -= 1;
+            }
+            sorted[j] = k;
+        }
+    } else {
+        let mut lo = 0;
+        for &hi in &ends {
+            sorted[lo..hi as usize].sort_unstable();
+            lo = hi as usize;
+        }
     }
     sorted
 }
@@ -205,7 +223,58 @@ impl FromIterator<u64> for IndexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::Xoshiro256;
+    use crate::hash::{unmix64, Xoshiro256};
+
+    /// Both constructors agree with a comparison sort of `indices`, and
+    /// `with_positions` maps every input to its own key.
+    fn check_constructors(indices: &[u64]) {
+        let mut want: Vec<Key> = indices.iter().map(|&i| Key::new(i)).collect();
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(IndexSet::from_indices(indices.iter().copied()).keys(), want);
+        let (set, map) = IndexSet::with_positions(indices);
+        assert_eq!(set.keys(), want);
+        for (&i, &p) in indices.iter().zip(&map) {
+            assert_eq!(set.keys()[p as usize].index, i);
+        }
+    }
+
+    /// Indices whose hashes carry `top` in their top `bits` bits and
+    /// random low bits.
+    fn in_bucket(rng: &mut Xoshiro256, bits: u32, top: u64, n: usize) -> Vec<u64> {
+        (0..n)
+            .map(|_| unmix64(top << (64 - bits) | rng.next_u64() >> bits))
+            .collect()
+    }
+
+    #[test]
+    fn one_crowded_bucket_sorts_in_time() {
+        // Every hash shares its top 16 bits: one bucket holds them all,
+        // the adversarial case the per-bucket sort exists for.
+        let mut rng = Xoshiro256::new(23);
+        let mut indices = in_bucket(&mut rng, 16, 0xBEEF, 50_000);
+        indices.extend_from_within(..500); // duplicates share positions
+        let t = std::time::Instant::now();
+        check_constructors(&indices);
+        assert!(t.elapsed().as_secs_f64() < 2.0, "took {:?}", t.elapsed());
+    }
+
+    #[test]
+    fn widest_bucket_on_both_sides_of_the_insertion_pass() {
+        // 256 keys use 8 bucket bits: two adjacent buckets of `widest`
+        // keys, every other key alone in its bucket.
+        for widest in [INSERTION_MAX as usize, INSERTION_MAX as usize + 1] {
+            let mut rng = Xoshiro256::new(widest as u64);
+            let mut indices = in_bucket(&mut rng, 8, 5, widest);
+            indices.extend(in_bucket(&mut rng, 8, 6, widest));
+            for b in (7..256).take(256 - 2 * widest) {
+                indices.extend(in_bucket(&mut rng, 8, b, 1));
+            }
+            rng.shuffle(&mut indices);
+            assert_eq!(indices.len(), 256);
+            check_constructors(&indices);
+        }
+    }
 
     #[test]
     fn from_indices_sorts_and_dedups() {

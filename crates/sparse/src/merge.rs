@@ -16,11 +16,14 @@
 //! obvious way to union sets but lose badly to **merging sorted runs** in
 //! practice (5× in their measurements) because of random-access constants.
 //! Merging is only efficient when the two runs are comparable in length,
-//! so `k` sets are combined along a balanced binary **tree merge**: leaves
-//! are the input sets, every internal node merges two runs of similar
-//! size. We implement exactly that, threading the position maps through
-//! the tree: when two runs merge, previously-built maps of their leaves
-//! are rewritten through the merge's own placement vector.
+//! so `k` sets are combined along a balanced binary **tree merge**: the
+//! sets split into two halves, recursively, and every inner node merges
+//! its halves' runs with one two-run loop (which is all [`merge_union`]
+//! is). A half that is a single input set is merged straight from the
+//! caller's slice, and the merge's placement of it *is* that set's map;
+//! only inner nodes build a run. When an inner child's run is merged,
+//! its leaves' maps are rewritten in place through the merge's
+//! placement, so each leaf owns one map buffer for the whole tree.
 
 use crate::key::Key;
 
@@ -36,46 +39,7 @@ pub struct MergeResult {
 /// Merge two sorted deduplicated runs, producing the union and, for each
 /// input, the map from its positions to union positions.
 pub fn merge_union(a: &[Key], b: &[Key]) -> MergeResult {
-    let mut union = Vec::with_capacity(a.len() + b.len());
-    let mut map_a = Vec::with_capacity(a.len());
-    let mut map_b = Vec::with_capacity(b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        let pos = union.len() as u32;
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                union.push(a[i]);
-                map_a.push(pos);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union.push(b[j]);
-                map_b.push(pos);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                union.push(a[i]);
-                map_a.push(pos);
-                map_b.push(pos);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    while i < a.len() {
-        map_a.push(union.len() as u32);
-        union.push(a[i]);
-        i += 1;
-    }
-    while j < b.len() {
-        map_b.push(union.len() as u32);
-        union.push(b[j]);
-        j += 1;
-    }
-    MergeResult {
-        union,
-        maps: vec![map_a, map_b],
-    }
+    tree_merge(&[a, b])
 }
 
 /// Union `k` sorted deduplicated sets via a balanced tree merge,
@@ -84,70 +48,72 @@ pub fn merge_union(a: &[Key], b: &[Key]) -> MergeResult {
 /// Cost is `O(S log k)` where `S` is the total input size, versus
 /// `O(S k)` for naive sequential accumulation into one growing run.
 pub fn tree_merge(sets: &[&[Key]]) -> MergeResult {
-    match sets.len() {
-        0 => MergeResult {
-            union: Vec::new(),
-            maps: Vec::new(),
-        },
-        1 => MergeResult {
-            union: sets[0].to_vec(),
-            maps: vec![(0..sets[0].len() as u32).collect()],
-        },
-        _ => {
-            // Internal frame: a merged run plus the maps of the original
-            // leaf sets it covers (in input order).
-            struct Frame {
-                run: Vec<Key>,
-                leaf_maps: Vec<(usize, Vec<u32>)>,
-            }
-            let mut level: Vec<Frame> = sets
-                .iter()
-                .enumerate()
-                .map(|(i, s)| Frame {
-                    run: s.to_vec(),
-                    leaf_maps: vec![(i, (0..s.len() as u32).collect())],
-                })
-                .collect();
-            while level.len() > 1 {
-                let mut next = Vec::with_capacity(level.len().div_ceil(2));
-                let mut it = level.into_iter();
-                while let Some(a) = it.next() {
-                    match it.next() {
-                        None => next.push(a),
-                        Some(b) => {
-                            let merged = merge_union(&a.run, &b.run);
-                            let mut leaf_maps =
-                                Vec::with_capacity(a.leaf_maps.len() + b.leaf_maps.len());
-                            for (idx, m) in a.leaf_maps {
-                                leaf_maps.push((
-                                    idx,
-                                    m.iter().map(|&p| merged.maps[0][p as usize]).collect(),
-                                ));
-                            }
-                            for (idx, m) in b.leaf_maps {
-                                leaf_maps.push((
-                                    idx,
-                                    m.iter().map(|&p| merged.maps[1][p as usize]).collect(),
-                                ));
-                            }
-                            next.push(Frame {
-                                run: merged.union,
-                                leaf_maps,
-                            });
-                        }
-                    }
-                }
-                level = next;
-            }
-            let root = level.pop().expect("nonempty level");
-            let mut maps = vec![Vec::new(); sets.len()];
-            for (idx, m) in root.leaf_maps {
-                maps[idx] = m;
-            }
-            MergeResult {
-                union: root.run,
-                maps,
-            }
+    let mut maps = vec![Vec::new(); sets.len()];
+    let union = match sets {
+        [] => Vec::new(),
+        [s] => {
+            maps[0] = (0..s.len() as u32).collect();
+            s.to_vec()
+        }
+        _ => merge_node(sets, &mut maps),
+    };
+    MergeResult { union, maps }
+}
+
+/// Union of two or more `sets`, writing each set's map into the
+/// matching entry of `maps`.
+fn merge_node(sets: &[&[Key]], maps: &mut [Vec<u32>]) -> Vec<Key> {
+    let mid = sets.len() / 2;
+    let (a_maps, b_maps) = maps.split_at_mut(mid);
+    // A single set is merged straight from its slice; a larger half
+    // first builds its own run.
+    let a_run = (mid > 1).then(|| merge_node(&sets[..mid], a_maps));
+    let b_run = (sets.len() - mid > 1).then(|| merge_node(&sets[mid..], b_maps));
+    let a = a_run.as_deref().unwrap_or(sets[0]);
+    let b = b_run.as_deref().unwrap_or(sets[mid]);
+    let (union, [place_a, place_b]) = merge_runs(a, b);
+    settle(a_maps, place_a);
+    settle(b_maps, place_b);
+    union
+}
+
+/// The one merge loop: the union of sorted runs `a` and `b`, and each
+/// run's placement (its positions in the union).
+fn merge_runs(a: &[Key], b: &[Key]) -> (Vec<Key>, [Vec<u32>; 2]) {
+    let mut union = vec![Key { hash: 0, index: 0 }; a.len() + b.len()];
+    let (mut map_a, mut map_b) = (vec![0; a.len()], vec![0; b.len()]);
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    // Which run advances is data, not control flow: interleaved runs
+    // would mispredict a branch per key. A run that does not advance
+    // has its slot written again on a later step.
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        union[n] = if x <= y { x } else { y };
+        map_a[i] = n as u32;
+        map_b[j] = n as u32;
+        i += (x <= y) as usize;
+        j += (y <= x) as usize;
+        n += 1;
+    }
+    for (tail, map) in [(&a[i..], &mut map_a[i..]), (&b[j..], &mut map_b[j..])] {
+        for (k, p) in tail.iter().zip(map) {
+            union[n] = *k;
+            *p = n as u32;
+            n += 1;
+        }
+    }
+    union.truncate(n);
+    (union, [map_a, map_b])
+}
+
+/// Hand one merged side its maps: a single set's placement is its map;
+/// a child run's leaf maps are rewritten in place through the placement.
+fn settle(maps: &mut [Vec<u32>], place: Vec<u32>) {
+    if let [map] = maps {
+        *map = place;
+    } else {
+        for p in maps.iter_mut().flatten() {
+            *p = place[*p as usize];
         }
     }
 }
@@ -230,6 +196,35 @@ mod tests {
             let refs: Vec<&[Key]> = sets.iter().map(|s| s.as_slice()).collect();
             let r = tree_merge(&refs);
             assert_eq!(r.union, hash_union(&refs), "k={k}");
+            check_maps(&r, &refs);
+        }
+    }
+
+    #[test]
+    fn tree_merge_edge_shapes() {
+        let mut rng = Xoshiro256::new(9);
+        let mut random = |n: usize| set((0..n).map(|_| rng.next_below(400)));
+        let shared = random(120);
+        let cases: Vec<Vec<Vec<Key>>> = vec![
+            // Uneven halves: 1 + 2 and 3 + 4 sets.
+            (0..3).map(|_| random(150)).collect(),
+            (0..7).map(|_| random(150)).collect(),
+            // Empty sets at odd positions, including a whole empty half.
+            (0..7)
+                .map(|i| if i % 2 == 1 { Vec::new() } else { random(90) })
+                .collect(),
+            vec![random(50), Vec::new(), Vec::new(), Vec::new()],
+            // Every set identical.
+            vec![shared.clone(); 3],
+            vec![shared.clone(); 7],
+            // One-key sets, repeated and distinct.
+            (0..7).map(|i| set([i as u64 % 3])).collect(),
+            (0..5).map(|i| set([i as u64 * 1000])).collect(),
+        ];
+        for (n, sets) in cases.iter().enumerate() {
+            let refs: Vec<&[Key]> = sets.iter().map(|s| s.as_slice()).collect();
+            let r = tree_merge(&refs);
+            assert_eq!(r.union, hash_union(&refs), "case {n}");
             check_maps(&r, &refs);
         }
     }

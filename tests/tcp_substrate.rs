@@ -8,8 +8,9 @@
 //!    reduction;
 //! 2. killing a rank mid-protocol surfaces `Closed`/`Timeout` on the
 //!    live ranks, bounded by the configured patience — never a hang;
-//! 3. a successful run tears down cleanly: every socket, reader, and
-//!    writer thread is joined when the cluster drops, in bounded time.
+//! 3. a successful run tears down cleanly: every socket is closed and
+//!    every reader thread joined when the cluster drops, in bounded
+//!    time.
 
 use kylix::{reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution};
 use kylix_net::{Comm, CommError, FaultPlan, LinkFaults, PatienceComm, ReliableComm, TcpCluster};
