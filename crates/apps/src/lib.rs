@@ -12,8 +12,6 @@
 //! * [`pagerank`] — the paper's benchmark application (Fig. 8/9):
 //!   repeated sparse matrix–vector multiply with per-iteration
 //!   compute/communication timing breakdowns.
-//! * [`spmv`] — generic distributed `y = A·x`, demonstrating the
-//!   "different vertex set going in and out" requirement.
 //! * [`components`] — connected components by min-label propagation
 //!   (§I.A.2's "connected components … can be computed from such
 //!   matrix-vector products").
@@ -27,22 +25,14 @@
 //!   home machines, every batch fetches weights and pushes gradients
 //!   through combined-mode allreduces whose index sets change each step
 //!   (§I.A.1).
-//! * [`lda`] — batched collapsed Gibbs sampling for LDA (§I.A.1's
-//!   "Gibbs samplers … sample updates are batched").
-//! * [`kmeans`] — distributed Lloyd's algorithm over sparse features,
-//!   with centroid state at feature homes.
 
 pub mod bfs;
 pub mod components;
 pub mod diameter;
 pub mod eigen;
-pub mod kmeans;
-pub mod lda;
 pub mod matrix;
-pub mod mf;
 pub mod pagerank;
 pub mod sgd;
-pub mod spmv;
 
 pub use matrix::DistMatrix;
 pub use pagerank::{distributed_pagerank, PageRankConfig, PageRankOutcome};

@@ -103,17 +103,6 @@ impl DistMatrix {
         y
     }
 
-    /// Local transposed product `y = Aᵀ·x`: `x` aligned with rows,
-    /// result aligned with columns.
-    pub fn multiply_transposed(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.rows.len(), "x misaligned with rows");
-        let mut y = vec![0.0; self.cols.len()];
-        for &(r, c, v) in &self.entries {
-            y[c as usize] += v * x[r as usize];
-        }
-        y
-    }
-
     /// Per-column entry counts (local out-degree contributions when the
     /// matrix is a PageRank share).
     pub fn col_counts(&self) -> Vec<f64> {
@@ -157,23 +146,6 @@ mod tests {
             let want = if r == 0 { 5.0 + 14.0 } else { 21.0 };
             assert_eq!(y[i], want);
         }
-    }
-
-    #[test]
-    fn transpose_multiply_is_adjoint() {
-        // <Ax, y> == <x, A^T y> for random A, x, y.
-        let mut rng = kylix_sparse::Xoshiro256::new(3);
-        let triplets: Vec<(u64, u64, f64)> = (0..50)
-            .map(|_| (rng.next_below(20), rng.next_below(20), rng.next_f64()))
-            .collect();
-        let m = DistMatrix::from_triplets(20, 20, triplets);
-        let x: Vec<f64> = (0..m.cols().len()).map(|_| rng.next_f64()).collect();
-        let y: Vec<f64> = (0..m.rows().len()).map(|_| rng.next_f64()).collect();
-        let ax = m.multiply(&x);
-        let aty = m.multiply_transposed(&y);
-        let lhs: f64 = ax.iter().zip(&y).map(|(a, b)| a * b).sum();
-        let rhs: f64 = x.iter().zip(&aty).map(|(a, b)| a * b).sum();
-        assert!((lhs - rhs).abs() < 1e-9);
     }
 
     #[test]

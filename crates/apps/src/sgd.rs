@@ -66,11 +66,6 @@ impl SgdWorker {
         }
     }
 
-    /// Current weight of a feature homed here (tests / inspection).
-    pub fn home_weight(&self, f: u64) -> Option<f64> {
-        self.owned.binary_search(&f).ok().map(|p| self.weights[p])
-    }
-
     /// The owned `(feature, weight)` shard.
     pub fn shard(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.owned.iter().copied().zip(self.weights.iter().copied())

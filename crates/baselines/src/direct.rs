@@ -1,12 +1,12 @@
 //! Direct all-to-all sparse allreduce (paper §II.A.2).
 //!
-//! Every feature has a *home node* (here: the owner of its hash range,
-//! the same balanced assignment Kylix's bottom layer produces); each
-//! node ships its contributions to the homes, homes aggregate, and ship
+//! Every feature has a *home node* (the owner of its hash range, the
+//! same balanced assignment Kylix's bottom layer produces); each node
+//! ships its contributions to the homes, homes aggregate, and ship
 //! requested values back. This is precisely the one-layer butterfly
-//! `[m]`, so the implementation *is* the Kylix engine with
-//! `NetworkPlan::direct(m)` — one code path, audited once, for both the
-//! paper's system and its main comparator.
+//! `[m]`, so the comparator *is* the Kylix engine run with
+//! `kylix::NetworkPlan::direct(m)` — one code path, audited once, for
+//! both the paper's system and its main comparator.
 //!
 //! The pathology the paper hammers on: with `m` nodes and per-node data
 //! volume `P`, every message carries only `P/m` bytes — on 64 nodes the
@@ -15,110 +15,14 @@
 //! count grows linearly with `m`, so scaling *up* the cluster slows the
 //! collective *down*.
 
-use kylix::config::Configured;
-use kylix::{Kylix, NetworkPlan, Result};
-use kylix_net::Comm;
-use kylix_sparse::{Reducer, Scalar};
-
-/// Direct all-to-all sparse allreduce over `m` nodes.
-#[derive(Debug, Clone)]
-pub struct DirectAllreduce {
-    inner: Kylix,
-}
-
-impl DirectAllreduce {
-    /// Build for an `m`-node communicator.
-    pub fn new(m: usize) -> Self {
-        Self {
-            inner: Kylix::new(NetworkPlan::direct(m)),
-        }
-    }
-
-    /// The underlying single-layer plan.
-    pub fn plan(&self) -> &NetworkPlan {
-        self.inner.plan()
-    }
-
-    /// Configure home-node routing for fixed in/out sets.
-    pub fn configure<C: Comm>(
-        &self,
-        comm: &mut C,
-        in_indices: &[u64],
-        out_indices: &[u64],
-        channel: u32,
-    ) -> Result<Configured> {
-        self.inner.configure(comm, in_indices, out_indices, channel)
-    }
-
-    /// One-shot combined configuration + reduction.
-    pub fn allreduce<C, V, R>(
-        &self,
-        comm: &mut C,
-        in_indices: &[u64],
-        out_indices: &[u64],
-        out_values: &[V],
-        reducer: R,
-        channel: u32,
-    ) -> Result<Vec<V>>
-    where
-        C: Comm,
-        V: Scalar,
-        R: Reducer<V>,
-    {
-        self.inner
-            .allreduce_combined(comm, in_indices, out_indices, out_values, reducer, channel)
-            .map(|(v, _)| v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use kylix::{reference_allreduce, NodeContribution};
-    use kylix_net::LocalCluster;
-    use kylix_sparse::SumReducer;
-
-    #[test]
-    fn direct_is_single_layer() {
-        let d = DirectAllreduce::new(16);
-        assert_eq!(d.plan().layers(), 1);
-        assert_eq!(d.plan().degrees(), &[16]);
-    }
-
-    #[test]
-    fn direct_matches_reference() {
-        let nodes: Vec<NodeContribution<f64>> = (0..6)
-            .map(|i| NodeContribution {
-                in_indices: vec![i as u64, (i as u64 + 1) % 6],
-                out_indices: vec![i as u64, (i as u64 + 2) % 6],
-                out_values: vec![1.0, 0.5],
-            })
-            .collect();
-        let expected = reference_allreduce(&nodes, SumReducer);
-        let got: Vec<Vec<f64>> = LocalCluster::run(6, |mut comm| {
-            let me = comm.rank();
-            DirectAllreduce::new(6)
-                .allreduce(
-                    &mut comm,
-                    &nodes[me].in_indices,
-                    &nodes[me].out_indices,
-                    &nodes[me].out_values,
-                    SumReducer,
-                    0,
-                )
-                .unwrap()
-        });
-        for (g, e) in got.iter().zip(&expected) {
-            for (a, b) in g.iter().zip(e) {
-                assert!((a - b).abs() < 1e-9);
-            }
-        }
-    }
+    use kylix::NetworkPlan;
 
     #[test]
     fn message_count_grows_linearly() {
         // The §II scaling pathology, structurally.
-        assert_eq!(DirectAllreduce::new(8).plan().messages_per_node(), 7);
-        assert_eq!(DirectAllreduce::new(64).plan().messages_per_node(), 63);
+        assert_eq!(NetworkPlan::direct(8).messages_per_node(), 7);
+        assert_eq!(NetworkPlan::direct(64).messages_per_node(), 63);
     }
 }

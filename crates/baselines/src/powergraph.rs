@@ -339,11 +339,6 @@ impl GasEngine {
             .zip(self.master_rank.iter().copied())
             .collect()
     }
-
-    /// Number of vertices mastered here.
-    pub fn mastered_count(&self) -> usize {
-        self.mastered.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Dense ring allreduce (reduce-scatter + allgather).
+//! Dense ring allreduce (reduce-scatter + allgather): its wire volume.
 //!
 //! The bandwidth-optimal collective of the scientific-computing world
 //! the paper sets itself apart from (§VIII, "other dense Allreduce
@@ -6,77 +6,6 @@
 //! sparsity. On the power-law workloads Kylix targets, the dense vector
 //! is orders of magnitude larger than the sparse traffic, which is the
 //! contrast the ablation benches quantify.
-
-use kylix::codec::{decode_values, encode_values};
-use kylix::error::{comm_err, Result};
-use kylix_net::{Comm, Phase, Tag};
-use kylix_sparse::{Reducer, Scalar};
-
-/// Block boundaries: block `b` of `m` over a length-`n` vector.
-fn block(n: usize, m: usize, b: usize) -> std::ops::Range<usize> {
-    let b = b % m;
-    let base = n / m;
-    let extra = n % m;
-    let start = b * base + b.min(extra);
-    let len = base + usize::from(b < extra);
-    start..start + len
-}
-
-/// In-place dense ring allreduce of `values` (same length on all ranks).
-///
-/// Classic two-phase schedule: `m−1` reduce-scatter steps, then `m−1`
-/// allgather steps, each exchanging one contiguous block with the ring
-/// neighbours.
-pub fn ring_allreduce<C, V, R>(
-    comm: &mut C,
-    values: &mut [V],
-    reducer: R,
-    channel: u32,
-) -> Result<()>
-where
-    C: Comm,
-    V: Scalar,
-    R: Reducer<V>,
-{
-    let m = comm.size();
-    let me = comm.rank();
-    if m == 1 {
-        return Ok(());
-    }
-    let next = (me + 1) % m;
-    let prev = (me + m - 1) % m;
-    let n = values.len();
-
-    // Reduce-scatter: after step s, each node holds the partial sum of
-    // block (me - s) accumulated from s+1 nodes.
-    for s in 0..m - 1 {
-        let send_b = (me + m - s) % m;
-        let recv_b = (me + m - s - 1) % m;
-        let tag = Tag::new(Phase::App, 0, channel.wrapping_add(s as u32));
-        comm.send(next, tag, encode_values(&values[block(n, m, send_b)]));
-        let payload = comm
-            .recv(prev, tag)
-            .map_err(comm_err("ring reduce-scatter"))?;
-        let incoming: Vec<V> = decode_values(&payload)?;
-        let r = block(n, m, recv_b);
-        debug_assert_eq!(incoming.len(), r.len());
-        for (dst, src) in values[r].iter_mut().zip(incoming) {
-            reducer.combine(dst, src);
-        }
-    }
-    // Allgather: circulate the finished blocks.
-    for s in 0..m - 1 {
-        let send_b = (me + 1 + m - s) % m;
-        let recv_b = (me + m - s) % m;
-        let tag = Tag::new(Phase::App, 1, channel.wrapping_add(s as u32));
-        comm.send(next, tag, encode_values(&values[block(n, m, send_b)]));
-        let payload = comm.recv(prev, tag).map_err(comm_err("ring allgather"))?;
-        let incoming: Vec<V> = decode_values(&payload)?;
-        let r = block(n, m, recv_b);
-        values[r].copy_from_slice(&incoming);
-    }
-    Ok(())
-}
 
 /// Wire volume per node of a dense ring allreduce, in elements — the
 /// quantity the sparse-vs-dense ablation plots.
@@ -91,50 +20,6 @@ pub fn ring_volume_elems(n: usize, m: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kylix_net::LocalCluster;
-    use kylix_sparse::SumReducer;
-
-    #[test]
-    fn blocks_tile_vector() {
-        for (n, m) in [(10usize, 3usize), (16, 4), (7, 8), (100, 7)] {
-            let mut covered = 0;
-            for b in 0..m {
-                let r = block(n, m, b);
-                assert_eq!(r.start, covered);
-                covered = r.end;
-            }
-            assert_eq!(covered, n);
-        }
-    }
-
-    #[test]
-    fn ring_sums_across_ranks() {
-        for m in [2usize, 3, 4, 8] {
-            let n = 20;
-            let results: Vec<Vec<f64>> = LocalCluster::run(m, |mut comm| {
-                let me = comm.rank();
-                let mut vals: Vec<f64> = (0..n).map(|i| (me * n + i) as f64).collect();
-                ring_allreduce(&mut comm, &mut vals, SumReducer, 0).unwrap();
-                vals
-            });
-            for i in 0..n {
-                let want: f64 = (0..m).map(|r| (r * n + i) as f64).sum();
-                for res in &results {
-                    assert!((res[i] - want).abs() < 1e-9, "m={m} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn single_rank_is_identity() {
-        let results = LocalCluster::run(1, |mut comm| {
-            let mut vals = vec![1.0f64, 2.0];
-            ring_allreduce(&mut comm, &mut vals, SumReducer, 0).unwrap();
-            vals
-        });
-        assert_eq!(results[0], vec![1.0, 2.0]);
-    }
 
     #[test]
     fn volume_is_sparsity_independent() {

@@ -245,6 +245,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "power of two")]
+    fn binary_plan_rejects_non_power_of_two() {
+        NetworkPlan::binary(12);
+    }
+
+    #[test]
     fn degree_one_layers_are_stripped() {
         let p = NetworkPlan::new(&[1, 4, 1, 2]);
         assert_eq!(p.degrees(), &[4, 2]);

@@ -294,6 +294,34 @@ fn duplicate_user_indices_are_combined_and_served() {
 }
 
 #[test]
+fn empty_ranks_still_participate() {
+    // Ranks with no index in or out (a machine holding an empty matrix
+    // share) must not break either pass.
+    let empty = NodeContribution {
+        in_indices: vec![],
+        out_indices: vec![],
+        out_values: vec![],
+    };
+    let nodes = vec![
+        NodeContribution {
+            in_indices: vec![0, 1],
+            out_indices: vec![1],
+            out_values: vec![6.0],
+        },
+        empty.clone(),
+        NodeContribution {
+            in_indices: vec![1],
+            out_indices: vec![],
+            out_values: vec![],
+        },
+        empty,
+    ];
+    for degrees in [vec![4usize], vec![2, 2]] {
+        check_on_threads(&NetworkPlan::new(&degrees), &nodes, "empty ranks");
+    }
+}
+
+#[test]
 fn min_and_bitor_reducers_work_end_to_end() {
     let got_min: Vec<Vec<u64>> = LocalCluster::run(4, |mut comm| {
         let kylix = Kylix::new(NetworkPlan::new(&[2, 2]));

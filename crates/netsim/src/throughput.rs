@@ -66,16 +66,6 @@ pub fn fig2_packet_sizes() -> Vec<usize> {
     v
 }
 
-/// Regenerate the Fig. 2 series: measured throughput at each packet
-/// size, streaming enough packets to amortise warmup and the trailing
-/// receive-processing tail.
-pub fn fig2_series(nic: NicModel) -> Vec<ThroughputPoint> {
-    fig2_packet_sizes()
-        .into_iter()
-        .map(|p| measure_throughput(nic, p, 64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +89,13 @@ mod tests {
 
     #[test]
     fn fig2_shape_rises_and_saturates() {
-        let pts = fig2_series(NicModel::ec2_10g_nojitter());
+        // The Fig. 2 sweep, streaming enough packets to amortise warmup
+        // and the trailing receive-processing tail.
+        let nic = NicModel::ec2_10g_nojitter();
+        let pts: Vec<ThroughputPoint> = fig2_packet_sizes()
+            .into_iter()
+            .map(|p| measure_throughput(nic, p, 64))
+            .collect();
         for w in pts.windows(2) {
             assert!(
                 w[1].throughput >= w[0].throughput * 0.99,

@@ -25,7 +25,6 @@
 //!   message sizes (Prop. 4.1; paper Figs. 4 and 5).
 //! * [`zipf`] — O(1) power-law rank sampler (continuous inverse-CDF,
 //!   discretised) for building synthetic edges and feature draws.
-//! * [`poisson`] — Poisson counts and exact Bernoulli occupancy draws.
 //! * [`generator`] — sparse power-law vector generators (per-node
 //!   partitions with a given α and density).
 //! * [`graph`] — synthetic power-law graph generation, CSR assembly, and
@@ -38,7 +37,6 @@ pub mod datasets;
 pub mod density;
 pub mod generator;
 pub mod graph;
-pub mod poisson;
 pub mod zipf;
 
 pub use datasets::DatasetSpec;

@@ -140,20 +140,6 @@ impl Xoshiro256 {
         self.next_below(bound as u64) as usize
     }
 
-    /// Standard normal deviate via Box–Muller (used for latency jitter).
-    pub fn next_gaussian(&mut self) -> f64 {
-        // Draw u in (0,1] to keep ln() finite.
-        let u = 1.0 - self.next_f64();
-        let v = self.next_f64();
-        (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
-    }
-
-    /// Exponential deviate with the given rate.
-    pub fn next_exp(&mut self, rate: f64) -> f64 {
-        let u = 1.0 - self.next_f64();
-        -u.ln() / rate
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, data: &mut [T]) {
         for i in (1..data.len()).rev() {
@@ -245,31 +231,6 @@ mod tests {
         for &c in &counts {
             assert!((9_000..=11_000).contains(&c), "nonuniform: {counts:?}");
         }
-    }
-
-    #[test]
-    fn gaussian_mean_and_var_are_sane() {
-        let mut rng = Xoshiro256::new(11);
-        let n = 200_000;
-        let (mut sum, mut sq) = (0.0, 0.0);
-        for _ in 0..n {
-            let x = rng.next_gaussian();
-            sum += x;
-            sq += x * x;
-        }
-        let mean = sum / n as f64;
-        let var = sq / n as f64 - mean * mean;
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn exp_mean_matches_rate() {
-        let mut rng = Xoshiro256::new(13);
-        let n = 200_000;
-        let sum: f64 = (0..n).map(|_| rng.next_exp(4.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //!   constant-time scatter-add and gather during reduction.
 //! * [`range`] — contiguous half-open ranges of the 64-bit hash space and
 //!   their equal subdivision, the basis of the nested partitioning.
-//! * <code>vec</code> — [`vec::SparseVec`], an index set paired with values, plus
-//!   the scatter/gather kernels driven by position maps.
+//! * <code>vec</code> — the scatter/gather kernels driven by position maps.
 //! * [`reducer`] — the [`reducer::Reducer`] trait (sum / min / max / or)
 //!   and the [`reducer::Scalar`] byte-codec trait for values travelling
 //!   through the network.
@@ -52,4 +51,3 @@ pub use key::Key;
 pub use merge::{merge_union, tree_merge, MergeResult};
 pub use range::HashRange;
 pub use reducer::{BitOrReducer, MaxReducer, MinReducer, Reducer, Scalar, SumReducer};
-pub use vec::SparseVec;

@@ -1,5 +1,4 @@
-//! Sparse vectors: an index set paired with values, plus the
-//! scatter/gather kernels that move values through position maps.
+//! The scatter/gather kernels that move values through position maps.
 //!
 //! During reduction (paper §III.B) the value buffers exchanged between
 //! nodes are *positional*: a message carries the values of a contiguous
@@ -10,93 +9,7 @@
 //! one `map[p]` lookup per element, exactly the "constant time per
 //! element" the paper claims for its maps.
 
-use crate::index_set::IndexSet;
-use crate::key::Key;
 use crate::reducer::{Reducer, Scalar};
-
-/// A sparse vector: sorted keys plus one value per key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SparseVec<V> {
-    keys: IndexSet,
-    vals: Vec<V>,
-}
-
-impl<V: Copy> SparseVec<V> {
-    /// Build from `(index, value)` pairs; duplicate indices are combined
-    /// with `reducer`.
-    pub fn from_pairs<R: Reducer<V>>(
-        pairs: impl IntoIterator<Item = (u64, V)>,
-        reducer: R,
-    ) -> Self {
-        let mut kv: Vec<(Key, V)> = pairs.into_iter().map(|(i, v)| (Key::new(i), v)).collect();
-        kv.sort_unstable_by_key(|(k, _)| *k);
-        let mut keys = Vec::with_capacity(kv.len());
-        let mut vals: Vec<V> = Vec::with_capacity(kv.len());
-        for (k, v) in kv {
-            if keys.last() == Some(&k) {
-                let last = vals.last_mut().expect("vals tracks keys");
-                reducer.combine(last, v);
-            } else {
-                keys.push(k);
-                vals.push(v);
-            }
-        }
-        Self {
-            keys: IndexSet::from_sorted_keys(keys),
-            vals,
-        }
-    }
-
-    /// Pair an existing index set with a value per key (lengths must match).
-    pub fn from_parts(keys: IndexSet, vals: Vec<V>) -> Self {
-        assert_eq!(keys.len(), vals.len(), "keys/vals length mismatch");
-        Self { keys, vals }
-    }
-
-    /// An all-`fill` vector over the given index set.
-    pub fn filled(keys: IndexSet, fill: V) -> Self {
-        let n = keys.len();
-        Self {
-            keys,
-            vals: vec![fill; n],
-        }
-    }
-
-    /// Number of stored (index, value) pairs.
-    pub fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// True when no pairs are stored.
-    pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
-    }
-
-    /// The sorted index set.
-    pub fn keys(&self) -> &IndexSet {
-        &self.keys
-    }
-
-    /// The values, positionally aligned with `keys()`.
-    pub fn values(&self) -> &[V] {
-        &self.vals
-    }
-
-    /// Mutable values.
-    pub fn values_mut(&mut self) -> &mut [V] {
-        &mut self.vals
-    }
-
-    /// Value at a feature index, if present.
-    pub fn get(&self, index: u64) -> Option<V> {
-        self.keys.position(Key::new(index)).map(|p| self.vals[p])
-    }
-
-    /// Iterate `(index, value)` pairs in key (hash) order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, V)> + '_ {
-        self.keys.indices().zip(self.vals.iter().copied())
-    }
-}
 
 /// Scatter-add `src` into `dst` through a position map:
 /// `dst[map[p]] ⊕= src[p]` (paper's map `f`, down pass).
@@ -162,38 +75,9 @@ pub fn gather_into<V: Copy>(src: &[V], map: &[u32], out: &mut Vec<V>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_set::IndexSet;
     use crate::merge::tree_merge;
-    use crate::reducer::{MinReducer, SumReducer};
-
-    #[test]
-    fn from_pairs_combines_duplicates() {
-        let v = SparseVec::from_pairs([(1u64, 2.0f64), (2, 3.0), (1, 5.0)], SumReducer);
-        assert_eq!(v.len(), 2);
-        assert_eq!(v.get(1), Some(7.0));
-        assert_eq!(v.get(2), Some(3.0));
-        assert_eq!(v.get(3), None);
-    }
-
-    #[test]
-    fn from_pairs_with_min_reducer() {
-        let v = SparseVec::from_pairs([(9u64, 5u64), (9, 2), (9, 8)], MinReducer);
-        assert_eq!(v.get(9), Some(2));
-    }
-
-    #[test]
-    fn filled_covers_all_keys() {
-        let keys = IndexSet::from_indices([4u64, 5, 6]);
-        let v = SparseVec::filled(keys, 1.0f64);
-        assert!(v.iter().all(|(_, x)| x == 1.0));
-        assert_eq!(v.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn from_parts_checks_lengths() {
-        let keys = IndexSet::from_indices([1u64, 2]);
-        let _ = SparseVec::from_parts(keys, vec![1.0f64]);
-    }
+    use crate::reducer::SumReducer;
 
     #[test]
     fn scatter_gather_round_trip_through_merge() {
@@ -246,13 +130,5 @@ mod tests {
         assert_eq!(buf, vec![30.0, 10.0]);
         gather_into(&src, &[1u32], &mut buf);
         assert_eq!(buf, vec![20.0]);
-    }
-
-    #[test]
-    fn iter_yields_hash_order() {
-        let v = SparseVec::from_pairs([(5u64, 1.0f64), (6, 2.0), (7, 3.0)], SumReducer);
-        let from_iter: Vec<(u64, f64)> = v.iter().collect();
-        let expect: Vec<(u64, f64)> = v.keys().indices().map(|i| (i, v.get(i).unwrap())).collect();
-        assert_eq!(from_iter, expect);
     }
 }
