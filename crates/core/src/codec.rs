@@ -62,16 +62,26 @@ pub fn encode_keys(keys: &[Key]) -> Bytes {
 /// Append an index list to an existing buffer (combined messages).
 pub fn put_keys(buf: &mut Vec<u8>, keys: &[Key]) {
     buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    for k in keys {
-        buf.extend_from_slice(&k.index.to_le_bytes());
+    let start = buf.len();
+    buf.resize(start + keys.len() * 8, 0);
+    for (k, chunk) in keys.iter().zip(buf[start..].chunks_exact_mut(8)) {
+        chunk.copy_from_slice(&k.index.to_le_bytes());
     }
 }
 
 /// Append a value vector.
 pub fn put_values<V: Scalar>(buf: &mut Vec<u8>, vals: &[V]) {
     buf.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-    for v in vals {
-        v.write_le(buf);
+    let start = buf.len();
+    buf.resize(start + vals.len() * V::WIDTH, 0);
+    write_values(&mut buf[start..], vals);
+}
+
+/// Write `vals` little-endian into `dst`, exactly `vals.len()` scalars
+/// long.
+fn write_values<V: Scalar>(dst: &mut [u8], vals: &[V]) {
+    for (v, chunk) in vals.iter().zip(dst.chunks_exact_mut(V::WIDTH)) {
+        v.write_le_slice(chunk);
     }
 }
 
@@ -191,9 +201,7 @@ pub fn encode_values_into<V: Scalar>(arena: &mut BytesMut, vals: &[V]) -> Bytes 
     arena.extend_from_slice(&(vals.len() as u64).to_le_bytes());
     let start = arena.len();
     arena.resize(start + vals.len() * V::WIDTH, 0);
-    for (v, chunk) in vals.iter().zip(arena[start..].chunks_exact_mut(V::WIDTH)) {
-        v.write_le_slice(chunk);
-    }
+    write_values(&mut arena[start..], vals);
     let sum = checksum(&arena[..]);
     arena.extend_from_slice(&sum.to_le_bytes());
     arena.split().freeze()
@@ -270,6 +278,56 @@ mod tests {
         }
         let empty = encode_values_into(&mut arena, &[] as &[u32]);
         assert_eq!(&empty[..], &encode_values::<u32>(&[])[..]);
+    }
+
+    #[test]
+    fn bulk_sections_match_the_per_element_encoding() {
+        // One element at a time, as the sections are defined: the count,
+        // then each index or scalar little-endian.
+        fn per_element<V: Scalar>(keys: &[Key], vals: &[V]) -> Vec<u8> {
+            let mut buf = (keys.len() as u64).to_le_bytes().to_vec();
+            for k in keys {
+                buf.extend_from_slice(&k.index.to_le_bytes());
+            }
+            buf.extend_from_slice(&(vals.len() as u64).to_le_bytes());
+            for v in vals {
+                let mut le = [0u8; 8];
+                v.write_le_slice(&mut le[..V::WIDTH]);
+                buf.extend_from_slice(&le[..V::WIDTH]);
+            }
+            buf
+        }
+        fn bulk<V: Scalar>(keys: &[Key], vals: &[V]) -> Vec<u8> {
+            // A non-empty prefix: sections append, they never overwrite.
+            let mut buf = vec![0xA5; 3];
+            put_keys(&mut buf, keys);
+            put_values(&mut buf, vals);
+            let body = buf.split_off(3);
+            assert_eq!(buf, [0xA5; 3]);
+            body
+        }
+        // Golden bytes for a small record.
+        let keys = [Key::new(1), Key::new(0x0102_0304_0506_0708)];
+        let golden: Vec<u8> = [
+            &[2, 0, 0, 0, 0, 0, 0, 0][..],
+            &[1, 0, 0, 0, 0, 0, 0, 0],
+            &[8, 7, 6, 5, 4, 3, 2, 1],
+            &[2, 0, 0, 0, 0, 0, 0, 0],
+            &[0xEF, 0xBE, 0xAD, 0xDE],
+            &[0xFF, 0xFF, 0xFF, 0xFF],
+        ]
+        .concat();
+        assert_eq!(bulk(&keys, &[0xDEAD_BEEFu32, u32::MAX]), golden);
+        assert_eq!(per_element(&keys, &[0xDEAD_BEEFu32, u32::MAX]), golden);
+        // Longer sections of every scalar width.
+        let keys: Vec<Key> = (0..1000u64).map(|i| Key::new(i * 0x9E37_79B9)).collect();
+        let f: Vec<f64> = (0..777).map(|i| i as f64 * -0.37).collect();
+        let g: Vec<f32> = (0..5).map(|i| i as f32 + 0.5).collect();
+        let u: Vec<u64> = (0..33).map(|i| u64::MAX - i).collect();
+        assert_eq!(bulk(&keys, &f), per_element(&keys, &f));
+        assert_eq!(bulk(&keys[..1], &g), per_element(&keys[..1], &g));
+        assert_eq!(bulk(&[], &u), per_element(&[], &u));
+        assert_eq!(bulk::<f64>(&[], &[]), per_element::<f64>(&[], &[]));
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! combined results are bit-identical to `configure` + `reduce`.
 
 use crate::codec::{put_keys, put_values, seal, Decoder, SEAL_LEN};
-use crate::error::{comm_err, surface_corrupt, KylixError, Result};
+use crate::error::{surface_corrupt, KylixError, Result};
 use crate::plan::NetworkPlan;
+use crate::reduce::{coord_of, fill_pending, recv_next};
 use bytes::Bytes;
 use kylix_net::{Comm, Phase, Tag};
 use kylix_sparse::vec::{scatter_combine, scatter_combine_le};
@@ -247,6 +248,8 @@ where
     };
 
     let mut layers: Vec<LayerRouting> = Vec::with_capacity(plan.layers());
+    // Peers whose parts have not landed yet, refilled per layer.
+    let mut pending = Vec::new();
 
     for layer in 0..plan.layers() {
         let (cur_out, cur_in) = current_sets(&layers, &out0, &in0);
@@ -285,13 +288,18 @@ where
         }
 
         // Every coordinate's parts: the own part borrowed from the local
-        // sets, the peers' decoded. In combined mode each peer's value
-        // section stays on the wire until the union's maps exist.
+        // sets, the peers' decoded as they land (§VI.B's opportunistic
+        // receive; the union and the maps do not depend on arrival
+        // order). In combined mode each peer's value section stays on
+        // the wire until the union's maps exist.
         let mut out_parts = vec![Cow::Borrowed(&cur_out.keys()[out_spans[my_pos].clone()]); d];
         let mut in_parts = vec![Cow::Borrowed(&cur_in.keys()[in_spans[my_pos].clone()]); d];
         let mut riders: Vec<(usize, Bytes)> = Vec::new();
-        for (c, &peer) in group.iter().enumerate().filter(|(c, _)| *c != my_pos) {
-            let payload = comm.recv(peer, tag).map_err(comm_err("config down"))?;
+        fill_pending(&mut pending, &group, my_pos);
+        while !pending.is_empty() {
+            let (peer, payload) =
+                recv_next(comm, RecvOrder::Arrival, &mut pending, tag, "config down")?;
+            let c = coord_of(&group, peer);
             let mut dec =
                 Decoder::new(&payload).map_err(surface_corrupt("config down", peer, tag))?;
             out_parts[c] = Cow::Owned(dec.keys()?);
@@ -313,10 +321,16 @@ where
                 });
             }
         }
+        // The fold below runs in coordinate order, whatever the arrival
+        // order, so results stay bit-identical to `configure` + `reduce`.
+        riders.sort_unstable_by_key(|&(c, _)| c);
 
         // Union with maps (tree merge, §VI.A).
-        let out_merged = tree_merge(&out_parts.iter().map(|p| &p[..]).collect::<Vec<_>>());
-        let in_merged = tree_merge(&in_parts.iter().map(|p| &p[..]).collect::<Vec<_>>());
+        let mut parts: Vec<&[Key]> = out_parts.iter().map(|p| &p[..]).collect();
+        let out_merged = tree_merge(&parts);
+        parts.clear();
+        parts.extend(in_parts.iter().map(|p| &p[..]));
+        let in_merged = tree_merge(&parts);
 
         // Combined mode: fold the values into the union layout in the
         // reduce pass's deterministic order, own slice first.

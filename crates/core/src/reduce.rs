@@ -29,7 +29,7 @@
 //! writes disjoint spans, so its arrival order never affects results.
 //!
 //! Steady-state operations are also **allocation-free**: a
-//! [`ReduceScratch`] slot kept on [`Configured`] pools the send arena
+//! `ReduceScratch` slot kept on [`Configured`] pools the send arena
 //! (split-and-frozen per message, reclaimed when receivers drop their
 //! handles), ping-pong accumulator buffers, and the gather staging
 //! buffer; received slices are scatter-combined straight from the
@@ -42,7 +42,7 @@
 //! sets are fixed and only values change.
 
 use crate::codec::{encode_values_into, Decoder, SEAL_LEN};
-use crate::config::{values_wire_len, Configured, LayerRouting, RecvOrder};
+use crate::config::{values_wire_len, Configured, RecvOrder};
 use crate::error::{comm_err, surface_corrupt, KylixError, Result};
 use bytes::{Bytes, BytesMut};
 use kylix_net::telemetry::Counter;
@@ -277,7 +277,7 @@ impl Configured {
                 &lr.out_maps[lr.my_pos],
                 reducer,
             );
-            fill_pending(pending, lr);
+            fill_pending(pending, &lr.group, lr.my_pos);
             parked.clear();
             parked.resize(lr.group.len(), None);
             let mut next = 0usize;
@@ -358,7 +358,7 @@ impl Configured {
             // Own requested part comes straight from local memory.
             gather_into(a, &lr.in_maps[lr.my_pos], gathered);
             b[lr.in_spans[lr.my_pos].clone()].copy_from_slice(gathered);
-            fill_pending(pending, lr);
+            fill_pending(pending, &lr.group, lr.my_pos);
             while !pending.is_empty() {
                 let (src, payload) = recv_next(comm, self.recv_order, pending, tag, "reduce up")?;
                 let c = coord_of(&lr.group, src);
@@ -372,21 +372,22 @@ impl Configured {
 
 /// Coordinate of `src` in a layer group (groups are small: linear scan).
 #[inline]
-fn coord_of(group: &[usize], src: usize) -> usize {
+pub(crate) fn coord_of(group: &[usize], src: usize) -> usize {
     group
         .iter()
         .position(|&r| r == src)
         .expect("recv_any winner is in the group")
 }
 
-/// The layer's peers, in coordinate order, as the outstanding list.
-fn fill_pending(pending: &mut Vec<usize>, lr: &LayerRouting) {
+/// The group's peers (every member but coordinate `my_pos`), in
+/// coordinate order, as the outstanding list.
+pub(crate) fn fill_pending(pending: &mut Vec<usize>, group: &[usize], my_pos: usize) {
     pending.clear();
     pending.extend(
-        lr.group
+        group
             .iter()
             .enumerate()
-            .filter(|&(c, _)| c != lr.my_pos)
+            .filter(|&(c, _)| c != my_pos)
             .map(|(_, &peer)| peer),
     );
 }
@@ -395,7 +396,7 @@ fn fill_pending(pending: &mut Vec<usize>, lr: &LayerRouting) {
 /// and retire its sender (keeping the rest in coordinate order).
 /// Arrival order races every outstanding peer; fixed order races a
 /// one-peer candidate set — the next peer in coordinate order.
-fn recv_next<C: Comm>(
+pub(crate) fn recv_next<C: Comm>(
     comm: &mut C,
     order: RecvOrder,
     pending: &mut Vec<usize>,

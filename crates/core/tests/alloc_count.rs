@@ -13,7 +13,7 @@
 //! TCP, where each cross-rank frame may cost its receiver the body
 //! `Vec` and the `Bytes` around it, and nothing more. Finally
 //! `allreduce_combined`, which runs the whole config pass every op, is
-//! held to a budget of 90 allocations per rank-op.
+//! held to a budget of 72 allocations per rank-op.
 //!
 //! Everything lives in one `#[test]` — the counter is process-global
 //! and concurrent tests would pollute each other's readings.
@@ -282,11 +282,12 @@ fn steady_state_reduce_allocates_90_percent_less() {
     );
     // A combined op configures from scratch and returns an owned
     // `Configured` (its sets, maps and spans), so it cannot be
-    // allocation-free; the budget pins the config pass's copies and
-    // per-level merge buffers as gone.
+    // allocation-free; the budget pins the config pass's copies,
+    // per-level merge buffers and keyed input copies as gone (about 70
+    // measured).
     assert!(
-        per_rank_op_comb <= 90.0,
-        "allreduce_combined must stay within 90 allocs per rank-op: \
+        per_rank_op_comb <= 72.0,
+        "allreduce_combined must stay within 72 allocs per rank-op: \
          {per_rank_op_comb:.1}"
     );
 }

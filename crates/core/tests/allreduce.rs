@@ -189,6 +189,57 @@ fn combined_mode_is_bit_identical_to_configure_then_reduce() {
     }
 }
 
+/// Config parts are taken as they land, so a late low coordinate does
+/// not hold up the others; the combined rider is still folded in
+/// coordinate order. Ranks here are slower the lower their coordinates,
+/// so in every group the low coordinates land last, and the results
+/// stay bit-identical to `configure` + `reduce` and to an undelayed run.
+#[test]
+fn combined_mode_is_bit_identical_when_low_coordinates_land_last() {
+    let plan = NetworkPlan::new(&[4, 2]);
+    let m = plan.size();
+    let mut nodes = random_workload(m, 30, 21);
+    let mut rng = Xoshiro256::new(21);
+    // Spread exponents: the sums round differently in any other order.
+    for v in nodes.iter_mut().flat_map(|n| n.out_values.iter_mut()) {
+        let mag = rng.next_index(12) as i32 - 6;
+        *v = (rng.next_below(1000) as f64 + 1.0) * 10f64.powi(mag);
+    }
+    let lateness = |rank: usize| -> usize {
+        (0..plan.layers())
+            .map(|l| plan.degrees()[l] - 1 - plan.coordinate(rank, l))
+            .sum()
+    };
+    let undelayed = LocalCluster::run(m, |mut comm| {
+        let me = comm.rank();
+        combined_and_separate(&mut comm, &plan, &nodes[me])
+    });
+    let on_threads = LocalCluster::run(m, |mut comm| {
+        let me = comm.rank();
+        std::thread::sleep(std::time::Duration::from_millis(10 * lateness(me) as u64));
+        combined_and_separate(&mut comm, &plan, &nodes[me])
+    });
+    let slow: Vec<(usize, f64)> = (0..m)
+        .map(|r| (r, 1.0 + 4.0 * lateness(r) as f64))
+        .collect();
+    let on_sim = SimCluster::new(m, NicModel::ec2_10g())
+        .stragglers(&slow)
+        .run_all(|mut comm| {
+            let me = comm.rank();
+            combined_and_separate(&mut comm, &plan, &nodes[me])
+        });
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for rank in 0..m {
+        let want = bits(&undelayed[rank].0);
+        assert_eq!(bits(&undelayed[rank].1), want, "undelayed: rank {rank}");
+        for (substrate, runs) in [("threads", &on_threads), ("sim", &on_sim)] {
+            let (combined, separate) = &runs[rank];
+            assert_eq!(bits(combined), want, "{substrate}: combined, rank {rank}");
+            assert_eq!(bits(separate), want, "{substrate}: separate, rank {rank}");
+        }
+    }
+}
+
 /// A peer whose combined frame is malformed — a value count that is not
 /// its key count, or a value section cut short — fails the collective
 /// with a codec error instead of a panic.

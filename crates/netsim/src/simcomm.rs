@@ -455,9 +455,8 @@ impl SimCluster {
         self
     }
 
-    /// Adopt every `Crash::AtTime` event of a
-    /// [`FaultPlan`](kylix_net::FaultPlan) as a native virtual-time
-    /// crash. Prefer this over wrapping `SimComm` in a
+    /// Adopt every `Crash::AtTime` event of a [`FaultPlan`] as a native
+    /// virtual-time crash. Prefer this over wrapping `SimComm` in a
     /// `ChaosComm` for crashes: a native crash flips the shared
     /// liveness flag, so racing peers stop waiting for the dead rank.
     /// (Link faults still need the wrapper.)

@@ -1,12 +1,16 @@
 //! Sorted, deduplicated sets of hashed feature indices.
 //!
 //! An [`IndexSet`] is the unit of Kylix's configuration pass: each node's
-//! `in` and `out` feature sets are kept in `(hash, index)` order so that
+//! `in` and `out` feature sets are kept in hash order so that
 //!
 //! * splitting by hash range is two binary searches per boundary,
 //! * unions of co-ranged sets are linear merges (see [`crate::merge`]),
 //! * positions in the set index directly into the value vectors exchanged
 //!   during reduction.
+//!
+//! The order and the dedup look at the hash alone ([`Key`]'s `Ord` and
+//! `Eq`). `mix64` is a bijection, so equal hashes mean equal indices and
+//! the hash order is exactly the `(hash, index)` order.
 //!
 //! Sets are built by one hash-bucket pass rather than a comparison sort.
 //! Keys are splitmix64 hashes, uniform by construction, so scattering
@@ -15,11 +19,13 @@
 //! array finishes the order (each key moves only within its bucket).
 //! Should a bucket hold more than 16 keys (adversarial indices sharing
 //! their top hash bits), a `sort_unstable` per bucket keeps the worst
-//! case O(n log n) instead. The dedup pass that follows can also
-//! record where each input landed ([`IndexSet::with_positions`]), so
-//! callers that need their own list in set positions get it without a
-//! binary search per element — random-access lookups, not comparisons,
-//! were the cost (§VI.A's point, applied to set construction).
+//! case O(n log n) instead. The count and scatter passes hash straight
+//! from the caller's indices into the one output buffer. The dedup pass
+//! that follows can also record where each input landed
+//! ([`IndexSet::with_positions`]), so callers that need their own list
+//! in set positions get it without a binary search per element —
+//! random-access lookups, not comparisons, were the cost (§VI.A's point,
+//! applied to set construction).
 
 use crate::hash::mix64;
 use crate::key::Key;
@@ -39,7 +45,8 @@ impl IndexSet {
 
     /// Build from raw feature indices (hashes computed, sorted, deduped).
     pub fn from_indices(indices: impl IntoIterator<Item = u64>) -> Self {
-        let mut keys = bucket_sort(indices.into_iter().map(Key::new).collect());
+        let indices: Vec<u64> = indices.into_iter().collect();
+        let mut keys = bucket_sort(&indices, |_, index| index);
         keys.dedup();
         Self { keys }
     }
@@ -50,16 +57,8 @@ impl IndexSet {
     pub fn with_positions(indices: &[u64]) -> (Self, Vec<u32>) {
         // Sort (hash, input position) pairs; the index is restored in
         // the dedup pass. mix64 is a bijection, so equal hashes mean
-        // equal indices and the (hash, index) order is the hash order.
-        let tagged = indices
-            .iter()
-            .enumerate()
-            .map(|(p, &i)| Key {
-                hash: mix64(i),
-                index: p as u64,
-            })
-            .collect();
-        let mut keys = bucket_sort(tagged);
+        // equal indices.
+        let mut keys = bucket_sort(indices, |pos, _| pos as u64);
         let mut map = vec![0u32; indices.len()];
         let mut len = 0;
         for r in 0..keys.len() {
@@ -161,16 +160,30 @@ const MAX_BUCKET_BITS: u32 = 16;
 /// Widest bucket the finishing insertion pass accepts.
 const INSERTION_MAX: u32 = 16;
 
-/// Sort `keys` by scattering them into about `keys.len()` buckets by the
-/// hash's top bits, then sorting within the buckets: one insertion pass
-/// if none is wider than [`INSERTION_MAX`], else `sort_unstable` per
-/// bucket, which bounds the worst case.
-fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
-    if keys.len() < 2 {
-        return keys;
+/// Hash `indices` and sort them by hash into one fresh buffer; entry
+/// `Key { hash, index: tag(position, index) }` stands for each input.
+/// The hashes are scattered into about `indices.len()` buckets by their
+/// top bits, then sorted within the buckets: one insertion pass if none
+/// is wider than [`INSERTION_MAX`], else `sort_unstable` per bucket,
+/// which bounds the worst case. Both the count and the scatter pass hash
+/// straight from `indices`, so no keyed copy of the input is built.
+fn bucket_sort(indices: &[u64], tag: impl Fn(usize, u64) -> u64) -> Vec<Key> {
+    let key = |p: usize, index: u64| Key {
+        hash: mix64(index),
+        index: tag(p, index),
+    };
+    if indices.len() < 2 {
+        return indices
+            .iter()
+            .enumerate()
+            .map(|(p, &i)| key(p, i))
+            .collect();
     }
-    assert!(u32::try_from(keys.len()).is_ok(), "set positions are u32");
-    let bits = keys
+    assert!(
+        u32::try_from(indices.len()).is_ok(),
+        "set positions are u32"
+    );
+    let bits = indices
         .len()
         .next_power_of_two()
         .trailing_zeros()
@@ -179,8 +192,8 @@ fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
     // ends[b] counts bucket b, then becomes its start, then (after the
     // scatter) its end.
     let mut ends = vec![0u32; 1 << bits];
-    for k in &keys {
-        ends[(k.hash >> shift) as usize] += 1;
+    for &i in indices {
+        ends[(mix64(i) >> shift) as usize] += 1;
     }
     let (mut start, mut widest) = (0, 0);
     for e in &mut ends {
@@ -189,10 +202,11 @@ fn bucket_sort(keys: Vec<Key>) -> Vec<Key> {
         start += count;
         widest = widest.max(count);
     }
-    let mut sorted = vec![Key { hash: 0, index: 0 }; keys.len()];
-    for k in &keys {
+    let mut sorted = vec![Key { hash: 0, index: 0 }; indices.len()];
+    for (p, &i) in indices.iter().enumerate() {
+        let k = key(p, i);
         let e = &mut ends[(k.hash >> shift) as usize];
-        sorted[*e as usize] = *k;
+        sorted[*e as usize] = k;
         *e += 1;
     }
     if widest <= INSERTION_MAX {
@@ -225,17 +239,41 @@ mod tests {
     use super::*;
     use crate::hash::{unmix64, Xoshiro256};
 
-    /// Both constructors agree with a comparison sort of `indices`, and
-    /// `with_positions` maps every input to its own key.
+    /// The fields of each key: `Key`'s own `==` looks at the hash alone,
+    /// so this is what shows that the index was restored too.
+    fn fields(keys: &[Key]) -> Vec<(u64, u64)> {
+        keys.iter().map(|k| (k.hash, k.index)).collect()
+    }
+
+    /// Both constructors agree with a comparison sort + dedup of
+    /// `indices`, and `with_positions` maps every input to the position
+    /// a binary search of that oracle finds.
     fn check_constructors(indices: &[u64]) {
         let mut want: Vec<Key> = indices.iter().map(|&i| Key::new(i)).collect();
         want.sort_unstable();
         want.dedup();
-        assert_eq!(IndexSet::from_indices(indices.iter().copied()).keys(), want);
+        let from = IndexSet::from_indices(indices.iter().copied());
+        assert_eq!(fields(from.keys()), fields(&want));
         let (set, map) = IndexSet::with_positions(indices);
-        assert_eq!(set.keys(), want);
+        assert_eq!(fields(set.keys()), fields(&want));
+        assert_eq!(map.len(), indices.len());
         for (&i, &p) in indices.iter().zip(&map) {
-            assert_eq!(set.keys()[p as usize].index, i);
+            assert_eq!(want.binary_search(&Key::new(i)), Ok(p as usize));
+        }
+    }
+
+    #[test]
+    fn tiny_and_duplicate_inputs_match_the_oracle() {
+        check_constructors(&[]);
+        check_constructors(&[7]);
+        check_constructors(&[7, 7]);
+        check_constructors(&[7, 3]);
+        check_constructors(&[3, 7]);
+        check_constructors(&[5, 1, 5, 9, 1, 1, u64::MAX, 0, u64::MAX]);
+        let mut rng = Xoshiro256::new(29);
+        for n in [3usize, 17, 100, 1000] {
+            let indices: Vec<u64> = (0..n).map(|_| rng.next_below(n as u64 / 2 + 1)).collect();
+            check_constructors(&indices);
         }
     }
 

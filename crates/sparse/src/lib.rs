@@ -21,10 +21,10 @@
 //!   workspace so every experiment is reproducible without external
 //!   dependencies.
 //! * [`key`] — [`key::Key`], an index tagged with its partition hash; sets
-//!   are ordered by `(hash, index)` so equal-size *hash ranges* carry
-//!   balanced load even on heavily skewed (power-law) index distributions
-//!   (paper §III.A: "the original indices are hashed to the values used
-//!   for partitioning").
+//!   are ordered by hash so equal-size *hash ranges* carry balanced load
+//!   even on heavily skewed (power-law) index distributions (paper
+//!   §III.A: "the original indices are hashed to the values used for
+//!   partitioning").
 //! * [`index_set`] — [`index_set::IndexSet`], a sorted, deduplicated set of
 //!   keys with range splitting by binary search.
 //! * [`merge`] — two-way and k-way **tree merge** kernels (paper §VI.A)

@@ -23,10 +23,8 @@ pub trait Scalar: Copy + Send + Sync + Debug + PartialEq + Default + 'static {
     /// in a fixed order so results stay bit-identical; exact integer
     /// types combine in arrival order immediately.
     const ORDER_SENSITIVE: bool;
-    /// Append the little-endian encoding of `self` to `out`.
-    fn write_le(&self, out: &mut Vec<u8>);
     /// Write the little-endian encoding into exactly `WIDTH` bytes
-    /// (pooled send buffers that are not `Vec<u8>`-backed).
+    /// (encoders size the whole section once, then fill it).
     fn write_le_slice(&self, out: &mut [u8]);
     /// Decode from exactly `WIDTH` bytes.
     fn read_le(bytes: &[u8]) -> Self;
@@ -37,10 +35,6 @@ macro_rules! impl_scalar {
         impl Scalar for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
             const ORDER_SENSITIVE: bool = $sensitive;
-            #[inline]
-            fn write_le(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
-            }
             #[inline]
             fn write_le_slice(&self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
@@ -139,9 +133,8 @@ mod tests {
     use super::*;
 
     fn round_trip<V: Scalar>(v: V) {
-        let mut buf = Vec::new();
-        v.write_le(&mut buf);
-        assert_eq!(buf.len(), V::WIDTH);
+        let mut buf = vec![0u8; V::WIDTH];
+        v.write_le_slice(&mut buf);
         assert_eq!(V::read_le(&buf), v);
     }
 
@@ -153,24 +146,6 @@ mod tests {
         round_trip(u64::MAX);
         round_trip(-42i32);
         round_trip(i64::MIN);
-    }
-
-    fn slice_matches_vec<V: Scalar>(v: V) {
-        let mut via_vec = Vec::new();
-        v.write_le(&mut via_vec);
-        let mut via_slice = vec![0u8; V::WIDTH];
-        v.write_le_slice(&mut via_slice);
-        assert_eq!(via_vec, via_slice);
-    }
-
-    #[test]
-    fn write_le_slice_matches_write_le() {
-        slice_matches_vec(3.75f32);
-        slice_matches_vec(-1.25e300f64);
-        slice_matches_vec(0xDEAD_BEEFu32);
-        slice_matches_vec(u64::MAX);
-        slice_matches_vec(-42i32);
-        slice_matches_vec(i64::MIN);
     }
 
     #[test]
