@@ -1,9 +1,8 @@
 //! Regenerate every table and figure of the Kylix paper's evaluation.
 //!
 //! ```text
-//! figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|substrates|merge|all] \
-//!     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH] \
-//!     [--substrate thread|tcp|sim]…
+//! figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|merge|all] \
+//!     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]
 //! ```
 //!
 //! Each experiment prints an aligned text table; `--json` additionally
@@ -12,14 +11,12 @@
 //! `--telemetry` dumps the raw per-rank telemetry export behind the
 //! Fig. 5 volumes (the CI build artifact). `--quick` trims the fault
 //! and straggler sweeps to their CI-smoke subsets and `merge` to fewer
-//! timed calls. `--substrate` (repeatable) restricts the `substrates`
-//! cross-check to the named execution substrates; default is all three.
+//! timed calls.
 
 use kylix_bench::json::Json;
-use kylix_bench::substrate::Substrate;
 use kylix_bench::{
     ablation, fault_sweep, fig2, fig4, fig5, fig6, fig7, fig8, fig9, merge, print_table, straggler,
-    substrate, table1,
+    table1,
 };
 use std::collections::BTreeMap;
 
@@ -31,12 +28,10 @@ struct Args {
     quick: bool,
     json: Option<String>,
     telemetry: Option<String>,
-    substrates: Vec<Substrate>,
 }
 
-const USAGE: &str = "usage: figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|substrates|merge|all]… \
-                     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH] \
-                     [--substrate thread|tcp|sim]…";
+const USAGE: &str = "usage: figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|merge|all]… \
+                     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]";
 
 /// Parse the command line; `Err` carries what was wrong with it.
 fn parse_args() -> Result<Args, String> {
@@ -46,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
     let mut quick = false;
     let mut json = None;
     let mut telemetry = None;
-    let mut substrates = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut value = |what: &str| it.next().ok_or_else(|| format!("{a} needs {what}"));
@@ -56,7 +50,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => quick = true,
             "--json" => json = Some(value("PATH")?),
             "--telemetry" => telemetry = Some(value("PATH")?),
-            "--substrate" => substrates.push(value("thread|tcp|sim")?.parse()?),
             "-h" | "--help" => {
                 eprintln!("{USAGE}");
                 std::process::exit(0);
@@ -77,15 +70,11 @@ fn parse_args() -> Result<Args, String> {
             "ablations",
             "faults",
             "straggler",
-            "substrates",
             "merge",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
-    }
-    if substrates.is_empty() {
-        substrates = Substrate::ALL.to_vec();
     }
     Ok(Args {
         which,
@@ -94,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         quick,
         json,
         telemetry,
-        substrates,
     })
 }
 
@@ -490,53 +478,6 @@ fn main() {
                                 ("fixed", &r.fixed),
                                 ("arrival", &r.arrival),
                                 ("speedup", &r.speedup),
-                            ])
-                        })
-                        .collect(),
-                );
-            }
-            "substrates" => {
-                let rows = substrate::run(args.scale, args.seed, &args.substrates);
-                print_table(
-                    "Substrate cross-check — one allreduce on each execution substrate",
-                    &[
-                        "substrate",
-                        "m",
-                        "degrees",
-                        "time s",
-                        "sent MB",
-                        "msgs",
-                        "exact",
-                    ],
-                    &rows
-                        .iter()
-                        .map(|r| {
-                            let degrees: Vec<String> =
-                                r.degrees.iter().map(|d| d.to_string()).collect();
-                            vec![
-                                r.substrate.to_string(),
-                                r.m.to_string(),
-                                degrees.join("x"),
-                                format!("{:.4}", r.seconds),
-                                mb(r.bytes_sent as f64),
-                                r.msgs_sent.to_string(),
-                                if r.exact { "yes" } else { "NO" }.to_string(),
-                            ]
-                        })
-                        .collect::<Vec<_>>(),
-                );
-                json_out.insert(
-                    "substrates".into(),
-                    rows.iter()
-                        .map(|r| {
-                            Json::object(&[
-                                ("substrate", &r.substrate),
-                                ("m", &r.m),
-                                ("degrees", &r.degrees),
-                                ("seconds", &r.seconds),
-                                ("bytes_sent", &r.bytes_sent),
-                                ("msgs_sent", &r.msgs_sent),
-                                ("exact", &r.exact),
                             ])
                         })
                         .collect(),

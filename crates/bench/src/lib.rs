@@ -35,7 +35,6 @@ pub mod json;
 pub mod merge;
 pub mod scaling;
 pub mod straggler;
-pub mod substrate;
 pub mod table1;
 pub mod workload;
 

@@ -17,7 +17,7 @@ fn bad_flag_values_print_usage_and_exit_2() {
         &["fig2", "--scale", "-1"],
         &["fig2", "--seed"],
         &["fig2", "--json"],
-        &["substrates", "--substrate", "foo"],
+        &["fig2", "--telemetry"],
         &["no-such-experiment"],
     ] {
         let out = figures(args);

@@ -1,6 +1,7 @@
 //! Unbounded multi-producer, single-consumer channel: the funnel every
-//! in-process substrate delivers through (`ThreadComm`'s per-rank inbox,
-//! `TcpComm`'s reader-to-rank funnel, and `kylix-netsim`'s `SimComm`).
+//! in-process substrate delivers through (the real endpoint's per-rank
+//! funnel behind `ThreadComm` and `TcpComm`, and `kylix-netsim`'s
+//! `SimComm`).
 //!
 //! The queue is a `VecDeque` behind a `Mutex` and `Condvar`. Its storage
 //! is reused once it has grown, so a steady send/receive loop does not

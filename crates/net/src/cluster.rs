@@ -3,9 +3,10 @@
 //! [`LocalCluster::run`] spawns `m` node threads, hands each its
 //! [`crate::ThreadComm`] endpoint, and collects per-rank results. The
 //! failure-injection variant simply *does not run* the dead ranks — their
-//! endpoints are dropped, so traffic addressed to them disappears, which
-//! is exactly the failure model of the paper's §V (crashed machines stop
-//! talking; they do not babble).
+//! endpoints are dropped, so traffic addressed to them disappears and a
+//! receive from them fails with `Closed`, exactly as a closed socket
+//! does on `TcpComm`. That is the failure model of the paper's §V
+//! (crashed machines stop talking; they do not babble).
 
 use crate::fault::{ChaosComm, FaultPlan};
 use crate::thread_comm::ThreadComm;
@@ -96,7 +97,8 @@ impl LocalCluster {
     }
 
     /// Run with the given ranks dead from the start. Dead ranks yield
-    /// `None`; their endpoints are dropped so messages to them vanish.
+    /// `None`; their endpoints are dropped so messages to them vanish
+    /// and receives from them fail with `Closed`.
     pub fn run_with_failures<R, F>(m: usize, dead: &[usize], f: F) -> Vec<Option<R>>
     where
         R: Send,

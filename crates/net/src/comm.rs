@@ -339,12 +339,21 @@ mod tests {
         Tag::new(Phase::App, 0, 0)
     }
 
+    /// Rank 1 of a two-rank cluster, after its peer rank 0. The peer
+    /// must stay alive and silent: a dropped peer fails a receive with
+    /// `Closed` instead of letting it time out.
+    fn beside_a_silent_peer() -> (ThreadComm, ThreadComm) {
+        let mut comms = ThreadComm::make_cluster(2);
+        let c1 = comms.pop().unwrap();
+        (comms.pop().unwrap(), c1)
+    }
+
     /// Regression (both directions of the min semantics): an explicit
     /// timeout shorter than the patience is honoured as given.
     #[test]
     fn explicit_timeout_shorter_than_patience_is_honoured() {
-        let comms = ThreadComm::make_cluster(2);
-        let mut p = PatienceComm::new(comms.into_iter().nth(1).unwrap(), Duration::from_secs(5));
+        let (_silent, c1) = beside_a_silent_peer();
+        let mut p = PatienceComm::new(c1, Duration::from_secs(5));
         let start = Instant::now();
         let err = p
             .recv_timeout(0, tag(), Duration::from_millis(40))
@@ -362,8 +371,8 @@ mod tests {
     /// with `recv`.
     #[test]
     fn explicit_timeout_longer_than_patience_is_clamped() {
-        let comms = ThreadComm::make_cluster(2);
-        let mut p = PatienceComm::new(comms.into_iter().nth(1).unwrap(), Duration::from_millis(40));
+        let (_silent, c1) = beside_a_silent_peer();
+        let mut p = PatienceComm::new(c1, Duration::from_millis(40));
         let start = Instant::now();
         let err = p
             .recv_timeout(0, tag(), Duration::from_secs(60))
@@ -386,10 +395,13 @@ mod tests {
 
     #[test]
     fn default_recv_uses_patience_not_default_timeout() {
-        let comms = ThreadComm::make_cluster(2);
-        let mut p = PatienceComm::new(comms.into_iter().nth(1).unwrap(), Duration::from_millis(40));
+        let (_silent, c1) = beside_a_silent_peer();
+        let mut p = PatienceComm::new(c1, Duration::from_millis(40));
         let start = Instant::now();
-        assert!(p.recv(0, tag()).is_err());
+        assert!(matches!(
+            p.recv(0, tag()),
+            Err(CommError::Timeout { from: 0, .. })
+        ));
         assert!(start.elapsed() < Duration::from_millis(1500));
     }
 

@@ -26,6 +26,12 @@
 //!   virtual-time NIC cost model of a commodity 10 Gb/s cluster; used to
 //!   reproduce the paper's timing figures.
 //!
+//! The first two are one type, [`endpoint::Endpoint`], over two kinds
+//! of [`endpoint::Link`]: they differ only in how a message reaches a
+//! peer's funnel, and share the receive loops, the telemetry and the
+//! dead-peer rule. On every substrate a receive from a dead rank fails
+//! with [`CommError::Closed`] once nothing it sent is left to take.
+//!
 //! Because every protocol in the workspace is written against the trait,
 //! the *identical* code path is exercised all three ways, and the
 //! differential test suite demands identical reduction results and
@@ -50,6 +56,7 @@ pub mod channel;
 pub mod checksum;
 pub mod cluster;
 pub mod comm;
+pub mod endpoint;
 pub mod fault;
 pub mod frame;
 pub mod mailbox;

@@ -1,4 +1,4 @@
-//! The receive side every substrate shares: [`Mailbox`] and `Inbox`.
+//! The receive stash every substrate shares: [`Mailbox`].
 //!
 //! Kylix receivers are *opportunistic* (paper §VI.B): messages are
 //! pushed asynchronously, and the receiver picks the one the protocol
@@ -25,18 +25,16 @@
 //! substrates and the reliability layer, the virtual delivery time on
 //! the simulator (whose packet race picks the earliest copy).
 //!
-//! `Inbox` adds the event funnel the real substrates (`ThreadComm`,
-//! `TcpComm`) share, with per-peer liveness, and implements their
-//! selective, racing and raw receive loops once.
+//! The real endpoint ([`crate::endpoint`]) feeds its mailbox from its
+//! event funnel and runs the selective, racing and raw receive loops
+//! on top of it.
 
-use crate::channel::{Receiver, RecvTimeoutError};
-use crate::comm::{CommError, RawMessage};
+use crate::comm::RawMessage;
 use crate::tag::Tag;
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Cap on remembered not-yet-arrived discards. A discard aimed at a
 /// dead peer never matches an arrival; without a bound those entries
@@ -211,199 +209,6 @@ impl<T> Mailbox<T> {
     /// Number of registered not-yet-arrived discards.
     pub fn pending_discard_len(&self) -> usize {
         self.pending_discards.values().map(|&n| n as usize).sum()
-    }
-}
-
-/// What a real substrate's funnel carries to an endpoint.
-#[derive(Debug)]
-pub(crate) enum Event {
-    /// One complete message.
-    Msg {
-        src: usize,
-        tag: Tag,
-        payload: Bytes,
-    },
-    /// The incoming link from `src` closed: it will never speak again.
-    Eof { src: usize },
-    /// The incoming link from `src` violated framing and was torn down.
-    Corrupt { src: usize },
-}
-
-/// The receive side of a real endpoint: the event funnel, the mailbox
-/// it feeds, and what the funnel has said about each peer. Peers start
-/// open; a funnel that never reports `Eof`/`Corrupt` (the in-process
-/// channels) never fails a receive fast.
-pub(crate) struct Inbox {
-    rx: Receiver<Event>,
-    mailbox: Mailbox<()>,
-    peer_open: Vec<bool>,
-    peer_corrupt: Vec<bool>,
-}
-
-impl Inbox {
-    pub(crate) fn new(rx: Receiver<Event>, size: usize, shard: Option<Arc<RankTelemetry>>) -> Self {
-        Self {
-            rx,
-            mailbox: Mailbox::new(shard),
-            peer_open: vec![true; size],
-            peer_corrupt: vec![false; size],
-        }
-    }
-
-    pub(crate) fn telemetry(&self) -> Option<&RankTelemetry> {
-        self.mailbox.telemetry()
-    }
-
-    fn apply(&mut self, ev: Event) {
-        match ev {
-            Event::Msg { src, tag, payload } => self.mailbox.accept(src, tag, (), payload),
-            Event::Eof { src } => self.peer_open[src] = false,
-            Event::Corrupt { src } => {
-                self.peer_corrupt[src] = true;
-                self.peer_open[src] = false;
-            }
-        }
-    }
-
-    /// Pull everything currently in the funnel into the mailbox.
-    fn drain(&mut self) {
-        while let Ok(ev) = self.rx.try_recv() {
-            self.apply(ev);
-        }
-    }
-
-    /// Wait until `deadline` for one funnel event. A message that
-    /// `wanted` accepts is delivered directly — the caller has just
-    /// found its key empty in the stash, and the funnel is FIFO per
-    /// peer, so it is the first of its key; anything else is applied.
-    fn next_event(
-        &mut self,
-        deadline: Instant,
-        wanted: impl Fn(usize, Tag) -> bool,
-    ) -> Result<Option<(usize, Bytes)>, RecvTimeoutError> {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match self.rx.recv_timeout(remaining)? {
-            Event::Msg { src, tag, payload } if wanted(src, tag) => Ok(self
-                .mailbox
-                .deliver(src, tag, (), payload)
-                .map(|((), p)| (src, p))),
-            ev => {
-                self.apply(ev);
-                Ok(None)
-            }
-        }
-    }
-
-    /// `Some(err)` once nothing from `from` can ever arrive again. Only
-    /// meaningful after the stash was checked: the link's FIFO funnels
-    /// a peer's last message before its `Eof`.
-    fn dead_peer_error(&self, from: usize, tag: Tag) -> Option<CommError> {
-        if self.peer_corrupt[from] {
-            Some(CommError::Corrupt { from, tag })
-        } else if !self.peer_open[from] {
-            Some(CommError::Closed)
-        } else {
-            None
-        }
-    }
-
-    pub(crate) fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(((), p)) = self.mailbox.take(from, tag) {
-                return Ok(p);
-            }
-            if let Some(err) = self.dead_peer_error(from, tag) {
-                return Err(err);
-            }
-            match self.next_event(deadline, |s, t| s == from && t == tag) {
-                Ok(Some((_, p))) => return Ok(p),
-                Ok(None) => {}
-                Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { from, tag }),
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
-            }
-        }
-    }
-
-    pub(crate) fn recv_any_timeout(
-        &mut self,
-        sources: &[usize],
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(usize, Bytes), CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.drain();
-            for &s in sources {
-                if let Some(((), p)) = self.mailbox.take(s, tag) {
-                    return Ok((s, p));
-                }
-            }
-            // The race fails fast only once EVERY candidate is gone;
-            // corruption wins over plain closure, being the stronger
-            // signal.
-            if !sources.is_empty() && sources.iter().all(|&s| !self.peer_open[s]) {
-                let corrupt = sources.iter().find(|&&s| self.peer_corrupt[s]);
-                return Err(match corrupt {
-                    Some(&s) => CommError::Corrupt { from: s, tag },
-                    None => CommError::Closed,
-                });
-            }
-            match self.next_event(deadline, |s, t| t == tag && sources.contains(&s)) {
-                Ok(Some(won)) => return Ok(won),
-                Ok(None) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::TimeoutAny {
-                        sources: sources.to_vec(),
-                        tag,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
-            }
-        }
-    }
-
-    pub(crate) fn discard(&mut self, sources: &[usize], tag: Tag) {
-        self.drain();
-        self.mailbox.discard(sources, tag);
-    }
-
-    /// Next message from anyone: the smallest stashed `(src, tag)`,
-    /// FIFO within a key. Silence — even from dead peers — is `Ok(None)`,
-    /// which the reliability layer above treats as loss.
-    pub(crate) fn recv_raw_timeout(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<RawMessage>, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.drain();
-            if let Some(((), msg)) = self.mailbox.take_min_by(|s, t, _| (s, t.raw())) {
-                return Ok(Some(msg));
-            }
-            match self.next_event(deadline, |_, _| false) {
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
-            }
-        }
-    }
-
-    pub(crate) fn stash_len(&self) -> usize {
-        self.mailbox.stash_len()
-    }
-
-    pub(crate) fn pending_discard_len(&self) -> usize {
-        self.mailbox.pending_discard_len()
-    }
-
-    pub(crate) fn peer_alive(&self, peer: usize) -> bool {
-        self.peer_open[peer]
     }
 }
 

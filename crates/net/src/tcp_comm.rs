@@ -1,68 +1,50 @@
-//! Real-socket communicator: one rank per thread over loopback TCP.
+//! The loopback-TCP endpoint: [`TcpComm`] is the shared [`Endpoint`]
+//! over [`SocketLink`]s, one rank per thread.
 //!
 //! The paper runs Kylix on a real 64-node EC2 cluster over commodity
 //! Ethernet (§VII); the in-process [`crate::ThreadComm`] and the
 //! virtual-time simulator reproduce the *protocol* but never touch an
 //! OS network stack, so framing, torn reads, kernel buffering, and
 //! connection teardown go unexercised. `TcpComm` closes that gap: the
-//! same [`Comm`]/[`RawComm`] contract, but every inter-rank message
-//! crosses a real TCP socket as a length-prefixed frame
-//! (see [`crate::frame`]).
+//! same endpoint, but every inter-rank message crosses a real TCP
+//! socket as a length-prefixed frame (see [`crate::frame`]).
 //!
 //! ### Threading model
 //!
-//! [`Comm::send`] writes the frame on the calling rank's own thread,
-//! header and payload in one vectored write, without copying the
-//! payload. Each endpoint owns one **reader thread** per remote peer,
-//! which reads frames from the incoming socket and funnels them into a
-//! single per-endpoint event channel feeding the shared receive side in
-//! [`crate::mailbox`] — the same stash, racing discards and receive
-//! loops `ThreadComm` runs; the protocol above cannot tell the
-//! substrates apart (the three-way differential tests pin this). A
-//! cluster of `m` ranks runs `m·(m−1)` I/O threads.
+//! [`Comm::send`](crate::Comm::send) writes the frame on the calling
+//! rank's own thread, header and payload in one vectored write, without
+//! copying the payload. Each link also owns the **reader thread** of
+//! the peer's incoming connection, which reads frames and pushes them
+//! into the endpoint's funnel; from there on the receive side is the
+//! one in [`crate::endpoint`]. A cluster of `m` ranks runs `m·(m−1)`
+//! I/O threads.
 //!
 //! The blocking write cannot deadlock. Every reader thread drains its
 //! socket into the unbounded funnel whether or not its rank is
 //! receiving, so kernel buffer space on every link always frees up: a
 //! send may wait for that, but never for the receiver to call `recv`.
-//! Self-addressed sends loop back through the funnel directly, skipping
-//! the socket layer just as `ThreadComm` skips the wire — send-side
-//! telemetry accounting is identical on all substrates.
 //!
 //! ### Connection lifecycle
 //!
 //! [`TcpCluster::make_cluster`] builds the full `m × (m−1)` directed
 //! mesh up front: each ordered pair gets one connection, carrying
 //! traffic in one direction only, identified by an 8-byte
-//! `[magic, src-rank]` handshake. A write that fails (the peer has
-//! gone) closes that outgoing connection, and later sends to the peer
-//! vanish. Dropping an endpoint half-closes its outgoing connections
-//! (peers' readers see EOF after everything already sent) and shuts
-//! down its incoming ones (its own readers unblock), then joins its
-//! reader threads — `Drop` is deterministic and leak-free. A peer's
-//! death is *observable*: once the incoming connection from rank `p` is
-//! gone and nothing from `p` remains stashed, a selective receive from
-//! `p` fails fast with [`CommError::Closed`] instead of burning its full
-//! timeout, and a framing violation on the link surfaces
-//! [`CommError::Corrupt`].
-//! [`RawComm::recv_raw_timeout`] deliberately keeps reporting silence
-//! as `Ok(None)` (not `Closed`): the reliability layer's retransmit /
-//! linger loops treat peer silence as loss, and must keep servicing
-//! *other* live links after one peer exits.
+//! `[magic, src-rank]` handshake. A link pairs a rank's outgoing
+//! connection to a peer with the incoming one from it. A failed write
+//! closes the outgoing connection, and later sends to the peer vanish;
+//! a framing violation tears the incoming one down and surfaces
+//! [`CommError::Corrupt`](crate::CommError::Corrupt).
 
-use crate::channel::{unbounded, Sender};
+use crate::channel::Sender;
 use crate::cluster::run_each;
-use crate::comm::{Comm, CommError, RawComm, RawMessage};
+use crate::endpoint::{build_cluster, Endpoint, Event, Link};
 use crate::frame::{read_frame, write_frame};
-use crate::mailbox::{Event, Inbox};
 use crate::tag::Tag;
 use bytes::Bytes;
-use kylix_telemetry::{Counter, RankTelemetry, Telemetry};
+use kylix_telemetry::Telemetry;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Connection-handshake magic: "KYLX".
 const HELLO_MAGIC: u32 = 0x4B59_4C58;
@@ -72,23 +54,46 @@ const READ_CHUNK: usize = 64 * 1024;
 
 /// A rank's endpoint in a loopback-TCP cluster. See the module docs for
 /// the threading and lifecycle model.
-pub struct TcpComm {
-    rank: usize,
-    size: usize,
-    /// Outgoing connection per destination. `None` at our own index
-    /// (self-sends loop back through `self_tx`) and after a write to
-    /// that peer failed.
-    writers: Vec<Option<TcpStream>>,
-    /// Loopback sender for self-addressed messages.
-    self_tx: Sender<Event>,
-    /// Clones of the incoming sockets, kept so `Drop` can shut down
-    /// their read sides and unblock the reader threads.
-    incoming: Vec<Option<TcpStream>>,
-    /// Reader threads, joined on `Drop`.
-    readers: Vec<JoinHandle<()>>,
-    /// The reader funnel and the mailbox it feeds.
-    inbox: Inbox,
-    epoch: Instant,
+pub type TcpComm = Endpoint<SocketLink>;
+
+/// The socket link between one rank and a peer: the outgoing
+/// connection, and the incoming one with its reader thread.
+pub struct SocketLink {
+    /// `None` after a write to the peer failed.
+    out: Option<TcpStream>,
+    /// A clone of the incoming socket, kept so `close` can shut down its
+    /// read side and unblock the reader thread.
+    incoming: TcpStream,
+    /// The reader thread, joined by `close`.
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Link for SocketLink {
+    fn send(&mut self, tag: Tag, payload: Bytes) {
+        // A send to a dead rank vanishes, by contract. The first failed
+        // write finds the peer gone; dropping the stream closes it.
+        if let Some(stream) = &mut self.out {
+            if write_frame(stream, tag, &payload).is_err() {
+                self.out = None;
+            }
+        }
+    }
+
+    fn close(&mut self) {
+        // Half-close the outgoing connection: every frame `send` wrote
+        // is already in the kernel, so the peer reads it all and then a
+        // clean EOF.
+        if let Some(s) = &self.out {
+            let _ = s.shutdown(Shutdown::Write);
+        }
+        // Unblock the reader by shutting down the read side (a peer that
+        // already exited closed it itself; the error is ignored), then
+        // join it: no thread or socket outlives the endpoint.
+        let _ = self.incoming.shutdown(Shutdown::Both);
+        if let Some(h) = self.reader.take() {
+            let _ = h.join();
+        }
+    }
 }
 
 /// Entry points for building and running loopback-TCP clusters.
@@ -105,19 +110,14 @@ impl TcpCluster {
     /// cannot be established (loopback connectivity is a precondition,
     /// not a tolerated fault).
     pub fn make_cluster(m: usize) -> Vec<TcpComm> {
-        Self::build_cluster(m, None)
+        build_cluster(m, None, socket_links)
     }
 
     /// [`TcpCluster::make_cluster`] with a telemetry shard attached to
     /// each endpoint (wall-clock flavour — pair with
     /// `Telemetry::new(m, Clock::Wall)`).
     pub fn make_cluster_with_telemetry(m: usize, tel: &Telemetry) -> Vec<TcpComm> {
-        assert!(
-            tel.len() >= m,
-            "telemetry has {} rank shards, cluster needs {m}",
-            tel.len()
-        );
-        Self::build_cluster(m, Some(tel))
+        build_cluster(m, Some(tel), socket_links)
     }
 
     /// Run `f(rank's comm)` on `m` concurrent node threads over real
@@ -153,124 +153,99 @@ impl TcpCluster {
             f(crate::fault::ChaosComm::new(c, plan.clone()))
         })
     }
+}
 
-    fn build_cluster(m: usize, tel: Option<&Telemetry>) -> Vec<TcpComm> {
-        assert!(m > 0, "cluster must have at least one rank");
-        // One listener per rank, ephemeral loopback ports.
-        let listeners: Vec<TcpListener> = (0..m)
-            .map(|r| {
-                TcpListener::bind("127.0.0.1:0")
-                    .unwrap_or_else(|e| panic!("rank {r}: cannot bind loopback listener: {e}"))
+/// Wire the directed mesh: every rank's socket link to every other
+/// rank, each reader thread feeding its rank's funnel.
+fn socket_links(funnels: &[Sender<Event>]) -> Vec<Vec<Option<SocketLink>>> {
+    let m = funnels.len();
+    // One listener per rank, ephemeral loopback ports.
+    let listeners: Vec<TcpListener> = (0..m)
+        .map(|r| {
+            TcpListener::bind("127.0.0.1:0")
+                .unwrap_or_else(|e| panic!("rank {r}: cannot bind loopback listener: {e}"))
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = listeners
+        .iter()
+        .map(|l| l.local_addr().expect("listener has a local addr"))
+        .collect();
+
+    // Accept side: each rank's acceptor collects its m-1 incoming
+    // connections, identifies the sender from the handshake, and
+    // spawns the per-connection reader thread.
+    type Accepted = Vec<(usize, TcpStream, JoinHandle<()>)>;
+    let acceptors: Vec<JoinHandle<Accepted>> = listeners
+        .into_iter()
+        .enumerate()
+        .map(|(dst, listener)| {
+            let tx = funnels[dst].clone();
+            std::thread::spawn(move || {
+                let mut conns = Vec::with_capacity(m - 1);
+                for _ in 0..m - 1 {
+                    let (mut stream, _) = listener
+                        .accept()
+                        .unwrap_or_else(|e| panic!("rank {dst}: accept failed: {e}"));
+                    stream.set_nodelay(true).ok();
+                    let mut hello = [0u8; 8];
+                    stream
+                        .read_exact(&mut hello)
+                        .unwrap_or_else(|e| panic!("rank {dst}: handshake read: {e}"));
+                    let magic = u32::from_le_bytes(hello[..4].try_into().unwrap());
+                    assert_eq!(magic, HELLO_MAGIC, "rank {dst}: bad handshake magic");
+                    let src = u32::from_le_bytes(hello[4..].try_into().unwrap()) as usize;
+                    assert!(src < m, "rank {dst}: handshake from bogus rank {src}");
+                    let read_half = stream
+                        .try_clone()
+                        .expect("clone incoming stream for reader");
+                    let tx = tx.clone();
+                    let reader = std::thread::spawn(move || reader_loop(src, read_half, tx));
+                    conns.push((src, stream, reader));
+                }
+                conns
             })
-            .collect();
-        let addrs: Vec<SocketAddr> = listeners
-            .iter()
-            .map(|l| l.local_addr().expect("listener has a local addr"))
-            .collect();
+        })
+        .collect();
 
-        // One funnel per rank.
-        let mut funnel_txs = Vec::with_capacity(m);
-        let mut funnel_rxs = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = unbounded();
-            funnel_txs.push(tx);
-            funnel_rxs.push(rx);
-        }
+    // Connect side: the directed mesh, one connection per ordered
+    // pair, introduced by the handshake; `send` writes to these.
+    let connect = |src: usize, dst: usize| {
+        let mut stream = TcpStream::connect(addrs[dst])
+            .unwrap_or_else(|e| panic!("connect {src} -> {dst}: {e}"));
+        stream.set_nodelay(true).ok();
+        let mut hello = [0u8; 8];
+        hello[..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
+        hello[4..].copy_from_slice(&(src as u32).to_le_bytes());
+        stream
+            .write_all(&hello)
+            .unwrap_or_else(|e| panic!("handshake {src} -> {dst}: {e}"));
+        stream
+    };
+    let mut outgoing: Vec<Vec<Option<TcpStream>>> = (0..m)
+        .map(|src| {
+            (0..m)
+                .map(|dst| (dst != src).then(|| connect(src, dst)))
+                .collect()
+        })
+        .collect();
 
-        // Accept side: each rank's acceptor collects its m-1 incoming
-        // connections, identifies the sender from the handshake, and
-        // spawns the per-connection reader thread.
-        type Accepted = Vec<(usize, TcpStream, JoinHandle<()>)>;
-        let acceptors: Vec<JoinHandle<Accepted>> = listeners
-            .into_iter()
-            .enumerate()
-            .map(|(dst, listener)| {
-                let tx = funnel_txs[dst].clone();
-                std::thread::spawn(move || {
-                    let mut conns = Vec::with_capacity(m - 1);
-                    for _ in 0..m - 1 {
-                        let (mut stream, _) = listener
-                            .accept()
-                            .unwrap_or_else(|e| panic!("rank {dst}: accept failed: {e}"));
-                        stream.set_nodelay(true).ok();
-                        let mut hello = [0u8; 8];
-                        stream
-                            .read_exact(&mut hello)
-                            .unwrap_or_else(|e| panic!("rank {dst}: handshake read: {e}"));
-                        let magic = u32::from_le_bytes(hello[..4].try_into().unwrap());
-                        assert_eq!(magic, HELLO_MAGIC, "rank {dst}: bad handshake magic");
-                        let src = u32::from_le_bytes(hello[4..].try_into().unwrap()) as usize;
-                        assert!(src < m, "rank {dst}: handshake from bogus rank {src}");
-                        let read_half = stream
-                            .try_clone()
-                            .expect("clone incoming stream for reader");
-                        let tx = tx.clone();
-                        let reader = std::thread::spawn(move || reader_loop(src, read_half, tx));
-                        conns.push((src, stream, reader));
-                    }
-                    conns
-                })
-            })
-            .collect();
-
-        // Connect side: the directed mesh, one connection per ordered
-        // pair, introduced by the handshake; `send` writes to these.
-        let connect = |src: usize, dst: usize| {
-            let mut stream = TcpStream::connect(addrs[dst])
-                .unwrap_or_else(|e| panic!("connect {src} -> {dst}: {e}"));
-            stream.set_nodelay(true).ok();
-            let mut hello = [0u8; 8];
-            hello[..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
-            hello[4..].copy_from_slice(&(src as u32).to_le_bytes());
-            stream
-                .write_all(&hello)
-                .unwrap_or_else(|e| panic!("handshake {src} -> {dst}: {e}"));
-            stream
-        };
-        let mut writers: Vec<Vec<Option<TcpStream>>> = (0..m)
-            .map(|src| {
-                (0..m)
-                    .map(|dst| (dst != src).then(|| connect(src, dst)))
-                    .collect()
-            })
-            .collect();
-
-        // Collect the accept side, routing each rank's incoming stream
-        // clones and reader handles back to its endpoint.
-        let mut incoming: Vec<Vec<Option<TcpStream>>> =
-            (0..m).map(|_| (0..m).map(|_| None).collect()).collect();
-        let mut reader_handles: Vec<Vec<JoinHandle<()>>> = (0..m).map(|_| Vec::new()).collect();
-        for (dst, acceptor) in acceptors.into_iter().enumerate() {
-            for (src, stream, reader) in acceptor.join().expect("acceptor thread panicked") {
-                assert!(
-                    incoming[dst][src].is_none(),
-                    "duplicate connection {src} -> {dst}"
-                );
-                incoming[dst][src] = Some(stream);
-                reader_handles[dst].push(reader);
-            }
-        }
-
-        let epoch = Instant::now();
-        let mut endpoints = Vec::with_capacity(m);
-        for rank in 0..m {
-            endpoints.push(TcpComm {
-                rank,
-                size: m,
-                writers: std::mem::take(&mut writers[rank]),
-                self_tx: funnel_txs[rank].clone(),
-                incoming: std::mem::take(&mut incoming[rank]),
-                readers: std::mem::take(&mut reader_handles[rank]),
-                inbox: Inbox::new(
-                    funnel_rxs.remove(0),
-                    m,
-                    tel.map(|t| Arc::clone(t.rank(rank))),
-                ),
-                epoch,
+    // Collect the accept side: rank `me`'s link to `peer` pairs its
+    // outgoing connection with the incoming one from `peer`.
+    let mut links: Vec<Vec<Option<SocketLink>>> =
+        (0..m).map(|_| (0..m).map(|_| None).collect()).collect();
+    for (me, acceptor) in acceptors.into_iter().enumerate() {
+        for (peer, incoming, reader) in acceptor.join().expect("acceptor thread panicked") {
+            let out = outgoing[me][peer]
+                .take()
+                .unwrap_or_else(|| panic!("duplicate connection {peer} -> {me}"));
+            links[me][peer] = Some(SocketLink {
+                out: Some(out),
+                incoming,
+                reader: Some(reader),
             });
         }
-        endpoints
     }
+    links
 }
 
 /// Reader thread: read frames, funnel them, report EOF / framing
@@ -299,230 +274,130 @@ fn reader_loop(src: usize, stream: TcpStream, tx: Sender<Event>) {
     }
 }
 
-impl TcpComm {
-    /// Number of messages currently held in the out-of-order stash.
-    pub fn stash_len(&self) -> usize {
-        self.inbox.stash_len()
-    }
-
-    /// Number of registered not-yet-arrived discards.
-    pub fn pending_discard_len(&self) -> usize {
-        self.inbox.pending_discard_len()
-    }
-
-    /// Whether the incoming connection from `peer` is still open.
-    pub fn peer_alive(&self, peer: usize) -> bool {
-        self.inbox.peer_alive(peer)
-    }
-}
-
-impl Comm for TcpComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
-        debug_assert!(to < self.size, "rank {to} out of range");
-        // Send-side accounting counts *payload* bytes at the send call,
-        // before peer liveness is known — the identical accounting
-        // point and unit as ThreadComm and the simulator, so the
-        // three-way differential tests can demand exact equality.
-        // Framing overhead is a wire detail below the telemetry line.
-        if let Some(t) = self.inbox.telemetry() {
-            t.add(
-                tag.phase(),
-                tag.layer(),
-                Counter::BytesSent,
-                payload.len() as u64,
-            );
-            t.add(tag.phase(), tag.layer(), Counter::MsgsSent, 1);
-        }
-        if to == self.rank {
-            let _ = self.self_tx.send(Event::Msg {
-                src: to,
-                tag,
-                payload,
-            });
-            return;
-        }
-        // A send to a dead rank vanishes, by contract. The first failed
-        // write finds the peer gone; dropping the stream closes it.
-        if let Some(stream) = &mut self.writers[to] {
-            if write_frame(stream, tag, &payload).is_err() {
-                self.writers[to] = None;
-            }
-        }
-    }
-
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        self.inbox.recv_timeout(from, tag, timeout)
-    }
-
-    fn recv_any_timeout(
-        &mut self,
-        sources: &[usize],
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(usize, Bytes), CommError> {
-        self.inbox.recv_any_timeout(sources, tag, timeout)
-    }
-
-    fn discard(&mut self, sources: &[usize], tag: Tag) {
-        self.inbox.discard(sources, tag);
-    }
-
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    fn telemetry(&self) -> Option<&RankTelemetry> {
-        self.inbox.telemetry()
-    }
-}
-
-impl RawComm for TcpComm {
-    fn recv_raw_timeout(&mut self, timeout: Duration) -> Result<Option<RawMessage>, CommError> {
-        self.inbox.recv_raw_timeout(timeout)
-    }
-}
-
-impl Drop for TcpComm {
-    fn drop(&mut self) {
-        // 1. Half-close the outgoing connections: every frame `send`
-        //    wrote is already in the kernel, so peers read it all and
-        //    then a clean EOF.
-        for s in self.writers.iter().flatten() {
-            let _ = s.shutdown(Shutdown::Write);
-        }
-        // 2. Unblock our reader threads: shut down the read sides.
-        //    Peers that already exited closed these sockets themselves;
-        //    errors here are expected and ignored.
-        for s in self.incoming.iter().flatten() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        // 3. Join the readers: after (2) they all terminate promptly,
-        //    so an endpoint drop never leaks threads or sockets.
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-#[cfg(test)]
-impl TcpComm {
-    /// Test-only hook: write raw bytes on the wire to `to`, bypassing
-    /// the framing — the only way to present the peer's reader with a
-    /// hostile length prefix over a real socket.
-    fn inject_raw_wire_bytes(&self, to: usize, bytes: &[u8]) {
-        if let Some(mut stream) = self.writers[to].as_ref() {
-            let _ = stream.write_all(bytes);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comm::DEFAULT_TIMEOUT;
-    use crate::tag::Phase;
+    use crate::comm::{Comm, CommError};
+    use crate::endpoint::suite::{self, finishes_within, tag};
     use std::thread;
+    use std::time::{Duration, Instant};
 
-    fn tag(layer: u16, seq: u32) -> Tag {
-        Tag::new(Phase::App, layer, seq)
-    }
-
-    /// Short patience for tests that expect failure.
-    const SHORT: Duration = Duration::from_millis(200);
+    const MAKE: suite::Make<SocketLink> = TcpCluster::make_cluster;
+    const MAKE_TEL: suite::MakeTel<SocketLink> = TcpCluster::make_cluster_with_telemetry;
 
     #[test]
     fn ping_pong_over_real_sockets() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        thread::scope(|s| {
-            s.spawn(move || {
-                c0.send(1, tag(0, 0), Bytes::from_static(b"ping"));
-                let r = c0.recv(1, tag(0, 1)).unwrap();
-                assert_eq!(&r[..], b"pong");
-            });
-            s.spawn(move || {
-                let r = c1.recv(0, tag(0, 0)).unwrap();
-                assert_eq!(&r[..], b"ping");
-                c1.send(0, tag(0, 1), Bytes::from_static(b"pong"));
-            });
-        });
+        suite::ping_pong(MAKE);
     }
 
     #[test]
     fn out_of_order_selective_receive() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(0, 0), Bytes::from_static(b"a"));
-        c0.send(1, tag(0, 1), Bytes::from_static(b"b"));
-        c0.send(1, tag(0, 2), Bytes::from_static(b"c"));
-        assert_eq!(&c1.recv(0, tag(0, 2)).unwrap()[..], b"c");
-        assert_eq!(&c1.recv(0, tag(0, 1)).unwrap()[..], b"b");
-        assert_eq!(&c1.recv(0, tag(0, 0)).unwrap()[..], b"a");
+        suite::out_of_order_selective_receive(MAKE);
     }
 
     #[test]
     fn same_tag_messages_keep_fifo_order() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        for i in 0..50u8 {
-            c0.send(1, tag(0, 0), Bytes::from(vec![i]));
-        }
-        for i in 0..50u8 {
-            assert_eq!(c1.recv(0, tag(0, 0)).unwrap()[0], i);
-        }
+        suite::same_tag_messages_keep_fifo_order(MAKE);
     }
 
     #[test]
     fn self_send_loops_back_without_a_socket() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c0 = comms.remove(0);
-        c0.send(0, tag(1, 0), Bytes::from_static(b"me"));
-        assert_eq!(&c0.recv(0, tag(1, 0)).unwrap()[..], b"me");
+        suite::self_send_loops_back(MAKE);
     }
 
     #[test]
     fn single_rank_cluster_works() {
-        let mut comms = TcpCluster::make_cluster(1);
-        let mut c0 = comms.pop().unwrap();
-        c0.send(0, tag(0, 0), Bytes::from_static(b"solo"));
-        assert_eq!(&c0.recv(0, tag(0, 0)).unwrap()[..], b"solo");
+        suite::single_rank_cluster_works(MAKE);
     }
 
     #[test]
     fn recv_any_returns_first_available() {
-        let mut comms = TcpCluster::make_cluster(3);
-        let mut c2 = comms.pop().unwrap();
-        let mut c1 = comms.pop().unwrap();
-        let _c0 = comms.pop().unwrap();
-        c1.send(2, tag(1, 0), Bytes::from_static(b"from1"));
-        let (src, payload) = c2.recv_any(&[0, 1], tag(1, 0)).unwrap();
-        assert_eq!(src, 1);
-        assert_eq!(&payload[..], b"from1");
+        suite::recv_any_returns_first_available(MAKE);
     }
 
     #[test]
     fn timeout_on_silent_live_peer() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.remove(1);
-        let err = c1.recv_timeout(0, tag(0, 0), SHORT).unwrap_err();
-        assert!(matches!(err, CommError::Timeout { from: 0, .. }));
+        suite::timeout_on_silent_live_peer(MAKE);
     }
+
+    #[test]
+    fn recv_any_timeout_reports_the_sources() {
+        suite::recv_any_timeout_reports_the_sources(MAKE);
+    }
+
+    #[test]
+    fn all_to_all_exchange() {
+        suite::all_to_all_exchange(MAKE);
+    }
+
+    #[test]
+    fn send_to_dead_rank_is_dropped_silently() {
+        suite::send_to_dead_rank_is_dropped(MAKE);
+    }
+
+    #[test]
+    fn peer_death_surfaces_closed_not_hang() {
+        suite::peer_death_surfaces_closed_not_hang(MAKE);
+    }
+
+    #[test]
+    fn messages_sent_before_death_still_deliver() {
+        suite::messages_sent_before_death_still_deliver(MAKE);
+    }
+
+    #[test]
+    fn recv_any_with_all_sources_dead_is_closed() {
+        suite::recv_any_with_all_sources_dead_is_closed(MAKE);
+    }
+
+    #[test]
+    fn recv_any_with_one_live_source_keeps_racing() {
+        suite::recv_any_with_one_live_source_keeps_racing(MAKE);
+    }
+
+    #[test]
+    fn drop_order_is_arbitrary_and_clean() {
+        suite::drop_order_is_arbitrary_and_clean(MAKE);
+    }
+
+    #[test]
+    fn sends_to_dropped_peer_return_promptly() {
+        suite::sends_to_dropped_peer_return_promptly(MAKE);
+    }
+
+    #[test]
+    fn discard_removes_stashed_copy_and_future_arrival() {
+        suite::discard_removes_stashed_copy(MAKE);
+        suite::discard_applies_to_future_arrival(MAKE);
+    }
+
+    #[test]
+    fn raw_recv_yields_anything_and_times_out_as_none() {
+        suite::raw_recv_yields_anything_and_times_out_as_none(MAKE);
+    }
+
+    #[test]
+    fn telemetry_counts_match_thread_substrate_semantics() {
+        suite::telemetry_counts_sends_deliveries_and_parks(MAKE_TEL);
+    }
+
+    #[test]
+    fn telemetry_counts_discard_consumed_arrivals_as_received() {
+        suite::telemetry_counts_discard_consumed_arrivals_as_received(MAKE_TEL);
+    }
+
+    #[test]
+    fn in_order_arrivals_are_delivered_without_parking() {
+        suite::in_order_arrivals_are_delivered_without_parking(MAKE_TEL);
+    }
+
+    #[test]
+    fn now_is_monotone_wall_clock() {
+        suite::now_is_monotone(MAKE);
+    }
+
+    // Socket-only behaviour: framing, torn reads, kernel buffers and
+    // reader threads.
 
     #[test]
     fn large_payload_crosses_in_torn_chunks() {
@@ -543,114 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn all_to_all_exchange() {
-        let m = 6;
-        let comms = TcpCluster::make_cluster(m);
-        let results: Vec<Vec<u8>> = thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut c| {
-                    s.spawn(move || {
-                        let me = c.rank() as u8;
-                        for to in 0..m {
-                            c.send(to, tag(0, 0), Bytes::from(vec![me]));
-                        }
-                        let mut got = Vec::new();
-                        for from in 0..m {
-                            got.push(c.recv(from, tag(0, 0)).unwrap()[0]);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in results {
-            assert_eq!(r, (0..m as u8).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn send_to_dead_rank_is_dropped_silently() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let dead = comms.pop().unwrap();
-        drop(dead);
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(0, 0), Bytes::from_static(b"into the void"));
-        // Survival is the assertion.
-    }
-
-    #[test]
-    fn peer_death_surfaces_closed_not_hang() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let dead = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        drop(dead); // rank 1 exits before ever speaking
-        let start = Instant::now();
-        let err = c0.recv_timeout(1, tag(0, 0), DEFAULT_TIMEOUT).unwrap_err();
-        assert_eq!(err, CommError::Closed, "dead peer must fail fast");
-        assert!(
-            start.elapsed() < Duration::from_secs(5),
-            "must not burn the 60 s default timeout"
-        );
-    }
-
-    #[test]
-    fn messages_sent_before_death_still_deliver() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(0, 0), Bytes::from_static(b"parting gift"));
-        drop(c0); // flushes, then EOF
-        assert_eq!(&c1.recv(0, tag(0, 0)).unwrap()[..], b"parting gift");
-        // Now the peer is known dead and nothing is stashed.
-        let err = c1.recv_timeout(0, tag(0, 1), DEFAULT_TIMEOUT).unwrap_err();
-        assert_eq!(err, CommError::Closed);
-    }
-
-    #[test]
-    fn recv_any_with_all_sources_dead_is_closed() {
-        let mut comms = TcpCluster::make_cluster(3);
-        let mut c2 = comms.pop().unwrap();
-        drop(comms); // ranks 0 and 1 both exit
-        let start = Instant::now();
-        let err = c2
-            .recv_any_timeout(&[0, 1], tag(0, 0), DEFAULT_TIMEOUT)
-            .unwrap_err();
-        assert_eq!(err, CommError::Closed);
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn recv_any_with_one_live_source_keeps_racing() {
-        let mut comms = TcpCluster::make_cluster(3);
-        let mut c2 = comms.pop().unwrap();
-        let mut c1 = comms.pop().unwrap();
-        drop(comms.pop().unwrap()); // rank 0 dead
-        thread::scope(|s| {
-            s.spawn(move || {
-                thread::sleep(Duration::from_millis(50));
-                c1.send(2, tag(0, 0), Bytes::from_static(b"late but alive"));
-            });
-            let (src, p) = c2.recv_any(&[0, 1], tag(0, 0)).unwrap();
-            assert_eq!(src, 1);
-            assert_eq!(&p[..], b"late but alive");
-        });
-    }
-
-    #[test]
     fn hostile_length_prefix_yields_corrupt_error() {
         // A hostile/buggy peer declares a ~4 GiB frame. The victim must
         // answer Corrupt — without allocating the claimed body and
-        // without burning a full timeout. The bad prefix goes under the
-        // encoder via the test-only raw-wire hook, which writes straight
-        // to the socket: bytes that are not a valid frame desynchronise
-        // the stream exactly like in-flight corruption of a length word
-        // would.
+        // without burning a full timeout. The bad prefix goes straight
+        // onto the socket, under the encoder: bytes that are not a valid
+        // frame desynchronise the stream exactly like in-flight
+        // corruption of a length word would.
         let mut comms = TcpCluster::make_cluster(2);
         let mut c1 = comms.pop().unwrap();
         let c0 = comms.pop().unwrap();
-        c0.inject_raw_wire_bytes(1, &u32::MAX.to_le_bytes());
+        let mut wire = c0.link(1).and_then(|l| l.out.as_ref()).unwrap();
+        wire.write_all(&u32::MAX.to_le_bytes()).unwrap();
         let err = c1.recv_timeout(0, tag(0, 0), Duration::from_secs(10));
         assert!(
             matches!(err, Err(CommError::Corrupt { from: 0, .. })),
@@ -672,48 +451,6 @@ mod tests {
             "drop must join workers promptly: {:?}",
             start.elapsed()
         );
-    }
-
-    #[test]
-    fn drop_order_is_arbitrary_and_clean() {
-        // Tear endpoints down in a hostile order, with traffic in
-        // flight; every Drop must still return.
-        let mut comms = TcpCluster::make_cluster(4);
-        for c in comms.iter_mut() {
-            for to in 0..4 {
-                c.send(to, tag(0, 0), Bytes::from_static(b"inflight"));
-            }
-        }
-        let start = Instant::now();
-        drop(comms.remove(2));
-        drop(comms.remove(0));
-        drop(comms);
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    /// Run `f` on its own thread and fail the test if it has not
-    /// returned within `limit` — a blocked send shows up as a hang, and
-    /// this turns the hang into a failure.
-    fn finishes_within<T: Send + 'static>(
-        limit: Duration,
-        f: impl FnOnce() -> T + Send + 'static,
-    ) -> T {
-        use std::sync::mpsc::{channel, RecvTimeoutError};
-        let (tx, rx) = channel();
-        let worker = thread::spawn(move || {
-            let _ = tx.send(f());
-        });
-        match rx.recv_timeout(limit) {
-            Ok(out) => {
-                worker.join().expect("worker sent its result");
-                out
-            }
-            Err(RecvTimeoutError::Timeout) => panic!("did not finish within {limit:?}"),
-            // `f` panicked: re-raise its panic here.
-            Err(RecvTimeoutError::Disconnected) => {
-                std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
-            }
-        }
     }
 
     #[test]
@@ -748,109 +485,8 @@ mod tests {
     }
 
     #[test]
-    fn sends_to_dropped_peer_return_promptly() {
-        let big = Bytes::from(vec![7u8; 1 << 20]);
-        finishes_within(Duration::from_secs(5), move || {
-            let mut comms = TcpCluster::make_cluster(2);
-            drop(comms.pop().unwrap());
-            let mut c0 = comms.pop().unwrap();
-            for i in 0..64 {
-                c0.send(1, tag(0, i), big.clone());
-            }
-        });
-    }
-
-    #[test]
-    fn discard_removes_stashed_copy_and_future_arrival() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c1.discard(&[0], tag(0, 7));
-        c0.send(1, tag(0, 7), Bytes::from_static(b"late loser"));
-        c0.send(1, tag(0, 8), Bytes::from_static(b"keeper"));
-        assert_eq!(&c1.recv(0, tag(0, 8)).unwrap()[..], b"keeper");
-        assert!(c1.recv_timeout(0, tag(0, 7), SHORT).is_err());
-        assert_eq!(c1.stash_len(), 0);
-        assert_eq!(c1.pending_discard_len(), 0);
-    }
-
-    #[test]
-    fn raw_recv_yields_anything_and_times_out_as_none() {
-        let mut comms = TcpCluster::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(3, 9), Bytes::from_static(b"raw"));
-        let msg = c1
-            .recv_raw_timeout(Duration::from_secs(10))
-            .unwrap()
-            .expect("message");
-        assert_eq!(msg.src, 0);
-        assert_eq!(msg.tag, tag(3, 9));
-        assert_eq!(&msg.payload[..], b"raw");
-        assert!(c1.recv_raw_timeout(SHORT).unwrap().is_none());
-        // Raw receive stays timeout-shaped (not Closed) after peer
-        // death, by contract with the reliability layer.
-        drop(c0);
-        assert!(c1.recv_raw_timeout(SHORT).unwrap().is_none());
-    }
-
-    #[test]
-    fn telemetry_counts_match_thread_substrate_semantics() {
-        use kylix_telemetry::Clock;
-        let tel = Telemetry::new(2, Clock::Wall);
-        let mut comms = TcpCluster::make_cluster_with_telemetry(2, &tel);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(2, 0), Bytes::from_static(b"abc"));
-        c0.send(1, tag(2, 1), Bytes::from_static(b"defgh"));
-        assert_eq!(&c1.recv(0, tag(2, 1)).unwrap()[..], b"defgh");
-        assert_eq!(&c1.recv(0, tag(2, 0)).unwrap()[..], b"abc");
-        c0.note_traffic(2, 7);
-        let rep = tel.report();
-        let app = Phase::App as u8;
-        // Payload bytes, not framed bytes: identical to ThreadComm.
-        assert_eq!(rep.ranks[0].get(app, 2, Counter::BytesSent), 8);
-        assert_eq!(rep.ranks[0].get(app, 2, Counter::MsgsSent), 2);
-        assert_eq!(rep.ranks[1].get(app, 2, Counter::BytesRecv), 8);
-        assert_eq!(rep.ranks[1].get(app, 2, Counter::MsgsRecv), 2);
-        assert_eq!(
-            rep.ranks[0].get(kylix_telemetry::SELF_PHASE, 2, Counter::BytesSent),
-            7
-        );
-        assert_eq!(rep.on_layer(2, Counter::BytesSent), 15);
-    }
-
-    #[test]
-    fn in_order_arrivals_are_delivered_without_parking() {
-        use kylix_telemetry::Clock;
-        let tel = Telemetry::new(2, Clock::Wall);
-        let mut comms = TcpCluster::make_cluster_with_telemetry(2, &tel);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        for seq in 0..3 {
-            c0.send(1, tag(0, seq), Bytes::from_static(b"x"));
-        }
-        // Let all three land in the funnel before the first receive.
-        thread::sleep(Duration::from_millis(100));
-        for seq in 0..3 {
-            assert_eq!(&c1.recv(0, tag(0, seq)).unwrap()[..], b"x");
-        }
-        let rep = tel.report();
-        assert_eq!(rep.ranks[1].total(Counter::MsgsRecv), 3);
-        assert_eq!(rep.ranks[1].total(Counter::StashParks), 0);
-    }
-
-    #[test]
     fn cluster_runner_collects_in_rank_order() {
         let out = TcpCluster::run(5, |c| c.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40]);
-    }
-
-    #[test]
-    fn now_is_monotone_wall_clock() {
-        let comms = TcpCluster::make_cluster(1);
-        let a = comms[0].now();
-        let b = comms[0].now();
-        assert!(b >= a);
     }
 }

@@ -1,36 +1,51 @@
-//! Real in-process communicator: one funnel per rank, an unbounded
-//! [`crate::channel`].
+//! The in-process endpoint: [`ThreadComm`] is the shared
+//! [`Endpoint`] over [`ChannelLink`]s.
 //!
-//! Senders push messages asynchronously into the receiver's channel;
-//! the receive side is the shared [`crate::mailbox`] machinery (stash,
-//! racing discards, selective / racing / raw receive loops), the same
-//! code `TcpComm` runs. The channels never report a peer's death, so a
-//! receive from a dropped rank waits out its timeout.
+//! A send pushes the message straight into the peer's funnel, an
+//! unbounded [`crate::channel`]; dropping an endpoint pushes an `Eof`
+//! into every peer's funnel, behind everything it sent, so peers see a
+//! dead rank exactly as they see a closed socket on `TcpComm`.
 
-use crate::channel::{unbounded, Sender};
-use crate::comm::{Comm, CommError, RawComm, RawMessage};
-use crate::mailbox::{Event, Inbox};
+use crate::channel::Sender;
+use crate::endpoint::{build_cluster, Endpoint, Event, Link};
 use crate::tag::Tag;
 use bytes::Bytes;
-use kylix_telemetry::{Counter, RankTelemetry, Telemetry};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use kylix_telemetry::Telemetry;
 
 /// A rank's endpoint in an in-process thread cluster.
-pub struct ThreadComm {
-    rank: usize,
-    size: usize,
-    senders: Arc<Vec<Sender<Event>>>,
-    inbox: Inbox,
-    epoch: Instant,
+pub type ThreadComm = Endpoint<ChannelLink>;
+
+/// The in-process link from one rank to a peer: a sender into the
+/// peer's funnel.
+pub struct ChannelLink {
+    /// The rank this link sends from.
+    src: usize,
+    tx: Sender<Event>,
+}
+
+impl Link for ChannelLink {
+    fn send(&mut self, tag: Tag, payload: Bytes) {
+        // A disconnected receiver is a dead node: drop silently, exactly
+        // like a packet to a crashed machine (§V handles recovery).
+        let _ = self.tx.send(Event::Msg {
+            src: self.src,
+            tag,
+            payload,
+        });
+    }
+
+    fn close(&mut self) {
+        let _ = self.tx.send(Event::Eof { src: self.src });
+    }
 }
 
 impl ThreadComm {
     /// Build a full set of endpoints for an `m`-rank cluster. The caller
     /// hands one endpoint to each node thread; dropping an endpoint
-    /// models a dead node (messages to it vanish).
+    /// models a dead node: messages to it vanish, and its peers' receives
+    /// from it fail with `Closed` once they have taken what it sent.
     pub fn make_cluster(m: usize) -> Vec<ThreadComm> {
-        Self::build_cluster(m, None)
+        build_cluster(m, None, channel_links)
     }
 
     /// [`ThreadComm::make_cluster`] with a telemetry shard attached to
@@ -38,363 +53,148 @@ impl ThreadComm {
     /// per `(phase, layer)` in `tel.rank(r)`, and every `Comm` wrapper
     /// stacked on top records into the same shard.
     pub fn make_cluster_with_telemetry(m: usize, tel: &Telemetry) -> Vec<ThreadComm> {
-        assert!(
-            tel.len() >= m,
-            "telemetry has {} rank shards, cluster needs {m}",
-            tel.len()
-        );
-        Self::build_cluster(m, Some(tel))
-    }
-
-    fn build_cluster(m: usize, tel: Option<&Telemetry>) -> Vec<ThreadComm> {
-        assert!(m > 0, "cluster must have at least one rank");
-        let mut txs = Vec::with_capacity(m);
-        let mut rxs = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        let senders = Arc::new(txs);
-        let epoch = Instant::now();
-        rxs.into_iter()
-            .enumerate()
-            .map(|(rank, rx)| ThreadComm {
-                rank,
-                size: m,
-                senders: Arc::clone(&senders),
-                inbox: Inbox::new(rx, m, tel.map(|t| Arc::clone(t.rank(rank)))),
-                epoch,
-            })
-            .collect()
-    }
-
-    /// Number of messages currently held in the out-of-order stash
-    /// (across all sources and tags). Exposed for leak tests.
-    pub fn stash_len(&self) -> usize {
-        self.inbox.stash_len()
-    }
-
-    /// Number of registered not-yet-arrived discards.
-    pub fn pending_discard_len(&self) -> usize {
-        self.inbox.pending_discard_len()
+        build_cluster(m, Some(tel), channel_links)
     }
 }
 
-impl Comm for ThreadComm {
-    fn rank(&self) -> usize {
-        self.rank
-    }
-
-    fn size(&self) -> usize {
-        self.size
-    }
-
-    fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
-        debug_assert!(to < self.size, "rank {to} out of range");
-        // Traffic is counted at the send call, before the liveness of
-        // the receiver is known — the same accounting point as the
-        // simulator's, so the two substrates agree byte-for-byte.
-        if let Some(t) = self.inbox.telemetry() {
-            t.add(
-                tag.phase(),
-                tag.layer(),
-                Counter::BytesSent,
-                payload.len() as u64,
-            );
-            t.add(tag.phase(), tag.layer(), Counter::MsgsSent, 1);
-        }
-        // A disconnected receiver is a dead node: drop silently, exactly
-        // like a packet to a crashed machine (§V handles recovery).
-        let _ = self.senders[to].send(Event::Msg {
-            src: self.rank,
-            tag,
-            payload,
-        });
-    }
-
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        self.inbox.recv_timeout(from, tag, timeout)
-    }
-
-    fn recv_any_timeout(
-        &mut self,
-        sources: &[usize],
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<(usize, Bytes), CommError> {
-        self.inbox.recv_any_timeout(sources, tag, timeout)
-    }
-
-    fn discard(&mut self, sources: &[usize], tag: Tag) {
-        self.inbox.discard(sources, tag);
-    }
-
-    fn now(&self) -> f64 {
-        self.epoch.elapsed().as_secs_f64()
-    }
-
-    fn telemetry(&self) -> Option<&RankTelemetry> {
-        self.inbox.telemetry()
-    }
-}
-
-impl RawComm for ThreadComm {
-    fn recv_raw_timeout(&mut self, timeout: Duration) -> Result<Option<RawMessage>, CommError> {
-        self.inbox.recv_raw_timeout(timeout)
-    }
+/// Every rank's link to every other rank's funnel.
+fn channel_links(funnels: &[Sender<Event>]) -> Vec<Vec<Option<ChannelLink>>> {
+    (0..funnels.len())
+        .map(|src| {
+            funnels
+                .iter()
+                .enumerate()
+                .map(|(dst, tx)| {
+                    (dst != src).then(|| ChannelLink {
+                        src,
+                        tx: tx.clone(),
+                    })
+                })
+                .collect()
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tag::Phase;
-    use std::thread;
+    use crate::endpoint::suite;
 
-    fn tag(layer: u16, seq: u32) -> Tag {
-        Tag::new(Phase::App, layer, seq)
-    }
+    const MAKE: suite::Make<ChannelLink> = ThreadComm::make_cluster;
+    const MAKE_TEL: suite::MakeTel<ChannelLink> = ThreadComm::make_cluster_with_telemetry;
 
     #[test]
     fn ping_pong() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        thread::scope(|s| {
-            s.spawn(move || {
-                c0.send(1, tag(0, 0), Bytes::from_static(b"ping"));
-                let r = c0.recv(1, tag(0, 1)).unwrap();
-                assert_eq!(&r[..], b"pong");
-            });
-            s.spawn(move || {
-                let r = c1.recv(0, tag(0, 0)).unwrap();
-                assert_eq!(&r[..], b"ping");
-                c1.send(0, tag(0, 1), Bytes::from_static(b"pong"));
-            });
-        });
+        suite::ping_pong(MAKE);
     }
 
     #[test]
     fn out_of_order_selective_receive() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        // Send three tags, receive them in reverse order.
-        c0.send(1, tag(0, 0), Bytes::from_static(b"a"));
-        c0.send(1, tag(0, 1), Bytes::from_static(b"b"));
-        c0.send(1, tag(0, 2), Bytes::from_static(b"c"));
-        assert_eq!(&c1.recv(0, tag(0, 2)).unwrap()[..], b"c");
-        assert_eq!(&c1.recv(0, tag(0, 1)).unwrap()[..], b"b");
-        assert_eq!(&c1.recv(0, tag(0, 0)).unwrap()[..], b"a");
+        suite::out_of_order_selective_receive(MAKE);
     }
 
     #[test]
     fn same_tag_messages_keep_fifo_order() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        for i in 0..5u8 {
-            c0.send(1, tag(0, 0), Bytes::from(vec![i]));
-        }
-        for i in 0..5u8 {
-            assert_eq!(c1.recv(0, tag(0, 0)).unwrap()[0], i);
-        }
+        suite::same_tag_messages_keep_fifo_order(MAKE);
+    }
+
+    #[test]
+    fn self_send_loops_back_through_the_funnel() {
+        suite::self_send_loops_back(MAKE);
+    }
+
+    #[test]
+    fn single_rank_cluster_works() {
+        suite::single_rank_cluster_works(MAKE);
     }
 
     #[test]
     fn recv_any_returns_first_available() {
-        let mut comms = ThreadComm::make_cluster(3);
-        let mut c2 = comms.pop().unwrap();
-        let mut c1 = comms.pop().unwrap();
-        let _c0 = comms.pop().unwrap();
-        c1.send(2, tag(1, 0), Bytes::from_static(b"from1"));
-        let (src, payload) = c2.recv_any(&[0, 1], tag(1, 0)).unwrap();
-        assert_eq!(src, 1);
-        assert_eq!(&payload[..], b"from1");
+        suite::recv_any_returns_first_available(MAKE);
     }
 
     #[test]
     fn timeout_on_silent_peer() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.remove(1);
-        let err = c1
-            .recv_timeout(0, tag(0, 0), Duration::from_millis(50))
-            .unwrap_err();
-        assert!(matches!(err, CommError::Timeout { from: 0, .. }));
+        suite::timeout_on_silent_live_peer(MAKE);
     }
 
     #[test]
     fn recv_any_timeout_reports_the_sources() {
-        let mut comms = ThreadComm::make_cluster(4);
-        let mut c3 = comms.remove(3);
-        let err = c3
-            .recv_any_timeout(&[0, 2], tag(0, 0), Duration::from_millis(50))
-            .unwrap_err();
-        match err {
-            CommError::TimeoutAny { sources, tag: t } => {
-                assert_eq!(sources, vec![0, 2]);
-                assert_eq!(t, tag(0, 0));
-            }
-            other => panic!("expected TimeoutAny, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn send_to_dead_rank_is_dropped() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let dead = comms.pop().unwrap();
-        drop(dead); // rank 1 never runs
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(0, 0), Bytes::from_static(b"into the void"));
-        // No panic, nothing to assert beyond survival.
+        suite::recv_any_timeout_reports_the_sources(MAKE);
     }
 
     #[test]
     fn all_to_all_exchange() {
-        let m = 8;
-        let comms = ThreadComm::make_cluster(m);
-        let results: Vec<Vec<u8>> = thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|mut c| {
-                    s.spawn(move || {
-                        let me = c.rank() as u8;
-                        for to in 0..m {
-                            c.send(to, tag(0, 0), Bytes::from(vec![me]));
-                        }
-                        let mut got = Vec::new();
-                        for from in 0..m {
-                            got.push(c.recv(from, tag(0, 0)).unwrap()[0]);
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for r in results {
-            assert_eq!(r, (0..m as u8).collect::<Vec<_>>());
-        }
+        suite::all_to_all_exchange(MAKE);
     }
 
     #[test]
-    fn now_is_monotone() {
-        let comms = ThreadComm::make_cluster(1);
-        let c = &comms[0];
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
+    fn send_to_dead_rank_is_dropped() {
+        suite::send_to_dead_rank_is_dropped(MAKE);
+    }
+
+    #[test]
+    fn peer_death_surfaces_closed_not_hang() {
+        suite::peer_death_surfaces_closed_not_hang(MAKE);
+    }
+
+    #[test]
+    fn messages_sent_before_death_still_deliver() {
+        suite::messages_sent_before_death_still_deliver(MAKE);
+    }
+
+    #[test]
+    fn recv_any_with_all_sources_dead_is_closed() {
+        suite::recv_any_with_all_sources_dead_is_closed(MAKE);
+    }
+
+    #[test]
+    fn recv_any_with_one_live_source_keeps_racing() {
+        suite::recv_any_with_one_live_source_keeps_racing(MAKE);
+    }
+
+    #[test]
+    fn drop_order_is_arbitrary_and_clean() {
+        suite::drop_order_is_arbitrary_and_clean(MAKE);
+    }
+
+    #[test]
+    fn sends_to_dropped_peer_return_promptly() {
+        suite::sends_to_dropped_peer_return_promptly(MAKE);
     }
 
     #[test]
     fn discard_removes_stashed_copy() {
-        let mut comms = ThreadComm::make_cluster(3);
-        let mut c2 = comms.pop().unwrap();
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(2, tag(0, 0), Bytes::from_static(b"winner"));
-        c1.send(2, tag(0, 0), Bytes::from_static(b"loser"));
-        let (_src, _p) = c2.recv_any(&[0, 1], tag(0, 0)).unwrap();
-        // One copy remains stashed or in flight; discard the loser.
-        c2.discard(&[0, 1], tag(0, 0));
-        // Give the in-flight copy time to land: the discard registered
-        // or consumed it either way.
-        thread::sleep(Duration::from_millis(20));
-        assert!(c2
-            .recv_raw_timeout(Duration::from_millis(20))
-            .unwrap()
-            .is_none());
-        assert_eq!(c2.stash_len(), 0, "losing copy must be collected");
+        suite::discard_removes_stashed_copy(MAKE);
     }
 
     #[test]
     fn discard_applies_to_future_arrival() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        // Discard before the message exists.
-        c1.discard(&[0], tag(0, 7));
-        c0.send(1, tag(0, 7), Bytes::from_static(b"late loser"));
-        c0.send(1, tag(0, 8), Bytes::from_static(b"keeper"));
-        // The keeper is receivable; the discarded one is consumed.
-        assert_eq!(&c1.recv(0, tag(0, 8)).unwrap()[..], b"keeper");
-        assert!(c1
-            .recv_timeout(0, tag(0, 7), Duration::from_millis(50))
-            .is_err());
-        assert_eq!(c1.stash_len(), 0);
-        assert_eq!(c1.pending_discard_len(), 0);
-    }
-
-    #[test]
-    fn telemetry_counts_sends_deliveries_and_parks() {
-        use kylix_telemetry::Clock;
-        let tel = Telemetry::new(2, Clock::Wall);
-        let mut comms = ThreadComm::make_cluster_with_telemetry(2, &tel);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(2, 0), Bytes::from_static(b"abc"));
-        c0.send(1, tag(2, 1), Bytes::from_static(b"defgh"));
-        // Reverse order: the first arrival parks in the stash.
-        assert_eq!(&c1.recv(0, tag(2, 1)).unwrap()[..], b"defgh");
-        assert_eq!(&c1.recv(0, tag(2, 0)).unwrap()[..], b"abc");
-        // Self-addressed traffic files under the pseudo-phase.
-        c0.note_traffic(2, 7);
-        let rep = tel.report();
-        let app = crate::tag::Phase::App as u8;
-        assert_eq!(rep.ranks[0].get(app, 2, Counter::BytesSent), 8);
-        assert_eq!(rep.ranks[0].get(app, 2, Counter::MsgsSent), 2);
-        assert_eq!(rep.ranks[1].get(app, 2, Counter::BytesRecv), 8);
-        assert_eq!(rep.ranks[1].get(app, 2, Counter::MsgsRecv), 2);
-        assert!(rep.ranks[1].get(app, 2, Counter::StashParks) >= 1);
-        assert_eq!(
-            rep.ranks[0].get(kylix_telemetry::SELF_PHASE, 2, Counter::BytesSent),
-            7
-        );
-        // Whole-layer sums see wire + self traffic together.
-        assert_eq!(rep.on_layer(2, Counter::BytesSent), 15);
-    }
-
-    #[test]
-    fn telemetry_counts_discard_consumed_arrivals_as_received() {
-        use kylix_telemetry::Clock;
-        let tel = Telemetry::new(2, Clock::Wall);
-        let mut comms = ThreadComm::make_cluster_with_telemetry(2, &tel);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        // Pending discard applied on a future arrival still counts as a
-        // delivery, so sent == received holds for conservation tests.
-        c1.discard(&[0], tag(0, 7));
-        c0.send(1, tag(0, 7), Bytes::from_static(b"late loser"));
-        assert!(c1
-            .recv_timeout(0, tag(0, 7), Duration::from_millis(200))
-            .is_err());
-        let rep = tel.report();
-        assert_eq!(rep.total(Counter::MsgsSent), 1);
-        assert_eq!(rep.total(Counter::MsgsRecv), 1);
-        assert_eq!(rep.total(Counter::BytesRecv), 10);
+        suite::discard_applies_to_future_arrival(MAKE);
     }
 
     #[test]
     fn raw_recv_yields_anything_and_times_out_as_none() {
-        let mut comms = ThreadComm::make_cluster(2);
-        let mut c1 = comms.pop().unwrap();
-        let mut c0 = comms.pop().unwrap();
-        c0.send(1, tag(3, 9), Bytes::from_static(b"raw"));
-        let m = c1
-            .recv_raw_timeout(Duration::from_secs(1))
-            .unwrap()
-            .expect("message");
-        assert_eq!(m.src, 0);
-        assert_eq!(m.tag, tag(3, 9));
-        assert_eq!(&m.payload[..], b"raw");
-        assert!(c1
-            .recv_raw_timeout(Duration::from_millis(30))
-            .unwrap()
-            .is_none());
+        suite::raw_recv_yields_anything_and_times_out_as_none(MAKE);
+    }
+
+    #[test]
+    fn telemetry_counts_sends_deliveries_and_parks() {
+        suite::telemetry_counts_sends_deliveries_and_parks(MAKE_TEL);
+    }
+
+    #[test]
+    fn telemetry_counts_discard_consumed_arrivals_as_received() {
+        suite::telemetry_counts_discard_consumed_arrivals_as_received(MAKE_TEL);
+    }
+
+    #[test]
+    fn in_order_arrivals_are_delivered_without_parking() {
+        suite::in_order_arrivals_are_delivered_without_parking(MAKE_TEL);
+    }
+
+    #[test]
+    fn now_is_monotone() {
+        suite::now_is_monotone(MAKE);
     }
 }

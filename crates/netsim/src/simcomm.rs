@@ -46,10 +46,13 @@
 //! and receivers observe the liveness flip only after those sends are
 //! visible, so a race never misses a message from a peer it just
 //! declared dead. A selective `recv` from a dead rank fails with
-//! `Timeout` (promptly once the death is observed) — the unreplicated
+//! `CommError::Closed` (promptly once the death is observed), the same
+//! error a real endpoint reports for a dropped peer — the unreplicated
 //! protocol has no defence, which is the paper's motivation for §V.
 //! `recv_any` excludes dead candidates so the race completes as soon as
-//! every *live* replica's copy is in.
+//! every *live* replica's copy is in, and fails with `Closed` once every
+//! candidate is dead. Only an expired deadline is a
+//! `Timeout`/`TimeoutAny`.
 
 use crate::nic::NicModel;
 use bytes::Bytes;
@@ -303,6 +306,9 @@ impl Comm for SimComm {
                         self.t_local = self.t_local.max(done);
                         Ok((src, payload))
                     }
+                    // Every candidate is confirmed dead with nothing
+                    // stashed: the same `Closed` as a real endpoint's.
+                    None if !sources.is_empty() => Err(CommError::Closed),
                     None => Err(CommError::TimeoutAny {
                         sources: sources.to_vec(),
                         tag,
@@ -753,14 +759,10 @@ mod tests {
     }
 
     #[test]
-    fn dead_rank_times_out_selective_recv() {
+    fn dead_rank_closes_selective_recv() {
         let cluster = SimCluster::new(2, NicModel::ideal(1e9)).failures(&[0]);
-        let out = cluster.run(|mut c| {
-            c.recv_timeout(0, t(0, 0), Duration::from_millis(50))
-                .err()
-                .map(|e| matches!(e, CommError::Timeout { .. }))
-        });
-        assert_eq!(out[1], Some(Some(true)));
+        let out = cluster.run(|mut c| c.recv_timeout(0, t(0, 0), Duration::from_secs(5)).err());
+        assert_eq!(out[1], Some(Some(CommError::Closed)));
         assert!(out[0].is_none());
     }
 
@@ -779,19 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_times_out_when_all_sources_dead() {
+    fn recv_any_is_closed_when_all_sources_dead() {
         let cluster = SimCluster::new(3, NicModel::ideal(1e9)).failures(&[0, 1]);
         let out = cluster.run(|mut c| {
-            if c.rank() == 2 {
-                match c.recv_any_timeout(&[0, 1], t(0, 0), Duration::from_secs(5)) {
-                    Err(CommError::TimeoutAny { sources, .. }) => Some(sources),
-                    other => panic!("expected TimeoutAny, got {other:?}"),
-                }
-            } else {
-                None
-            }
+            (c.rank() == 2).then(|| c.recv_any_timeout(&[0, 1], t(0, 0), Duration::from_secs(5)))
         });
-        assert_eq!(out[2], Some(Some(vec![0, 1])));
+        assert_eq!(out[2], Some(Some(Err(CommError::Closed))));
     }
 
     #[test]
