@@ -111,27 +111,15 @@ impl<C: Comm> Comm for PinnedReplicaComm<C> {
                 .send(to + r * self.logical_size, tag, payload.clone());
         }
     }
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        // No race: always wait for the primary copy, then cancel the
-        // other replicas' duplicates so the stash stays bounded.
-        let payload = self.inner.recv_timeout(from, tag, timeout)?;
-        let siblings: Vec<usize> = (1..self.replication)
-            .map(|r| from + r * self.logical_size)
-            .collect();
-        self.inner.discard(&siblings, tag);
-        Ok(payload)
-    }
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
         tag: Tag,
         timeout: Duration,
     ) -> Result<(usize, Bytes), CommError> {
+        // No race: logical rank `s` is physical rank `s` of replica 0,
+        // so this waits for primary copies only, then cancels the other
+        // replicas' duplicates so the stash stays bounded.
         let (src, p) = self.inner.recv_any_timeout(sources, tag, timeout)?;
         let logical = src % self.logical_size;
         let siblings: Vec<usize> = (0..self.replication)
@@ -154,9 +142,6 @@ impl<C: Comm> Comm for PinnedReplicaComm<C> {
     }
     fn charge_compute(&mut self, seconds: f64) {
         self.inner.charge_compute(seconds);
-    }
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        self.inner.note_traffic(layer, bytes);
     }
     fn telemetry(&self) -> Option<&RankTelemetry> {
         self.inner.telemetry()

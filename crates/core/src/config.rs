@@ -77,7 +77,8 @@ impl LayerRouting {
 pub enum RecvOrder {
     /// Block on group members in coordinate order. One slow peer stalls
     /// the whole layer; kept to benchmark the opportunistic win (and as
-    /// the reference schedule deterministic mode reproduces).
+    /// the reference schedule that float reductions reproduce bit for
+    /// bit in arrival order).
     Fixed,
     /// Take slices as they land (`recv_any` over the group) — the
     /// paper's §VI.B multi-threaded opportunistic communication.
@@ -158,13 +159,6 @@ pub struct Configured {
     /// Receive scheduling of the reduction passes (default: arrival
     /// order, §VI.B).
     pub recv_order: RecvOrder,
-    /// Deterministic combine order for the down pass: `None` (default)
-    /// resolves per value type — on for order-sensitive scalars
-    /// (floats), off for exact integer reducers; `Some(_)` forces.
-    /// When on, arrival-order receives park out-of-order slices and
-    /// combine in coordinate order, so results are bit-identical to the
-    /// fixed-order schedule.
-    pub deterministic: Option<bool>,
     /// Pooled per-op buffers, reused across reduce calls (reset on
     /// clone).
     pub(crate) scratch: ScratchStore,
@@ -378,7 +372,6 @@ where
             in_user_map,
             out_user_map,
             recv_order: RecvOrder::default(),
-            deterministic: None,
             scratch: ScratchStore::default(),
         },
         bottom_values: values,

@@ -22,11 +22,12 @@
 //! for saturating commodity NICs. Receives here therefore default to
 //! `recv_any` over the group ([`RecvOrder::Arrival`]): one slow peer no
 //! longer stalls the slices that already landed. Because floating-point
-//! addition is not associative, a `deterministic` mode (default for
-//! float scalars) parks out-of-order arrivals and combines them in
-//! coordinate order — bit-identical to the fixed-order schedule — while
-//! exact integer reducers combine immediately on arrival. The up pass
-//! writes disjoint spans, so its arrival order never affects results.
+//! addition is not associative, order-sensitive scalars (floats, see
+//! `Scalar::ORDER_SENSITIVE`) park out-of-order arrivals and combine
+//! them in coordinate order — bit-identical to the fixed-order
+//! schedule — while exact integer reducers combine immediately on
+//! arrival. The up pass writes disjoint spans, so its arrival order
+//! never affects results.
 //!
 //! Steady-state operations are also **allocation-free**: a
 //! `ReduceScratch` slot kept on [`Configured`] pools the send arena
@@ -239,7 +240,6 @@ impl Configured {
         V: Scalar,
         R: Reducer<V>,
     {
-        let deterministic = self.deterministic.unwrap_or(V::ORDER_SENSITIVE);
         let ReduceScratch {
             arena,
             a,
@@ -284,7 +284,7 @@ impl Configured {
             while !pending.is_empty() {
                 let (src, payload) = recv_next(comm, self.recv_order, pending, tag, "reduce down")?;
                 let c = coord_of(&lr.group, src);
-                if !deterministic {
+                if !V::ORDER_SENSITIVE {
                     // Exact reducers: combine in arrival order.
                     combine_slice(b, &payload, &lr.out_maps[c], reducer, src, tag)?;
                     continue;

@@ -54,11 +54,6 @@ impl<C: Comm> ReplicatedComm<C> {
         self.replication
     }
 
-    /// Which replica of its logical node this physical rank is (0-based).
-    pub fn replica_index(&self) -> usize {
-        self.inner.rank() / self.logical_size
-    }
-
     /// Physical ranks hosting a logical node.
     pub fn replicas_of(&self, logical: usize) -> Vec<usize> {
         (0..self.replication)
@@ -96,30 +91,6 @@ impl<C: Comm> Comm for ReplicatedComm<C> {
         }
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        let replicas = self.replicas_of(from);
-        let (winner, payload) = self
-            .inner
-            .recv_any_timeout(&replicas, tag, timeout)
-            .map_err(|e| match e {
-                // The logical view asked for one source; report it so.
-                CommError::TimeoutAny { .. } => CommError::Timeout { from, tag },
-                other => other,
-            })?;
-        // Cancel the losing replicas' copies (the paper's cancelled
-        // listener threads, §V.B) — without this every race leaks
-        // `s - 1` payloads into the receive stash for the rest of the
-        // run.
-        let losers: Vec<usize> = replicas.into_iter().filter(|&r| r != winner).collect();
-        self.inner.discard(&losers, tag);
-        Ok(payload)
-    }
-
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
@@ -138,8 +109,11 @@ impl<C: Comm> Comm for ReplicatedComm<C> {
                 other => other,
             })?;
         let logical = winner % self.logical_size;
-        // Only the winner's own sibling copies are cancelled: the other
-        // logical sources may still be claimed by a later receive.
+        // Cancel the winner's sibling copies (the paper's cancelled
+        // listener threads, §V.B) — without this every race leaks
+        // `s - 1` payloads into the receive stash for the rest of the
+        // run. Only the winner's own siblings: the other logical
+        // sources may still be claimed by a later receive.
         let losers: Vec<usize> = self
             .replicas_of(logical)
             .into_iter()
@@ -162,10 +136,6 @@ impl<C: Comm> Comm for ReplicatedComm<C> {
         self.inner.charge_compute(seconds);
     }
 
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        self.inner.note_traffic(layer, bytes);
-    }
-
     fn telemetry(&self) -> Option<&RankTelemetry> {
         self.inner.telemetry()
     }
@@ -185,11 +155,11 @@ mod tests {
         // 6 physical ranks, s=2 -> 3 logical nodes.
         let out = LocalCluster::run(6, |comm| {
             let rc = ReplicatedComm::new(comm, 2);
-            (rc.rank(), rc.size(), rc.replica_index())
+            (rc.rank(), rc.size())
         });
-        assert_eq!(out[0], (0, 3, 0));
-        assert_eq!(out[4], (1, 3, 1));
-        assert_eq!(out[5], (2, 3, 1));
+        assert_eq!(out[0], (0, 3));
+        assert_eq!(out[4], (1, 3));
+        assert_eq!(out[5], (2, 3));
     }
 
     #[test]

@@ -217,8 +217,8 @@ fn steady_state_reduce_allocates_90_percent_less() {
     let (comb_lo, r_comb_lo) = measure_combined(LO);
     let (comb_hi, r_comb_hi) = measure_combined(HI);
     // Sanity: both paths compute the same thing, bit for bit (the
-    // pooled path defaults to deterministic arrival-order combining,
-    // which replays the legacy fixed order).
+    // pooled path parks float arrivals and combines them in
+    // coordinate order, which replays the legacy fixed order).
     for (a, b) in [
         (&r_old_lo, &r_new_lo),
         (&r_old_hi, &r_new_hi),

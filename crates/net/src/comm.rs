@@ -2,13 +2,19 @@
 //!
 //! All Kylix protocol code — configuration, reduction, replication, the
 //! baselines, the applications — is written against [`Comm`]. The trait
-//! is intentionally tiny: point-to-point send, *selective* blocking
-//! receive (by source + tag), receive-any (the primitive behind the
-//! paper's replica "packet racing", §V.B), a stash garbage-collection
-//! hook ([`Comm::discard`], used by racing wrappers to drop losing
-//! copies), and two time hooks that let a virtual-time simulator charge
-//! compute and report virtual clocks while a real thread cluster
-//! reports wall clocks.
+//! is intentionally tiny: point-to-point send, one racing receive
+//! ([`Comm::recv_any_timeout`], the primitive behind the paper's replica
+//! "packet racing", §V.B), a stash garbage-collection hook
+//! ([`Comm::discard`], used by racing wrappers to drop losing copies),
+//! and two time hooks that let a virtual-time simulator charge compute
+//! and report virtual clocks while a real thread cluster reports wall
+//! clocks.
+//!
+//! A *selective* receive (by source + tag) is a race of one: the
+//! provided [`Comm::recv_timeout`] runs `recv_any_timeout(&[from], ..)`
+//! and reports a lost race as [`CommError::Timeout`]. A substrate or
+//! wrapper therefore writes one receive loop, and the selective and
+//! racing receives cannot disagree on an error.
 //!
 //! Substrates that can hand over *every* incoming message regardless of
 //! source and tag additionally implement [`RawComm`]; the reliable
@@ -96,6 +102,10 @@ pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(60);
 /// Each rank owns exactly one `Comm` value; methods take `&mut self`
 /// because endpoints carry node-local state (receive stashes, virtual
 /// clocks). Values are `Send` so ranks can run on their own threads.
+///
+/// Required: `rank`, `size`, `send`, `recv_any_timeout` and `now`.
+/// Every other method is provided; a wrapper overrides one only where
+/// it changes what the method does.
 pub trait Comm: Send {
     /// This node's rank in `0..size()`.
     fn rank(&self) -> usize;
@@ -116,13 +126,21 @@ pub trait Comm: Send {
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes);
 
     /// Blocking selective receive of the next message from `from` with
-    /// tag `tag`, with the given patience.
+    /// tag `tag`, with the given patience: a race with one candidate,
+    /// whose lost race is a [`CommError::Timeout`].
     fn recv_timeout(
         &mut self,
         from: usize,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<Bytes, CommError>;
+    ) -> Result<Bytes, CommError> {
+        self.recv_any_timeout(&[from], tag, timeout)
+            .map(|(_, payload)| payload)
+            .map_err(|e| match e {
+                CommError::TimeoutAny { .. } => CommError::Timeout { from, tag },
+                other => other,
+            })
+    }
 
     /// Blocking selective receive with the default patience.
     fn recv(&mut self, from: usize, tag: Tag) -> Result<Bytes, CommError> {
@@ -273,16 +291,6 @@ impl<C: Comm> Comm for PatienceComm<C> {
         self.inner.send(to, tag, payload);
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        self.inner
-            .recv_timeout(from, tag, timeout.min(self.patience))
-    }
-
     fn recv(&mut self, from: usize, tag: Tag) -> Result<Bytes, CommError> {
         self.inner.recv_timeout(from, tag, self.patience)
     }
@@ -311,10 +319,6 @@ impl<C: Comm> Comm for PatienceComm<C> {
 
     fn charge_compute(&mut self, seconds: f64) {
         self.inner.charge_compute(seconds);
-    }
-
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        self.inner.note_traffic(layer, bytes);
     }
 
     fn telemetry(&self) -> Option<&RankTelemetry> {
@@ -403,6 +407,52 @@ mod tests {
             Err(CommError::Timeout { from: 0, .. })
         ));
         assert!(start.elapsed() < Duration::from_millis(1500));
+    }
+
+    /// A communicator that never delivers and records the patience of
+    /// every receive it is asked for.
+    struct Recorder(Vec<Duration>);
+
+    impl Comm for Recorder {
+        fn rank(&self) -> usize {
+            0
+        }
+        fn size(&self) -> usize {
+            2
+        }
+        fn send(&mut self, _to: usize, _tag: Tag, _payload: Bytes) {}
+        fn recv_any_timeout(
+            &mut self,
+            sources: &[usize],
+            tag: Tag,
+            timeout: Duration,
+        ) -> Result<(usize, Bytes), CommError> {
+            self.0.push(timeout);
+            Err(CommError::TimeoutAny {
+                sources: sources.to_vec(),
+                tag,
+            })
+        }
+        fn now(&self) -> f64 {
+            0.0
+        }
+    }
+
+    /// The patience is what every receive waits, even one longer than
+    /// the default timeout: no receive flavour falls back to the
+    /// default on the way to the inner race.
+    #[test]
+    fn patience_longer_than_the_default_is_waited_exactly() {
+        let long = DEFAULT_TIMEOUT * 2;
+        let mut p = PatienceComm::new(Recorder(Vec::new()), long);
+        assert!(matches!(
+            p.recv(1, tag()),
+            Err(CommError::Timeout { from: 1, .. })
+        ));
+        assert!(p.recv_any(&[1], tag()).is_err());
+        assert!(p.recv_timeout(1, tag(), long * 2).is_err());
+        assert!(p.recv_timeout(1, tag(), DEFAULT_TIMEOUT).is_err());
+        assert_eq!(p.into_inner().0, vec![long, long, long, DEFAULT_TIMEOUT]);
     }
 
     #[test]

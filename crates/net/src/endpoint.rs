@@ -14,18 +14,30 @@
 //! back through it directly on both kinds. The funnel feeds the
 //! endpoint's [`Mailbox`], and what it says about each peer (`Eof`,
 //! `Corrupt`) is the endpoint's view of that peer's liveness. The
-//! selective, racing, discard and raw receive loops are written once,
-//! here, and so are the send-side telemetry and the clock.
+//! receive loops, the send-side telemetry and the clock are written
+//! once, here.
+//!
+//! ### One receive loop
+//!
+//! [`Comm::recv_any_timeout`] is the endpoint's only loop over
+//! candidates; a selective receive is the trait's race of one. Each
+//! pass checks the stash for every candidate, then fails if every
+//! candidate is closed or corrupt, and otherwise blocks on the funnel:
+//! an arrival the race is waiting for is handed straight back without
+//! parking in the stash, and anything else is applied to the mailbox
+//! and the peer table. [`Comm::discard`] and
+//! [`RawComm::recv_raw_timeout`] drain the funnel and work on the
+//! mailbox.
 //!
 //! ### Dead peers
 //!
 //! Dropping an endpoint closes every link: the peer sees an `Eof` after
 //! every message the link already carried, because each link is FIFO.
 //! On the surviving side that marks the peer closed. Once nothing from
-//! it remains stashed, a selective receive from it fails with
-//! [`CommError::Closed`] instead of burning its timeout, and a race
-//! fails with `Closed` once every candidate is closed; a framing
-//! violation on a socket surfaces [`CommError::Corrupt`] the same way.
+//! it remains stashed, a receive that has no other candidate fails with
+//! [`CommError::Closed`] instead of burning its timeout — a race fails
+//! once every candidate is closed — and a framing violation on a socket
+//! surfaces [`CommError::Corrupt`] the same way.
 //! Since a survivor that fails this way returns and drops its own
 //! endpoint, a rank death cascades through the ranks that depend on it.
 //! [`RawComm::recv_raw_timeout`] deliberately keeps reporting silence as
@@ -192,17 +204,6 @@ impl<L: Link> Endpoint<L> {
             }
         }
     }
-
-    /// `Some(err)` once nothing from `from` can ever arrive again. Only
-    /// meaningful after the stash was checked: a link's FIFO funnels a
-    /// peer's last message before its `Eof`.
-    fn dead_peer_error(&self, from: usize, tag: Tag) -> Option<CommError> {
-        match self.peers[from] {
-            Peer::Open => None,
-            Peer::Closed => Some(CommError::Closed),
-            Peer::Corrupt => Some(CommError::Corrupt { from, tag }),
-        }
-    }
 }
 
 impl<L: Link> Comm for Endpoint<L> {
@@ -242,33 +243,6 @@ impl<L: Link> Comm for Endpoint<L> {
         }
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(((), p)) = self.mailbox.take(from, tag) {
-                return Ok(p);
-            }
-            if let Some(err) = self.dead_peer_error(from, tag) {
-                // Apply what else has arrived before failing: a caller
-                // that drains after a failure relies on the discards it
-                // registered meeting their late copies.
-                self.drain();
-                return Err(err);
-            }
-            match self.next_event(deadline, |s, t| s == from && t == tag) {
-                Ok(Some((_, p))) => return Ok(p),
-                Ok(None) => {}
-                Err(RecvTimeoutError::Timeout) => return Err(CommError::Timeout { from, tag }),
-                Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
-            }
-        }
-    }
-
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
@@ -277,16 +251,21 @@ impl<L: Link> Comm for Endpoint<L> {
     ) -> Result<(usize, Bytes), CommError> {
         let deadline = Instant::now() + timeout;
         loop {
-            self.drain();
             for &s in sources {
                 if let Some(((), p)) = self.mailbox.take(s, tag) {
                     return Ok((s, p));
                 }
             }
-            // The race fails fast only once EVERY candidate is gone;
-            // corruption wins over plain closure, being the stronger
-            // signal.
+            // The race fails fast only once EVERY candidate is gone —
+            // and with the stash checked first, nothing a gone peer sent
+            // is left: a link's FIFO funnels its last message before its
+            // `Eof`. Corruption wins over plain closure, being the
+            // stronger signal.
             if !sources.is_empty() && sources.iter().all(|&s| self.peers[s] != Peer::Open) {
+                // Apply what else has arrived before failing: a caller
+                // that drains after a failure relies on the discards it
+                // registered meeting their late copies.
+                self.drain();
                 let corrupt = sources.iter().find(|&&s| self.peers[s] == Peer::Corrupt);
                 return Err(match corrupt {
                     Some(&s) => CommError::Corrupt { from: s, tag },

@@ -415,22 +415,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
         self.release_holdback(self.ops);
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        self.ops += 1;
-        if self.crashed() {
-            return Err(CommError::Crashed {
-                rank: self.inner().rank(),
-            });
-        }
-        self.release_holdback(self.ops);
-        self.inner_mut().recv_timeout(from, tag, timeout)
-    }
-
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
@@ -460,10 +444,6 @@ impl<C: Comm> Comm for ChaosComm<C> {
 
     fn charge_compute(&mut self, seconds: f64) {
         self.inner_mut().charge_compute(seconds);
-    }
-
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        self.inner_mut().note_traffic(layer, bytes);
     }
 
     fn telemetry(&self) -> Option<&RankTelemetry> {

@@ -8,10 +8,12 @@
 //! not require an underlying distributed middleware like Hadoop or MPI"
 //! (paper §I.B) — it talks plain Java sockets. This crate plays that
 //! role: a deliberately small, MPI-free communicator abstraction
-//! ([`comm::Comm`]) with *selective receive* (receive by source and tag,
-//! buffering whatever else arrives in a [`mailbox::Mailbox`]), plus a
-//! real in-process cluster ([`cluster::LocalCluster`]) that runs one
-//! OS thread per node over the in-house unbounded [`channel`].
+//! ([`comm::Comm`]) whose one receive is a *race*: the first message
+//! with a tag from any of a set of candidate sources, buffering
+//! whatever else arrives in a [`mailbox::Mailbox`]. A selective receive
+//! (by source and tag) is the race with one candidate. A real
+//! in-process cluster ([`cluster::LocalCluster`]) runs one OS thread
+//! per node over the in-house unbounded [`channel`].
 //!
 //! Three implementations of [`comm::Comm`] exist in the workspace:
 //!
@@ -28,7 +30,7 @@
 //!
 //! The first two are one type, [`endpoint::Endpoint`], over two kinds
 //! of [`endpoint::Link`]: they differ only in how a message reaches a
-//! peer's funnel, and share the receive loops, the telemetry and the
+//! peer's funnel, and share one receive loop, the telemetry and the
 //! dead-peer rule. On every substrate a receive from a dead rank fails
 //! with [`CommError::Closed`] once nothing it sent is left to take.
 //!

@@ -26,8 +26,8 @@
 //! the simulator (whose packet race picks the earliest copy).
 //!
 //! The real endpoint ([`crate::endpoint`]) feeds its mailbox from its
-//! event funnel and runs the selective, racing and raw receive loops
-//! on top of it.
+//! event funnel and runs its racing and raw receive loops on top of
+//! it.
 
 use crate::comm::RawMessage;
 use crate::tag::Tag;

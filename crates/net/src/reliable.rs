@@ -324,20 +324,6 @@ impl<C: RawComm> Comm for ReliableComm<C> {
         });
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        self.recv_any_timeout(&[from], tag, timeout)
-            .map(|(_, payload)| payload)
-            .map_err(|e| match e {
-                CommError::TimeoutAny { .. } => CommError::Timeout { from, tag },
-                other => other,
-            })
-    }
-
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
@@ -372,10 +358,6 @@ impl<C: RawComm> Comm for ReliableComm<C> {
 
     fn charge_compute(&mut self, seconds: f64) {
         self.inner.charge_compute(seconds);
-    }
-
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        self.inner.note_traffic(layer, bytes);
     }
 
     fn telemetry(&self) -> Option<&RankTelemetry> {

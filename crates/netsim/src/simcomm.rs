@@ -37,7 +37,9 @@
 //! ### Failure model
 //!
 //! Liveness is dynamic: a shared table of atomic flags, one per rank.
-//! Ranks listed as dead from the start never run and never send.
+//! Ranks listed as dead from the start never run and never send, and a
+//! rank whose `SimComm` drops (its closure returned) is dead from then
+//! on, as a dropped endpoint is on the real substrates.
 //! Mid-run crashes ([`SimCluster::crash_at`]) let a rank run normally
 //! until its virtual clock reaches the crash time, then turn it *dark*:
 //! its flag drops, sends are swallowed, and its own receives return
@@ -234,22 +236,6 @@ impl Comm for SimComm {
         }
     }
 
-    fn recv_timeout(
-        &mut self,
-        from: usize,
-        tag: Tag,
-        timeout: Duration,
-    ) -> Result<Bytes, CommError> {
-        // A selective receive is a race with one candidate: it fails
-        // promptly once `from` is observed dead with nothing stashed.
-        self.recv_any_timeout(&[from], tag, timeout)
-            .map(|(_, payload)| payload)
-            .map_err(|e| match e {
-                CommError::TimeoutAny { .. } => CommError::Timeout { from, tag },
-                other => other,
-            })
-    }
-
     fn recv_any_timeout(
         &mut self,
         sources: &[usize],
@@ -357,6 +343,16 @@ impl Comm for SimComm {
 
     fn telemetry(&self) -> Option<&RankTelemetry> {
         Some(&self.shard)
+    }
+}
+
+impl Drop for SimComm {
+    /// A rank whose endpoint is gone is dead, as on the real
+    /// substrates: its peers stop waiting for it instead of burning
+    /// their patience.
+    fn drop(&mut self) {
+        // SeqCst, after every send this rank made — see `crashed`.
+        self.alive[self.rank].store(false, Ordering::SeqCst);
     }
 }
 

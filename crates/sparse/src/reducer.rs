@@ -18,10 +18,10 @@ pub trait Scalar: Copy + Send + Sync + Debug + PartialEq + Default + 'static {
     const WIDTH: usize;
     /// Whether combining values of this type is sensitive to evaluation
     /// order (floating point: addition is not associative in `f32`/`f64`).
-    /// Drives the default of the reduction's `deterministic` mode —
-    /// order-sensitive scalars buffer out-of-order arrivals and combine
-    /// in a fixed order so results stay bit-identical; exact integer
-    /// types combine in arrival order immediately.
+    /// The reduction's down pass reads it: order-sensitive scalars
+    /// buffer out-of-order arrivals and combine in a fixed order so
+    /// results stay bit-identical; exact integer types combine in
+    /// arrival order immediately.
     const ORDER_SENSITIVE: bool;
     /// Write the little-endian encoding into exactly `WIDTH` bytes
     /// (encoders size the whole section once, then fill it).

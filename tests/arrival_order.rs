@@ -4,14 +4,12 @@
 //! (`recv_any`) instead of in fixed group order. These tests pin the
 //! contract that makes that safe to ship as the default:
 //!
-//! * **deterministic mode** (default for floats) must produce results
-//!   bit-identical to the fixed-order schedule — on the virtual-time
-//!   simulator under jitter, across different jitter seeds, and on real
-//!   racing threads;
+//! * float reductions, which park out-of-order arrivals and combine in
+//!   coordinate order, must produce results bit-identical to the
+//!   fixed-order schedule — on the virtual-time simulator under jitter,
+//!   across different jitter seeds, and on real racing threads;
 //! * integer reducers, which combine immediately on arrival, must stay
 //!   exact;
-//! * opting out (`deterministic = Some(false)`) stays numerically
-//!   correct, just not bit-reproducible;
 //! * many pooled-buffer `reduce()` ops under ChaosComm
 //!   duplicate/delay faults (repaired by `ReliableComm`) must finish
 //!   correctly without leaking receive-stash entries.
@@ -50,12 +48,7 @@ fn workload(seed: u64) -> Vec<NodeContribution<f64>> {
 }
 
 /// One full configure-then-reduce run on the jittery simulator.
-fn sim_run(
-    nodes: &[NodeContribution<f64>],
-    sim_seed: u64,
-    order: RecvOrder,
-    deterministic: Option<bool>,
-) -> Vec<Vec<f64>> {
+fn sim_run(nodes: &[NodeContribution<f64>], sim_seed: u64, order: RecvOrder) -> Vec<Vec<f64>> {
     let plan = NetworkPlan::new(&DEGREES);
     let cluster = SimCluster::new(M, NicModel::ec2_10g()).seed(sim_seed);
     cluster.run_all(|mut comm| {
@@ -65,7 +58,6 @@ fn sim_run(
             .configure(&mut comm, &nodes[me].in_indices, &nodes[me].out_indices, 0)
             .unwrap();
         state.recv_order = order;
-        state.deterministic = deterministic;
         state
             .reduce(&mut comm, &nodes[me].out_values, SumReducer)
             .unwrap()
@@ -85,36 +77,20 @@ fn assert_bitwise_eq(a: &[Vec<f64>], b: &[Vec<f64>], what: &str) {
     }
 }
 
-/// Deterministic arrival-order mode is bit-identical to the fixed-order
+/// Float arrival-order reduction is bit-identical to the fixed-order
 /// schedule, and stable across jitter seeds (i.e. across genuinely
 /// different arrival orders).
 #[test]
 fn deterministic_mode_is_bit_identical_across_schedules() {
     let nodes = workload(41);
-    let fixed = sim_run(&nodes, 1, RecvOrder::Fixed, None);
-    let arrival_a = sim_run(&nodes, 1, RecvOrder::Arrival, None);
-    let arrival_b = sim_run(&nodes, 999, RecvOrder::Arrival, None);
+    let fixed = sim_run(&nodes, 1, RecvOrder::Fixed);
+    let arrival_a = sim_run(&nodes, 1, RecvOrder::Arrival);
+    let arrival_b = sim_run(&nodes, 999, RecvOrder::Arrival);
     assert_bitwise_eq(&fixed, &arrival_a, "fixed vs arrival (same seed)");
     assert_bitwise_eq(&fixed, &arrival_b, "fixed vs arrival (other jitter seed)");
 }
 
-/// Opting out of determinism for floats keeps results numerically
-/// correct against the sequential reference.
-#[test]
-fn nondeterministic_floats_stay_numerically_correct() {
-    let nodes = workload(43);
-    let expected = reference_allreduce(&nodes, SumReducer);
-    let got = sim_run(&nodes, 7, RecvOrder::Arrival, Some(false));
-    for (rank, (g, e)) in got.iter().zip(&expected).enumerate() {
-        assert_eq!(g.len(), e.len());
-        for (a, b) in g.iter().zip(e) {
-            let tol = 1e-9 * b.abs().max(1.0);
-            assert!((a - b).abs() <= tol, "rank {rank}: {a} vs {b}");
-        }
-    }
-}
-
-/// On real racing threads, deterministic arrival-order runs match the
+/// On real racing threads, float arrival-order runs match the
 /// fixed-order baseline bit for bit, reduce after reduce.
 #[test]
 fn thread_cluster_runs_are_bit_identical() {

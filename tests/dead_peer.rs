@@ -1,19 +1,32 @@
-//! One dead-peer rule on every substrate.
+//! One receive error per failure, on every substrate.
 //!
-//! A receive from a rank that is gone — dead from the start on the
-//! simulator, an endpoint dropped on the thread and TCP clusters —
-//! fails with `CommError::Closed` as soon as nothing it sent is left to
-//! take, never after the 60 s default patience. What it sent before it
-//! went is still delivered first, and a rank dying between the
-//! configuration and reduce passes unwinds every survivor promptly with
-//! an exact result or `Closed`, without a `PatienceComm` bounding the
-//! wait.
+//! The error matrix — {dead peer, silent live peer, corrupt payload} on
+//! {sim, thread, TCP} — with one `CommError` variant per row, and no
+//! cell taking a second of wall time:
+//!
+//! * A receive from a rank that is gone — dead from the start on the
+//!   simulator, an endpoint dropped on any substrate — fails with
+//!   `CommError::Closed` as soon as nothing it sent is left to take,
+//!   never after the 60 s default patience. What it sent before it went
+//!   is still delivered first, and a rank dying between the
+//!   configuration and reduce passes unwinds every survivor promptly
+//!   with an exact result or `Closed`, without a `PatienceComm`
+//!   bounding the wait.
+//! * A peer that is alive but silent makes a receive with an explicit
+//!   timeout fail with `Timeout { from, tag }`, and a race with
+//!   `TimeoutAny { sources, tag }`, once that timeout has passed.
+//! * A payload corrupted on one link fails `Kylix::configure` on its
+//!   receiver with `Corrupt { from: <sender>, .. }`.
 
 use bytes::Bytes;
 use kylix::{reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution};
-use kylix_net::{Comm, CommError, LocalCluster, Phase, Tag, TcpCluster, TcpComm, ThreadComm};
+use kylix_net::{
+    ChaosComm, Comm, CommError, FaultPlan, LinkFaults, LocalCluster, Phase, Tag, TcpCluster,
+    TcpComm, ThreadComm,
+};
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_sparse::{SumReducer, Xoshiro256};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 /// How long a dead-peer receive may take, against the 60 s default.
@@ -68,6 +81,63 @@ fn tcp_receive_from_dropped_rank_is_closed() {
     let mut c2 = comms.pop().unwrap();
     drop(comms);
     receives_from_the_dead_are_closed(&mut c2);
+}
+
+/// The explicit patience a silent live peer is given.
+const SILENCE: Duration = Duration::from_millis(50);
+
+/// Rank 2 of a 3-rank cluster whose ranks 0 and 1 are alive and say
+/// nothing: a selective receive from each is `Timeout`, a race over both
+/// is `TimeoutAny`, and each waits out [`SILENCE`] but not much more.
+fn receives_from_the_silent_time_out<C: Comm>(c2: &mut C) {
+    for from in [0, 1] {
+        let start = Instant::now();
+        let got = promptly("selective receive", || {
+            c2.recv_timeout(from, tag(0), SILENCE)
+        });
+        assert_eq!(got, Err(CommError::Timeout { from, tag: tag(0) }));
+        assert!(start.elapsed() >= SILENCE, "gave up early");
+    }
+    let start = Instant::now();
+    let got = promptly("racing receive", || {
+        c2.recv_any_timeout(&[0, 1], tag(0), SILENCE)
+    });
+    assert_eq!(
+        got,
+        Err(CommError::TimeoutAny {
+            sources: vec![0, 1],
+            tag: tag(0)
+        })
+    );
+    assert!(start.elapsed() >= SILENCE, "gave up early");
+}
+
+#[test]
+fn sim_receive_from_silent_rank_times_out() {
+    // Ranks 0 and 1 stay in the barrier, alive, until rank 2 is done.
+    let done = Barrier::new(3);
+    SimCluster::new(3, NicModel::ideal(1e9)).run_all(|mut c| {
+        if c.rank() == 2 {
+            receives_from_the_silent_time_out(&mut c);
+        }
+        done.wait();
+    });
+}
+
+#[test]
+fn thread_receive_from_silent_rank_times_out() {
+    let mut comms = ThreadComm::make_cluster(3);
+    let mut c2 = comms.pop().unwrap();
+    receives_from_the_silent_time_out(&mut c2);
+    drop(comms);
+}
+
+#[test]
+fn tcp_receive_from_silent_rank_times_out() {
+    let mut comms = TcpCluster::make_cluster(3);
+    let mut c2 = comms.pop().unwrap();
+    receives_from_the_silent_time_out(&mut c2);
+    drop(comms);
 }
 
 /// Rank 0 sends two messages and drops; rank 1 still receives both, the
@@ -165,6 +235,13 @@ fn rank_death_unwinds_survivors(
 }
 
 #[test]
+fn sim_rank_death_mid_collective_closes_survivors_fast() {
+    rank_death_unwinds_survivors(|plan, nodes| {
+        SimCluster::new(M, NicModel::ideal(1e9)).run_all(|c| configure_then_die(c, plan, nodes))
+    });
+}
+
+#[test]
 fn thread_rank_death_mid_collective_closes_survivors_fast() {
     rank_death_unwinds_survivors(|plan, nodes| {
         LocalCluster::run(M, |c: ThreadComm| configure_then_die(c, plan, nodes))
@@ -175,5 +252,85 @@ fn thread_rank_death_mid_collective_closes_survivors_fast() {
 fn tcp_rank_death_mid_collective_closes_survivors_fast() {
     rank_death_unwinds_survivors(|plan, nodes| {
         TcpCluster::run(M, |c: TcpComm| configure_then_die(c, plan, nodes))
+    });
+}
+
+/// The link whose every payload [`corrupt_one_link`] corrupts.
+const CORRUPT_SRC: usize = 1;
+const CORRUPT_DST: usize = 0;
+
+/// One rank of a `[2,2]` configuration over a cluster whose link
+/// `CORRUPT_SRC → CORRUPT_DST` flips a byte of every payload.
+fn configure_over_corrupt_link<C: Comm>(
+    comm: C,
+    nodes: &[NodeContribution<u64>],
+) -> Result<(), KylixError> {
+    let mut comm = ChaosComm::new(comm, corrupt_one_link());
+    let me = comm.rank();
+    let kylix = Kylix::new(NetworkPlan::new(&[2, 2]));
+    kylix
+        .configure(&mut comm, &nodes[me].in_indices, &nodes[me].out_indices, 0)
+        .map(drop)
+}
+
+fn corrupt_one_link() -> FaultPlan {
+    FaultPlan::new(3).link(
+        CORRUPT_SRC,
+        CORRUPT_DST,
+        LinkFaults {
+            corrupt_p: 1.0,
+            ..LinkFaults::none()
+        },
+    )
+}
+
+/// The receiver of the corrupt link reports `Corrupt` from its sender;
+/// every other rank finishes or is `Closed` by the receiver's exit. The
+/// whole run takes under [`PROMPT`].
+fn corruption_is_reported_from_its_sender(
+    run: impl FnOnce(&[NodeContribution<u64>]) -> Vec<Result<(), KylixError>>,
+) {
+    let nodes = workload(9);
+    let got = promptly("configure over a corrupt link", || run(&nodes));
+    match &got[CORRUPT_DST] {
+        Err(KylixError::Comm {
+            source: CommError::Corrupt { from, .. },
+            ..
+        }) => assert_eq!(*from, CORRUPT_SRC),
+        other => panic!("rank {CORRUPT_DST}: expected Corrupt, got {other:?}"),
+    }
+    for (rank, res) in got.iter().enumerate() {
+        if rank == CORRUPT_DST {
+            continue;
+        }
+        match res {
+            Ok(())
+            | Err(KylixError::Comm {
+                source: CommError::Closed,
+                ..
+            }) => {}
+            Err(e) => panic!("rank {rank}: expected Ok or Closed, got {e}"),
+        }
+    }
+}
+
+#[test]
+fn sim_corrupt_payload_is_corrupt_from_its_sender() {
+    corruption_is_reported_from_its_sender(|nodes| {
+        SimCluster::new(M, NicModel::ideal(1e9)).run_all(|c| configure_over_corrupt_link(c, nodes))
+    });
+}
+
+#[test]
+fn thread_corrupt_payload_is_corrupt_from_its_sender() {
+    corruption_is_reported_from_its_sender(|nodes| {
+        LocalCluster::run(M, |c: ThreadComm| configure_over_corrupt_link(c, nodes))
+    });
+}
+
+#[test]
+fn tcp_corrupt_payload_is_corrupt_from_its_sender() {
+    corruption_is_reported_from_its_sender(|nodes| {
+        TcpCluster::run(M, |c: TcpComm| configure_over_corrupt_link(c, nodes))
     });
 }
