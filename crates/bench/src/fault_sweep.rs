@@ -7,7 +7,8 @@
 //!
 //! * **Crash sweep** (virtual time, deterministic) — a 2×-replicated
 //!   16-logical-node Kylix run on the simulator with `k` replicas
-//!   crashing *mid-protocol* at staggered virtual times. Measures the
+//!   crashing *mid-protocol* at staggered virtual times (a
+//!   [`ChaosComm`] around every rank's `SimComm`, from one plan). Measures the
 //!   completion rate across physical ranks, result correctness against
 //!   the sequential reference, and the virtual makespan overhead of
 //!   racing past the dead. Same seed ⇒ bit-identical completion sets,
@@ -28,7 +29,7 @@ use kylix::{
     reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
 };
 use kylix_net::telemetry::{Clock, Counter, Telemetry};
-use kylix_net::{Comm, CommError, FaultPlan, LocalCluster, ReliableComm};
+use kylix_net::{ChaosComm, Comm, CommError, FaultPlan, LocalCluster, ReliableComm};
 use kylix_netsim::SimCluster;
 use kylix_sparse::SumReducer;
 use std::time::Instant;
@@ -90,11 +91,10 @@ pub fn crash_run(scale: u64, seed: u64, k: usize, horizon: f64) -> Vec<Option<(V
         let t = horizon * (0.2 + 0.6 * i as f64 / k.max(1) as f64);
         faults = faults.crash_at(CRASH_LOGICAL + i, t);
     }
-    let cluster = SimCluster::new(physical, nic)
-        .seed(seed)
-        .with_faults(&faults);
+    let cluster = SimCluster::new(physical, nic).seed(seed);
     cluster.run_all(|comm| {
-        let mut rc = ReplicatedComm::new(comm, CRASH_REPLICATION);
+        let chaos = ChaosComm::new(comm, faults.clone());
+        let mut rc = ReplicatedComm::new(chaos, CRASH_REPLICATION);
         let me = rc.rank();
         let ones = vec![1.0f64; w.node_indices[me].len()];
         let kylix = Kylix::new(plan.clone());

@@ -64,9 +64,10 @@ impl LocalCluster {
     /// links, duplicates, corruption, delays, and mid-run crashes, all
     /// deterministic in the plan's seed. Unlike
     /// [`LocalCluster::run_with_failures`], crashed ranks *do* run
-    /// until their crash event fires (they go dark mid-protocol), so
-    /// the closure must handle `CommError::Crashed` if the plan crashes
-    /// its rank.
+    /// until their crash event fires. The crash drops the rank's
+    /// endpoint, so its peers see it closed at once, as if its closure
+    /// had returned, while the closure itself runs on and gets
+    /// `CommError::Crashed` from every later receive.
     pub fn run_with_faults<R, F>(m: usize, plan: &FaultPlan, f: F) -> Vec<R>
     where
         R: Send,

@@ -93,7 +93,7 @@ impl LinkFaults {
 pub enum Crash {
     /// Crash the first time the node touches its communicator at or
     /// after time `t` (virtual seconds on the simulator, wall seconds
-    /// since cluster start on a thread cluster).
+    /// since cluster start on a thread or TCP cluster).
     AtTime(f64),
     /// Crash on the node's `n`-th communicator operation (send or
     /// receive; 1-based — the `n`-th and later operations do not
@@ -197,21 +197,6 @@ impl FaultPlan {
         self.crashes.get(&rank).copied()
     }
 
-    /// All `AtTime` crashes, for simulators that prefer native
-    /// virtual-time crashes over wrapper-level ones.
-    pub fn time_crashes(&self) -> Vec<(usize, f64)> {
-        let mut v: Vec<(usize, f64)> = self
-            .crashes
-            .iter()
-            .filter_map(|(&r, &c)| match c {
-                Crash::AtTime(t) => Some((r, t)),
-                Crash::AfterOps(_) => None,
-            })
-            .collect();
-        v.sort_by_key(|&(r, _)| r);
-        v
-    }
-
     /// True when the plan injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.default_link.is_none()
@@ -254,17 +239,27 @@ struct Held {
 /// Fault-injecting communicator wrapper.
 ///
 /// Applies a [`FaultPlan`] to every outgoing message and crashes the
-/// endpoint when the plan says so. After the crash the endpoint is
-/// *dark*: sends are swallowed and every receive returns
-/// [`CommError::Crashed`] — exactly the fail-stop model of §V ("crashed
-/// machines stop talking; they do not babble").
+/// endpoint when the plan says so, the first time the rank touches it
+/// at or after the crash point. The crash drops the inner endpoint, so
+/// its peers see this rank's links close — on the simulator, thread and
+/// TCP substrates alike — after every message it sent before the crash,
+/// and a receive from it fails with [`CommError::Closed`]. The crashed
+/// rank itself is *dark*: its sends are swallowed, every receive
+/// returns [`CommError::Crashed`], and `rank`, `size` and `now` (frozen
+/// at the crash) still answer — exactly the fail-stop model of §V
+/// ("crashed machines stop talking; they do not babble").
 ///
 /// Injected corruption flips one payload byte; it is up to the layers
 /// above (the codec's checksum, `ReliableComm`'s frame CRC) to detect
 /// it — `ChaosComm` itself never signals which messages it damaged.
 pub struct ChaosComm<C: Comm> {
-    /// `None` only transiently inside `into_inner`.
+    /// `None` once the crash has fired (or transiently inside
+    /// `into_inner`).
     inner: Option<C>,
+    rank: usize,
+    size: usize,
+    /// The inner endpoint's clock when the crash fired.
+    crashed_at: f64,
     plan: FaultPlan,
     /// Per-destination count of send attempts, the `k` in fault hashes.
     link_seq: Vec<u64>,
@@ -272,55 +267,59 @@ pub struct ChaosComm<C: Comm> {
     holdback: Vec<Held>,
     /// Count of communicator operations, for `Crash::AfterOps`.
     ops: u64,
-    dark: bool,
 }
 
 impl<C: Comm> ChaosComm<C> {
     /// Wrap `inner`, injecting the faults `plan` prescribes for this
     /// rank's outgoing links and its crash event (if any).
     pub fn new(inner: C, plan: FaultPlan) -> Self {
-        let size = inner.size();
+        let (rank, size) = (inner.rank(), inner.size());
         Self {
             inner: Some(inner),
+            rank,
+            size,
+            crashed_at: 0.0,
             plan,
             link_seq: vec![0; size],
             holdback: Vec::new(),
             ops: 0,
-            dark: false,
         }
-    }
-
-    fn inner(&self) -> &C {
-        self.inner.as_ref().expect("inner taken")
-    }
-
-    fn inner_mut(&mut self) -> &mut C {
-        self.inner.as_mut().expect("inner taken")
     }
 
     /// Unwrap the inner communicator (releases any held-back messages
-    /// first, unless crashed).
+    /// first). Panics if the crash has fired: the endpoint is gone.
     pub fn into_inner(mut self) -> C {
         self.release_holdback(u64::MAX);
-        self.inner.take().expect("inner taken")
+        self.inner
+            .take()
+            .expect("crashed: the inner endpoint is gone")
     }
 
-    /// True once this endpoint's crash event has fired. Checked at
-    /// every operation; once dark, always dark.
-    fn crashed(&mut self) -> bool {
-        if self.dark {
-            return true;
+    /// The inner endpoint, or `Crashed` once the crash event has fired.
+    /// Checked at every operation: firing drops the inner endpoint with
+    /// the messages still held back for it (a crashed node's queued
+    /// packets die with it), and once dark, always dark.
+    fn live(&mut self) -> Result<&mut C, CommError> {
+        if let Some(inner) = &self.inner {
+            let fire = match self.plan.crash(self.rank) {
+                Some(Crash::AtTime(t)) => inner.now() >= t,
+                Some(Crash::AfterOps(n)) => self.ops >= n,
+                None => false,
+            };
+            if fire {
+                self.crashed_at = inner.now();
+                self.holdback.clear();
+                self.inner = None;
+            }
         }
-        let fire = match self.plan.crash(self.inner().rank()) {
-            Some(Crash::AtTime(t)) => self.inner().now() >= t,
-            Some(Crash::AfterOps(n)) => self.ops >= n,
-            None => false,
-        };
-        if fire {
-            self.dark = true;
-            self.holdback.clear(); // a crashed node's queued packets die with it
-        }
-        self.dark
+        self.inner
+            .as_mut()
+            .ok_or(CommError::Crashed { rank: self.rank })
+    }
+
+    /// The inner endpoint; the caller has checked it is still there.
+    fn inner_mut(&mut self) -> &mut C {
+        self.inner.as_mut().expect("endpoint crashed")
     }
 
     /// Mirror one injected fault into the substrate's telemetry shard
@@ -334,7 +333,7 @@ impl<C: Comm> ChaosComm<C> {
 
     /// Release held-back messages captured before operation `before`.
     fn release_holdback(&mut self, before: u64) {
-        if self.holdback.is_empty() || self.dark || self.inner.is_none() {
+        if self.holdback.is_empty() || self.inner.is_none() {
             return;
         }
         let mut released = Vec::new();
@@ -362,19 +361,19 @@ impl<C: Comm> Drop for ChaosComm<C> {
 
 impl<C: Comm> Comm for ChaosComm<C> {
     fn rank(&self) -> usize {
-        self.inner().rank()
+        self.rank
     }
 
     fn size(&self) -> usize {
-        self.inner().size()
+        self.size
     }
 
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
         self.ops += 1;
-        if self.crashed() {
+        if self.live().is_err() {
             return;
         }
-        let src = self.inner().rank();
+        let src = self.rank;
         let k = self.link_seq[to];
         self.link_seq[to] += 1;
         let lf = self.plan.link_faults(src, to);
@@ -422,28 +421,25 @@ impl<C: Comm> Comm for ChaosComm<C> {
         timeout: Duration,
     ) -> Result<(usize, Bytes), CommError> {
         self.ops += 1;
-        if self.crashed() {
-            return Err(CommError::Crashed {
-                rank: self.inner().rank(),
-            });
-        }
+        self.live()?;
         self.release_holdback(self.ops);
         self.inner_mut().recv_any_timeout(sources, tag, timeout)
     }
 
     fn discard(&mut self, sources: &[usize], tag: Tag) {
-        if self.dark {
-            return;
+        if let Some(inner) = &mut self.inner {
+            inner.discard(sources, tag);
         }
-        self.inner_mut().discard(sources, tag);
     }
 
     fn now(&self) -> f64 {
-        self.inner().now()
+        self.inner.as_ref().map_or(self.crashed_at, C::now)
     }
 
     fn charge_compute(&mut self, seconds: f64) {
-        self.inner_mut().charge_compute(seconds);
+        if let Some(inner) = &mut self.inner {
+            inner.charge_compute(seconds);
+        }
     }
 
     fn telemetry(&self) -> Option<&RankTelemetry> {
@@ -454,11 +450,7 @@ impl<C: Comm> Comm for ChaosComm<C> {
 impl<C: RawComm> RawComm for ChaosComm<C> {
     fn recv_raw_timeout(&mut self, timeout: Duration) -> Result<Option<RawMessage>, CommError> {
         self.ops += 1;
-        if self.crashed() {
-            return Err(CommError::Crashed {
-                rank: self.inner().rank(),
-            });
-        }
+        self.live()?;
         self.release_holdback(self.ops);
         self.inner_mut().recv_raw_timeout(timeout)
     }

@@ -20,7 +20,7 @@
 //!   clock advances to `max(local_clock, processed_at)`. The worker pool
 //!   is what reproduces the paper's thread-count effect (Fig. 7).
 //! * **recv_any** — models the replicas' *packet race* (§V.B): the race
-//!   waits until every live candidate's copy is in (or the candidate is
+//!   waits until every open candidate's copy is in (or the candidate is
 //!   known dead) and the earliest virtual delivery wins. Only the winner
 //!   is consumed and processed; losing copies stay in the stash for the
 //!   caller to [`Comm::discard`], like the paper's cancelled listener
@@ -36,40 +36,34 @@
 //!
 //! ### Failure model
 //!
-//! Liveness is dynamic: a shared table of atomic flags, one per rank.
-//! Ranks listed as dead from the start never run and never send, and a
-//! rank whose `SimComm` drops (its closure returned) is dead from then
-//! on, as a dropped endpoint is on the real substrates.
-//! Mid-run crashes ([`SimCluster::crash_at`]) let a rank run normally
-//! until its virtual clock reaches the crash time, then turn it *dark*:
-//! its flag drops, sends are swallowed, and its own receives return
-//! `CommError::Crashed`. A crashing rank completes all sends it issued
-//! before the crash (fail-stop: it stops talking, it does not babble),
-//! and receivers observe the liveness flip only after those sends are
-//! visible, so a race never misses a message from a peer it just
-//! declared dead. A selective `recv` from a dead rank fails with
-//! `CommError::Closed` (promptly once the death is observed), the same
-//! error a real endpoint reports for a dropped peer — the unreplicated
-//! protocol has no defence, which is the paper's motivation for §V.
-//! `recv_any` excludes dead candidates so the race completes as soon as
-//! every *live* replica's copy is in, and fails with `Closed` once every
-//! candidate is dead. Only an expired deadline is a
-//! `Timeout`/`TimeoutAny`.
+//! A death is an EOF, as on the real substrates: a dropped `SimComm`
+//! pushes an `Eof` into every peer's channel. Each sender's pushes reach
+//! a receiver in order, so the `Eof` lands after the rank's last message
+//! (fail-stop: it stops talking, it does not babble), and a receiver
+//! knows a peer is dead exactly when it has drained that `Eof`. A rank
+//! dies when its closure returns, when it is listed dead from the start
+//! ([`SimCluster::failures`]: the cluster drops its endpoint before any
+//! rank runs), or when a `kylix_net::ChaosComm` wrapped around it
+//! crashes — the wrapper drops its `SimComm` the first time the rank
+//! touches it at or after the crash time, a deterministic point in
+//! virtual time.
+//!
+//! A selective `recv` from a dead rank fails with `CommError::Closed`
+//! once nothing it sent is left, the same error a real endpoint reports
+//! for a dropped peer — the unreplicated protocol has no defence, which
+//! is the paper's motivation for §V. `recv_any` stops waiting for a dead
+//! candidate, so the race completes as soon as every *open* replica's
+//! copy is in, and fails with `Closed` once every candidate is dead.
+//! Only an expired deadline is a `Timeout`/`TimeoutAny`.
 
 use crate::nic::NicModel;
 use bytes::Bytes;
 use kylix_net::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use kylix_net::{Comm, CommError, FaultPlan, Mailbox, RawComm, RawMessage, Tag};
+use kylix_net::{Comm, CommError, Mailbox, RawComm, RawMessage, Tag};
 use kylix_sparse::hash::mix_many;
 use kylix_telemetry::{Clock, Counter, RankTelemetry, Telemetry};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Poll interval for re-checking liveness flags while blocked: a peer
-/// crashing mid-run flips a flag but sends nothing to wake us.
-const LIVENESS_POLL: Duration = Duration::from_millis(2);
 
 /// Per-rank event-ring capacity of a [`SimCluster::traced`] cluster.
 /// Each message costs its sender two events, so a rank can emit 4096
@@ -77,12 +71,17 @@ const LIVENESS_POLL: Duration = Duration::from_millis(2);
 /// report then tells how many were lost).
 const TRACE_CAPACITY: usize = 1 << 13;
 
-/// A simulated in-flight message: payload plus virtual delivery time.
-struct SimEnvelope {
-    src: usize,
-    tag: Tag,
-    deliver_t: f64,
-    payload: Bytes,
+/// What a rank's channel carries to it.
+enum SimEvent {
+    /// A simulated in-flight message: payload plus virtual delivery time.
+    Msg {
+        src: usize,
+        tag: Tag,
+        deliver_t: f64,
+        payload: Bytes,
+    },
+    /// The endpoint of `src` dropped: it will never send again.
+    Eof { src: usize },
 }
 
 /// Virtual-time communicator endpoint for one simulated node.
@@ -91,9 +90,10 @@ pub struct SimComm {
     size: usize,
     nic: NicModel,
     seed: u64,
-    senders: Arc<Vec<Sender<SimEnvelope>>>,
-    rx: Receiver<SimEnvelope>,
-    alive: Arc<Vec<AtomicBool>>,
+    senders: Arc<Vec<Sender<SimEvent>>>,
+    rx: Receiver<SimEvent>,
+    /// Per rank: false once its `Eof` has been drained.
+    open: Vec<bool>,
     /// This rank's telemetry shard (always present: the cluster owns a
     /// virtual-clock `Telemetry`).
     shard: Arc<RankTelemetry>,
@@ -112,10 +112,6 @@ pub struct SimComm {
     /// This node's straggler factor: all its NIC/CPU times are
     /// multiplied by it (1.0 = nominal).
     slowdown: f64,
-    /// Virtual time at which this node crashes, if ever.
-    crash_t: Option<f64>,
-    /// Set once the crash has fired: the endpoint is dark.
-    dark: bool,
 }
 
 impl SimComm {
@@ -150,31 +146,16 @@ impl SimComm {
         done
     }
 
-    /// Whether this node's crash event has fired. Checked on entry to
-    /// every communicator operation; once dark, always dark.
-    fn crashed(&mut self) -> bool {
-        if self.dark {
-            return true;
+    fn accept(&mut self, ev: SimEvent) {
+        match ev {
+            SimEvent::Msg {
+                src,
+                tag,
+                deliver_t,
+                payload,
+            } => self.mailbox.accept(src, tag, deliver_t, payload),
+            SimEvent::Eof { src } => self.open[src] = false,
         }
-        if let Some(ct) = self.crash_t {
-            if self.t_local >= ct {
-                self.dark = true;
-                // SeqCst: every send this node issued happened-before
-                // this store, so a peer that observes the flag down and
-                // then drains its channel has seen all our messages.
-                self.alive[self.rank].store(false, Ordering::SeqCst);
-            }
-        }
-        self.dark
-    }
-
-    fn is_alive(&self, rank: usize) -> bool {
-        self.alive[rank].load(Ordering::SeqCst)
-    }
-
-    fn accept(&mut self, env: SimEnvelope) {
-        self.mailbox
-            .accept(env.src, env.tag, env.deliver_t, env.payload);
     }
 
     fn drain_channel(&mut self) {
@@ -201,11 +182,8 @@ impl Comm for SimComm {
 
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
         debug_assert!(to < self.size, "rank {to} out of range");
-        if self.crashed() {
-            return;
-        }
-        // Counted before the receiver-liveness check, like the thread
-        // substrate: traffic is charged when the sender commits it.
+        // Counted whether or not the receiver is alive, like the real
+        // substrates: traffic is charged when the sender commits it.
         self.shard.add(
             tag.phase(),
             tag.layer(),
@@ -225,15 +203,13 @@ impl Comm for SimComm {
             self.shard
                 .trace_event(deliver_t, phase, layer, "sim_deliver", bytes);
         }
-        if self.is_alive(to) {
-            // Disconnected receiver == dead node: drop silently.
-            let _ = self.senders[to].send(SimEnvelope {
-                src: self.rank,
-                tag,
-                deliver_t,
-                payload,
-            });
-        }
+        // A dead rank's receiver is gone: the message vanishes.
+        let _ = self.senders[to].send(SimEvent::Msg {
+            src: self.rank,
+            tag,
+            deliver_t,
+            payload,
+        });
     }
 
     fn recv_any_timeout(
@@ -242,21 +218,15 @@ impl Comm for SimComm {
         tag: Tag,
         timeout: Duration,
     ) -> Result<(usize, Bytes), CommError> {
-        if self.crashed() {
-            return Err(CommError::Crashed { rank: self.rank });
-        }
         // Race (§V.B): wait until every candidate has either delivered a
-        // copy or been observed dead *after* a re-drain, then take the
-        // earliest virtual delivery. The winner alone is consumed and
-        // processed; losers stay stashed for the caller to discard.
-        // Waiting for all candidates (not just the first arrival in
-        // real time) is what keeps the winner — and therefore every
-        // virtual timestamp downstream — deterministic.
+        // copy or closed, then take the earliest virtual delivery. The
+        // winner alone is consumed and processed; losers stay stashed
+        // for the caller to discard. Waiting for all candidates (not
+        // just the first arrival in real time) is what keeps the winner
+        // — and therefore every virtual timestamp downstream —
+        // deterministic. A closed candidate with no copy stashed sent
+        // none: its `Eof` came after its last message.
         let deadline = Instant::now() + timeout;
-        // Two-phase death confirmation per candidate: 0 = presumed
-        // live, 1 = flag seen down (re-drain pending), 2 = confirmed
-        // dead with no copy.
-        let mut death_phase: HashMap<usize, u8> = HashMap::new();
         loop {
             self.drain_channel();
             let mut best: Option<(f64, usize)> = None;
@@ -269,19 +239,7 @@ impl Comm for SimComm {
                     }
                     continue;
                 }
-                let phase = death_phase.entry(s).or_insert(0);
-                match *phase {
-                    2 => {}
-                    1 => *phase = 2, // we re-drained since seeing the flag down
-                    _ => {
-                        if self.alive[s].load(Ordering::SeqCst) {
-                            pending = true;
-                        } else {
-                            *phase = 1;
-                            pending = true; // confirm on the next pass
-                        }
-                    }
-                }
+                pending |= self.open[s];
             }
             if !pending {
                 return match best {
@@ -292,8 +250,8 @@ impl Comm for SimComm {
                         self.t_local = self.t_local.max(done);
                         Ok((src, payload))
                     }
-                    // Every candidate is confirmed dead with nothing
-                    // stashed: the same `Closed` as a real endpoint's.
+                    // Every candidate is closed with nothing stashed:
+                    // the same `Closed` as a real endpoint's.
                     None if !sources.is_empty() => Err(CommError::Closed),
                     None => Err(CommError::TimeoutAny {
                         sources: sources.to_vec(),
@@ -301,30 +259,22 @@ impl Comm for SimComm {
                     }),
                 };
             }
-            // Still waiting on at least one live candidate (or on a
-            // death-confirming re-drain).
-            if death_phase.values().any(|&p| p == 1) {
-                continue; // re-drain immediately, no block
-            }
+            // Still waiting on at least one open candidate.
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(CommError::TimeoutAny {
-                    sources: sources.to_vec(),
-                    tag,
-                });
-            }
-            match self.rx.recv_timeout(remaining.min(LIVENESS_POLL)) {
-                Ok(env) => self.accept(env),
-                Err(RecvTimeoutError::Timeout) => {} // poll liveness again
+            match self.rx.recv_timeout(remaining) {
+                Ok(ev) => self.accept(ev),
+                Err(RecvTimeoutError::Timeout) => {
+                    return Err(CommError::TimeoutAny {
+                        sources: sources.to_vec(),
+                        tag,
+                    })
+                }
                 Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
             }
         }
     }
 
     fn discard(&mut self, sources: &[usize], tag: Tag) {
-        if self.dark {
-            return;
-        }
         self.drain_channel();
         self.mailbox.discard(sources, tag);
     }
@@ -348,19 +298,19 @@ impl Comm for SimComm {
 
 impl Drop for SimComm {
     /// A rank whose endpoint is gone is dead, as on the real
-    /// substrates: its peers stop waiting for it instead of burning
-    /// their patience.
+    /// substrates: every peer drains an `Eof` after this rank's last
+    /// message and stops waiting for it instead of burning its patience.
     fn drop(&mut self) {
-        // SeqCst, after every send this rank made — see `crashed`.
-        self.alive[self.rank].store(false, Ordering::SeqCst);
+        for (peer, tx) in self.senders.iter().enumerate() {
+            if peer != self.rank {
+                let _ = tx.send(SimEvent::Eof { src: self.rank });
+            }
+        }
     }
 }
 
 impl RawComm for SimComm {
     fn recv_raw_timeout(&mut self, timeout: Duration) -> Result<Option<RawMessage>, CommError> {
-        if self.crashed() {
-            return Err(CommError::Crashed { rank: self.rank });
-        }
         let deadline = Instant::now() + timeout;
         loop {
             self.drain_channel();
@@ -378,7 +328,7 @@ impl RawComm for SimComm {
                 return Ok(None);
             }
             match self.rx.recv_timeout(remaining) {
-                Ok(env) => self.accept(env),
+                Ok(ev) => self.accept(ev),
                 Err(RecvTimeoutError::Timeout) => return Ok(None),
                 Err(RecvTimeoutError::Disconnected) => return Err(CommError::Closed),
             }
@@ -392,7 +342,6 @@ pub struct SimCluster {
     nic: NicModel,
     seed: u64,
     dead: Vec<usize>,
-    crashes: Vec<(usize, f64)>,
     telemetry: Arc<Telemetry>,
     slowdowns: Vec<(usize, f64)>,
 }
@@ -406,7 +355,6 @@ impl SimCluster {
             nic,
             seed: 0,
             dead: Vec::new(),
-            crashes: Vec::new(),
             telemetry: Telemetry::new(m, Clock::Virtual),
             slowdowns: Vec::new(),
         }
@@ -440,32 +388,11 @@ impl SimCluster {
         self
     }
 
-    /// Mark ranks dead from the start.
+    /// Mark ranks dead from the start: their endpoints drop before any
+    /// rank runs. A mid-run crash is a `kylix_net::ChaosComm` around
+    /// the rank's `SimComm`.
     pub fn failures(mut self, dead: &[usize]) -> Self {
         self.dead = dead.to_vec();
-        self
-    }
-
-    /// Crash `rank` mid-run, at virtual time `t`: it runs normally
-    /// until its local clock reaches `t`, then goes dark (fail-stop).
-    /// Because the trigger is virtual time, the crash point — and every
-    /// downstream virtual timestamp — is deterministic.
-    pub fn crash_at(mut self, rank: usize, t: f64) -> Self {
-        assert!(rank < self.m, "rank {rank} out of range");
-        assert!(t >= 0.0 && t.is_finite(), "bad crash time {t}");
-        self.crashes.push((rank, t));
-        self
-    }
-
-    /// Adopt every `Crash::AtTime` event of a [`FaultPlan`] as a native
-    /// virtual-time crash. Prefer this over wrapping `SimComm` in a
-    /// `ChaosComm` for crashes: a native crash flips the shared
-    /// liveness flag, so racing peers stop waiting for the dead rank.
-    /// (Link faults still need the wrapper.)
-    pub fn with_faults(mut self, plan: &FaultPlan) -> Self {
-        for (rank, t) in plan.time_crashes() {
-            self = self.crash_at(rank, t);
-        }
         self
     }
 
@@ -482,11 +409,6 @@ impl SimCluster {
         R: Send,
         F: Fn(SimComm) -> R + Sync,
     {
-        let alive: Arc<Vec<AtomicBool>> = Arc::new(
-            (0..self.m)
-                .map(|r| AtomicBool::new(!self.dead.contains(&r)))
-                .collect(),
-        );
         let mut txs = Vec::with_capacity(self.m);
         let mut rxs = Vec::with_capacity(self.m);
         for _ in 0..self.m {
@@ -495,7 +417,9 @@ impl SimCluster {
             rxs.push(rx);
         }
         let senders = Arc::new(txs);
-        let comms: Vec<SimComm> = rxs
+        // The dead ranks' endpoints drop right here, so their `Eof`s are
+        // queued before any rank runs.
+        let comms: Vec<Option<SimComm>> = rxs
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| SimComm {
@@ -505,7 +429,7 @@ impl SimCluster {
                 seed: self.seed,
                 senders: Arc::clone(&senders),
                 rx,
-                alive: Arc::clone(&alive),
+                open: vec![true; self.m],
                 shard: Arc::clone(self.telemetry.rank(rank)),
                 mailbox: Mailbox::new(Some(Arc::clone(self.telemetry.rank(rank)))),
                 t_local: 0.0,
@@ -517,25 +441,13 @@ impl SimCluster {
                     .iter()
                     .find(|(r, _)| *r == rank)
                     .map_or(1.0, |(_, f)| *f),
-                crash_t: self
-                    .crashes
-                    .iter()
-                    .find(|(r, _)| *r == rank)
-                    .map(|(_, t)| *t),
-                dark: false,
             })
+            .map(|comm| (!self.dead.contains(&comm.rank)).then_some(comm))
             .collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
-                .enumerate()
-                .map(|(rank, comm)| {
-                    if !self.dead.contains(&rank) {
-                        Some(s.spawn(|| f(comm)))
-                    } else {
-                        None
-                    }
-                })
+                .map(|comm| comm.map(|comm| s.spawn(|| f(comm))))
                 .collect();
             handles
                 .into_iter()
@@ -573,7 +485,7 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kylix_net::Phase;
+    use kylix_net::{ChaosComm, FaultPlan, Phase};
 
     fn t(layer: u16, seq: u32) -> Tag {
         Tag::new(Phase::App, layer, seq)
@@ -789,8 +701,9 @@ mod tests {
     fn mid_run_crash_goes_dark_at_virtual_time() {
         // Rank 0 sends one message, burns 1.0s of virtual compute, then
         // crashes at t=0.5 (so the second send is swallowed).
-        let cluster = SimCluster::new(2, NicModel::ideal(1e9)).crash_at(0, 0.5);
-        let out = cluster.run_all(|mut c| {
+        let cluster = SimCluster::new(2, NicModel::ideal(1e9));
+        let out = cluster.run_all(|c| {
+            let mut c = ChaosComm::new(c, FaultPlan::new(0).crash_at(0, 0.5));
             if c.rank() == 0 {
                 c.send(1, t(0, 0), Bytes::from_static(b"before"));
                 c.charge_compute(1.0);
@@ -817,27 +730,30 @@ mod tests {
         // Replica pair (0, 1) serves rank 2; replica 1 crashes before
         // sending. The race must complete with 0's copy rather than
         // waiting out the full timeout.
-        let cluster = SimCluster::new(3, NicModel::ideal(1e9)).crash_at(1, 0.0);
-        let out = cluster.run_all(|mut c| match c.rank() {
-            0 => {
-                c.send(2, t(0, 0), Bytes::from_static(b"live"));
-                None
-            }
-            1 => {
-                // First op fires the crash (t_local = 0 >= 0).
-                c.send(2, t(0, 0), Bytes::from_static(b"never"));
-                None
-            }
-            _ => {
-                let start = Instant::now();
-                let (src, _) = c
-                    .recv_any_timeout(&[0, 1], t(0, 0), Duration::from_secs(30))
-                    .unwrap();
-                assert!(
-                    start.elapsed() < Duration::from_secs(5),
-                    "race must not wait out the timeout"
-                );
-                Some(src)
+        let cluster = SimCluster::new(3, NicModel::ideal(1e9));
+        let out = cluster.run_all(|c| {
+            let mut c = ChaosComm::new(c, FaultPlan::new(0).crash_at(1, 0.0));
+            match c.rank() {
+                0 => {
+                    c.send(2, t(0, 0), Bytes::from_static(b"live"));
+                    None
+                }
+                1 => {
+                    // First op fires the crash (t_local = 0 >= 0).
+                    c.send(2, t(0, 0), Bytes::from_static(b"never"));
+                    None
+                }
+                _ => {
+                    let start = Instant::now();
+                    let (src, _) = c
+                        .recv_any_timeout(&[0, 1], t(0, 0), Duration::from_secs(30))
+                        .unwrap();
+                    assert!(
+                        start.elapsed() < Duration::from_secs(5),
+                        "race must not wait out the timeout"
+                    );
+                    Some(src)
+                }
             }
         });
         assert_eq!(out[2], Some(0));
@@ -847,8 +763,9 @@ mod tests {
     fn crash_sweep_is_deterministic() {
         let run = || {
             let nic = NicModel::ec2_10g().with_jitter(0.3);
-            let cluster = SimCluster::new(4, nic).seed(7).crash_at(3, 0.0);
-            cluster.run_all(|mut c| {
+            let cluster = SimCluster::new(4, nic).seed(7);
+            cluster.run_all(|c| {
+                let mut c = ChaosComm::new(c, FaultPlan::new(0).crash_at(3, 0.0));
                 let me = c.rank();
                 for to in 0..4 {
                     if to != me {

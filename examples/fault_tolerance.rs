@@ -11,7 +11,7 @@
 
 use kylix::{Kylix, NetworkPlan, ReplicatedComm};
 use kylix_net::telemetry::{Clock, Counter, Telemetry};
-use kylix_net::{Comm, FaultPlan, LocalCluster, ReliableComm};
+use kylix_net::{ChaosComm, Comm, FaultPlan, LocalCluster, ReliableComm};
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_sparse::SumReducer;
 use std::time::Duration;
@@ -86,12 +86,11 @@ fn main() {
     println!("\ncrash 2 replicas MID-protocol (virtual-time crash, not dead at start):");
     // Unlike `failures(..)`, a `crash_at` node participates normally
     // until its crash time, then goes dark; survivors race past it.
-    let cluster = SimCluster::new(16, NicModel::ec2_10g().with_jitter(0.3))
-        .seed(7)
-        .crash_at(9, 5e-5)
-        .crash_at(10, 8e-5);
+    let cluster = SimCluster::new(16, NicModel::ec2_10g().with_jitter(0.3)).seed(7);
+    let crashes = FaultPlan::new(7).crash_at(9, 5e-5).crash_at(10, 8e-5);
     let outcomes = cluster.run(|comm| {
-        let mut rc = ReplicatedComm::new(comm, 2);
+        let chaos = ChaosComm::new(comm, crashes.clone());
+        let mut rc = ReplicatedComm::new(chaos, 2);
         let me = rc.rank() as u64;
         let kylix = Kylix::new(NetworkPlan::new(&[4, 2]));
         kylix

@@ -5,10 +5,11 @@
 //! cell taking a second of wall time:
 //!
 //! * A receive from a rank that is gone — dead from the start on the
-//!   simulator, an endpoint dropped on any substrate — fails with
-//!   `CommError::Closed` as soon as nothing it sent is left to take,
-//!   never after the 60 s default patience. What it sent before it went
-//!   is still delivered first, and a rank dying between the
+//!   simulator, an endpoint dropped or crashed by a `ChaosComm` on any
+//!   substrate — fails with `CommError::Closed` as soon as nothing it
+//!   sent is left to take, never after the 60 s default patience. What
+//!   it sent before it went is still delivered first, and a rank dying
+//!   between the
 //!   configuration and reduce passes unwinds every survivor promptly
 //!   with an exact result or `Closed`, without a `PatienceComm`
 //!   bounding the wait.
@@ -144,14 +145,33 @@ fn tcp_receive_from_silent_rank_times_out() {
 /// second before the first, and only then sees `Closed`.
 fn sent_before_the_drop_is_delivered_first<C: Comm>(mut comms: Vec<C>) {
     let mut c1 = comms.pop().unwrap();
-    let mut c0 = comms.pop().unwrap();
+    speak_then_drop(comms.pop().unwrap());
+    last_words_then_closed(&mut c1);
+}
+
+/// Rank 0's half: two messages, then its endpoint drops.
+fn speak_then_drop<C: Comm>(mut c0: C) {
     c0.send(1, tag(0), Bytes::from_static(b"first"));
     c0.send(1, tag(1), Bytes::from_static(b"last words"));
-    drop(c0);
+}
+
+/// Rank 1's half.
+fn last_words_then_closed<C: Comm>(c1: &mut C) {
     assert_eq!(&c1.recv(0, tag(1)).unwrap()[..], b"last words");
     assert_eq!(&c1.recv_any(&[0], tag(0)).unwrap().1[..], b"first");
     let got = promptly("receive after the last message", || c1.recv(0, tag(2)));
     assert_eq!(got, Err(CommError::Closed));
+}
+
+#[test]
+fn sim_message_sent_before_drop_is_delivered_first() {
+    SimCluster::new(2, NicModel::ideal(1e9)).run_all(|mut c| {
+        if c.rank() == 0 {
+            speak_then_drop(c);
+        } else {
+            last_words_then_closed(&mut c);
+        }
+    });
 }
 
 #[test]
@@ -162,6 +182,61 @@ fn thread_message_sent_before_drop_is_delivered_first() {
 #[test]
 fn tcp_message_sent_before_drop_is_delivered_first() {
     sent_before_the_drop_is_delivered_first(TcpCluster::make_cluster(2));
+}
+
+/// One rank of a 2-rank cluster whose rank 0 crashes on its first
+/// operation and lives on, held at `done` until rank 1 has received
+/// from it: what each rank's receive returned, and how long it took.
+fn crash_then_linger<C: Comm>(comm: C, done: &Barrier) -> (Result<Bytes, CommError>, Duration) {
+    let mut comm = ChaosComm::new(comm, FaultPlan::new(1).crash_after_ops(0, 1));
+    let start = Instant::now();
+    let got = if comm.rank() == 0 {
+        comm.recv(1, tag(0))
+    } else {
+        comm.recv_timeout(0, tag(0), 5 * PROMPT)
+    };
+    let took = start.elapsed();
+    done.wait();
+    (got, took)
+}
+
+/// A crash is a drop: the crashed rank's own receive is `Crashed`, and
+/// its peer's receive from it is `Closed` within [`PROMPT`], although the
+/// crashed rank's closure has not returned.
+fn crash_is_a_drop(out: Vec<(Result<Bytes, CommError>, Duration)>) {
+    assert_eq!(out[0].0, Err(CommError::Crashed { rank: 0 }));
+    let (got, took) = &out[1];
+    assert_eq!(
+        got,
+        &Err(CommError::Closed),
+        "receive from the crashed rank"
+    );
+    assert!(
+        *took < PROMPT,
+        "receive from the crashed rank took {took:?}"
+    );
+}
+
+#[test]
+fn sim_crash_is_a_drop() {
+    let done = Barrier::new(2);
+    crash_is_a_drop(
+        SimCluster::new(2, NicModel::ideal(1e9)).run_all(|c| crash_then_linger(c, &done)),
+    );
+}
+
+#[test]
+fn thread_crash_is_a_drop() {
+    let done = Barrier::new(2);
+    crash_is_a_drop(LocalCluster::run(2, |c: ThreadComm| {
+        crash_then_linger(c, &done)
+    }));
+}
+
+#[test]
+fn tcp_crash_is_a_drop() {
+    let done = Barrier::new(2);
+    crash_is_a_drop(TcpCluster::run(2, |c: TcpComm| crash_then_linger(c, &done)));
 }
 
 const M: usize = 4;
