@@ -8,10 +8,10 @@
 //! * **Crash sweep** (virtual time, deterministic) — a 2×-replicated
 //!   16-logical-node Kylix run on the simulator with `k` replicas
 //!   crashing *mid-protocol* at staggered virtual times (a
-//!   [`ChaosComm`] around every rank's `SimComm`, from one plan). Measures the
-//!   completion rate across physical ranks, result correctness against
-//!   the sequential reference, and the virtual makespan overhead of
-//!   racing past the dead. Same seed ⇒ bit-identical completion sets,
+//!   [`ChaosComm`] around every rank's `SimComm`, from one plan).
+//!   Measures the completion rate across physical ranks, result
+//!   correctness against the sequential reference, and the virtual
+//!   makespan overhead of racing past the dead. Same seed ⇒ bit-identical completion sets,
 //!   results, and virtual times.
 //! * **Loss sweep** (wall time) — an *unreplicated* Kylix run over
 //!   lossy links (drop/duplicate/corrupt/delay per [`FaultPlan`]),

@@ -9,10 +9,9 @@
 //!   substrate — fails with `CommError::Closed` as soon as nothing it
 //!   sent is left to take, never after the 60 s default patience. What
 //!   it sent before it went is still delivered first, and a rank dying
-//!   between the
-//!   configuration and reduce passes unwinds every survivor promptly
-//!   with an exact result or `Closed`, without a `PatienceComm`
-//!   bounding the wait.
+//!   between the configuration and reduce passes unwinds every survivor
+//!   promptly with an exact result or `Closed`, without a
+//!   `PatienceComm` bounding the wait.
 //! * A peer that is alive but silent makes a receive with an explicit
 //!   timeout fail with `Timeout { from, tag }`, and a race with
 //!   `TimeoutAny { sources, tag }`, once that timeout has passed.
