@@ -28,9 +28,9 @@ use crate::workload::VectorWorkload;
 use kylix::{
     reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
 };
-use kylix_net::telemetry::{Clock, Counter, Telemetry};
-use kylix_net::{ChaosComm, Comm, CommError, FaultPlan, LocalCluster, ReliableComm};
-use kylix_netsim::SimCluster;
+use kylix_net::telemetry::Counter;
+use kylix_net::{ChaosComm, Comm, CommError, FaultPlan, ReliableComm};
+use kylix_netsim::{SimCluster, Substrate};
 use kylix_sparse::SumReducer;
 use std::time::Instant;
 
@@ -158,10 +158,10 @@ const LOSS_NODES: usize = 8;
 
 /// One loss-sweep run at per-message loss rate `p` (plus proportional
 /// duplication, corruption, and delay). Unreplicated Kylix over
-/// `ReliableComm<ChaosComm<ThreadComm>>`; wall-clock. Returns per-rank
-/// `(correct, seconds, retransmits)` — retransmit counts read back
-/// from the cluster telemetry shards the reliability layer records
-/// into, not from ad-hoc per-connection accounting.
+/// `ReliableComm<ChaosComm<_>>` on the thread substrate; wall-clock.
+/// Returns per-rank `(correct, seconds, retransmits)` — retransmit
+/// counts read back from the cluster telemetry shards the reliability
+/// layer records into, not from ad-hoc per-connection accounting.
 pub fn loss_run(scale: u64, seed: u64, p: f64) -> Vec<(bool, f64, u64)> {
     let w = VectorWorkload::twitter_like(LOSS_NODES, scale, seed);
     let expected = reference_allreduce(&contributions(&w), SumReducer);
@@ -171,9 +171,8 @@ pub fn loss_run(scale: u64, seed: u64, p: f64) -> Vec<(bool, f64, u64)> {
         .duplicate_rate(p / 2.0)
         .corrupt_rate(p / 4.0)
         .delay_rate(p / 2.0);
-    let tel = Telemetry::new(LOSS_NODES, Clock::Wall);
-    let out = LocalCluster::run_with_faults_telemetry(LOSS_NODES, &faults, &tel, |chaos| {
-        let mut comm = ReliableComm::new(chaos);
+    let (out, tel) = Substrate::Thread.run(LOSS_NODES, |c| {
+        let mut comm = ReliableComm::new(ChaosComm::new(c, faults.clone()));
         let me = comm.rank();
         let ones = vec![1.0f64; w.node_indices[me].len()];
         let start = Instant::now();
@@ -251,7 +250,8 @@ pub fn corrupt_check(scale: u64, seed: u64) -> FaultRow {
     let w = VectorWorkload::twitter_like(m, scale, seed);
     let plan = NetworkPlan::new(&[2, 2]);
     let faults = FaultPlan::new(seed).corrupt_rate(1.0);
-    let out = LocalCluster::run_with_faults(m, &faults, |mut chaos| {
+    let (out, _) = Substrate::Thread.run(m, |c| {
+        let mut chaos = ChaosComm::new(c, faults.clone());
         let me = chaos.rank();
         let ones = vec![1.0f64; w.node_indices[me].len()];
         let kylix = Kylix::new(plan.clone());

@@ -17,8 +17,9 @@
 use crate::workload::VectorWorkload;
 use kylix::codec::SEAL_LEN;
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry, TelemetryReport};
-use kylix_net::{LocalCluster, Phase};
+use kylix_net::telemetry::{Counter, TelemetryReport};
+use kylix_net::Phase;
+use kylix_netsim::Substrate;
 use kylix_sparse::SumReducer;
 
 /// Wire framing per values message: 8-byte count header + checksum
@@ -73,8 +74,7 @@ pub fn profile(workload: &VectorWorkload, degrees: &[usize]) -> Fig5Profile {
     let m = workload.node_indices.len();
     let plan = NetworkPlan::new(degrees);
     assert_eq!(plan.size(), m);
-    let tel = Telemetry::new(m, Clock::Wall);
-    let bottoms: Vec<usize> = LocalCluster::run_with_telemetry(m, &tel, |mut comm| {
+    let (bottoms, tel) = Substrate::Thread.run(m, |mut comm| {
         let me = kylix_net::Comm::rank(&comm);
         let kylix = Kylix::new(plan.clone());
         let mut state = kylix
@@ -126,6 +126,7 @@ pub fn run(scale: u64, seed: u64) -> Vec<Fig5Profile> {
 mod tests {
     use super::*;
     use crate::scaling::scaled_nic;
+    use kylix_net::LocalCluster;
     use kylix_netsim::SimCluster;
 
     /// The telemetry-derived volumes must equal the routing state's

@@ -47,8 +47,11 @@ fn time_cell(
     let logical = plan.size();
     let physical = logical * replication;
     let nic = scaled_nic(workload.scale as f64);
-    let cluster = SimCluster::new(physical, nic).seed(seed).failures(dead);
-    let per_node: Vec<Option<(f64, f64)>> = cluster.run(|comm| {
+    let cluster = SimCluster::new(physical, nic).seed(seed);
+    let per_node: Vec<Option<(f64, f64)>> = cluster.run_all(|comm| {
+        if dead.contains(&comm.rank()) {
+            return None;
+        }
         let mut rc = ReplicatedComm::new(comm, replication);
         let me = rc.rank();
         let idx = &workload.node_indices[me];
@@ -57,7 +60,7 @@ fn time_cell(
         let t_cfg = rc.now();
         let vals = vec![1.0f64; idx.len()];
         state.reduce(&mut rc, &vals, SumReducer).unwrap();
-        (t_cfg, rc.now())
+        Some((t_cfg, rc.now()))
     });
     let alive: Vec<(f64, f64)> = per_node.into_iter().flatten().collect();
     let config_end = alive.iter().map(|p| p.0).fold(0.0, f64::max);

@@ -47,8 +47,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 use kylix::codec::{decode_values, encode_values};
 use kylix::config::MISSING;
 use kylix::{Configured, Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry};
-use kylix_net::{Comm, LocalCluster, Phase, Tag, TcpCluster};
+use kylix_net::telemetry::Counter;
+use kylix_net::{Comm, LocalCluster, Phase, Tag};
+use kylix_netsim::Substrate;
 use kylix_sparse::vec::{gather, scatter_combine};
 use kylix_sparse::SumReducer;
 
@@ -151,13 +152,16 @@ fn rank_ops<C: Comm>(mut comm: C, ops: usize, pooled: bool) -> Vec<f64> {
 /// global allocation count consumed, plus rank 0's last result. With
 /// `telemetry`, the cluster records full per-rank counters and per-op
 /// timings — the claim under test is that this instrumentation is
-/// allocation-free in steady state.
-fn measure(ops: usize, pooled: bool, telemetry: Option<&Telemetry>) -> (u64, Vec<f64>) {
+/// allocation-free in steady state. (Building the telemetry costs the
+/// same allocations at every op count, so the marginal count drops it.)
+fn measure(ops: usize, pooled: bool, telemetry: bool) -> (u64, Vec<f64>) {
     let before = ALLOCS.load(Ordering::Relaxed);
-    let body = |comm: kylix_net::ThreadComm| rank_ops(comm, ops, pooled);
-    let results = match telemetry {
-        Some(tel) => LocalCluster::run_with_telemetry(M, tel, body),
-        None => LocalCluster::run(M, body),
+    let results = if telemetry {
+        Substrate::Thread
+            .run(M, |comm| rank_ops(comm, ops, pooled))
+            .0
+    } else {
+        LocalCluster::run(M, |comm| rank_ops(comm, ops, pooled))
     };
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
     (spent, results.into_iter().next().unwrap())
@@ -168,9 +172,8 @@ fn measure(ops: usize, pooled: bool, telemetry: Option<&Telemetry>) -> (u64, Vec
 /// (the pooled+telemetry thread run shows the counting allocates
 /// nothing).
 fn measure_tcp(ops: usize) -> (u64, Vec<f64>, u64) {
-    let tel = Telemetry::new(M, Clock::Wall);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let results = TcpCluster::run_with_telemetry(M, &tel, |comm| rank_ops(comm, ops, true));
+    let (results, tel) = Substrate::Tcp.run(M, |comm| rank_ops(comm, ops, true));
     let spent = ALLOCS.load(Ordering::Relaxed) - before;
     let received = tel.report().total(Counter::MsgsRecv);
     (spent, results.into_iter().next().unwrap(), received)
@@ -205,13 +208,12 @@ fn steady_state_reduce_allocates_90_percent_less() {
     const HI: usize = 56;
     // Marginal allocations per extra op, whole cluster. Order the runs
     // so each path's pair is adjacent (allocator state settles).
-    let (old_lo, r_old_lo) = measure(LO, false, None);
-    let (old_hi, r_old_hi) = measure(HI, false, None);
-    let (new_lo, r_new_lo) = measure(LO, true, None);
-    let (new_hi, r_new_hi) = measure(HI, true, None);
-    let tel = Telemetry::new(M, Clock::Wall);
-    let (tel_lo, r_tel_lo) = measure(LO, true, Some(&tel));
-    let (tel_hi, r_tel_hi) = measure(HI, true, Some(&tel));
+    let (old_lo, r_old_lo) = measure(LO, false, false);
+    let (old_hi, r_old_hi) = measure(HI, false, false);
+    let (new_lo, r_new_lo) = measure(LO, true, false);
+    let (new_hi, r_new_hi) = measure(HI, true, false);
+    let (tel_lo, r_tel_lo) = measure(LO, true, true);
+    let (tel_hi, r_tel_hi) = measure(HI, true, true);
     let (tcp_lo, r_tcp_lo, recv_lo) = measure_tcp(LO);
     let (tcp_hi, r_tcp_hi, recv_hi) = measure_tcp(HI);
     let (comb_lo, r_comb_lo) = measure_combined(LO);

@@ -471,20 +471,21 @@ fn replicated_allreduce_survives_failures() {
     // Kill one replica of logical 1 and one replica of logical 3 (both
     // groups keep a survivor).
     let dead = [1usize, 7];
-    let got = LocalCluster::run_with_failures(8, &dead, |comm| {
+    let got = LocalCluster::run(8, |comm| {
+        if dead.contains(&comm.rank()) {
+            return None;
+        }
         let mut rc = ReplicatedComm::new(comm, 2);
         let me = rc.rank();
-        Kylix::new(plan.clone())
-            .allreduce_combined(
-                &mut rc,
-                &nodes[me].in_indices,
-                &nodes[me].out_indices,
-                &nodes[me].out_values,
-                SumReducer,
-                0,
-            )
-            .unwrap()
-            .0
+        let out = Kylix::new(plan.clone()).allreduce_combined(
+            &mut rc,
+            &nodes[me].in_indices,
+            &nodes[me].out_indices,
+            &nodes[me].out_values,
+            SumReducer,
+            0,
+        );
+        Some(out.unwrap().0)
     });
     for phys in 0..8 {
         if dead.contains(&phys) {
@@ -504,23 +505,23 @@ fn replicated_on_simulator_with_failures() {
     let plan = NetworkPlan::new(&[2, 2]);
     let nodes = random_workload(4, 300, 31);
     let expected = reference_allreduce(&nodes, SumReducer);
-    let cluster = SimCluster::new(8, NicModel::ec2_10g())
-        .seed(3)
-        .failures(&[5]);
-    let got = cluster.run(|comm| {
+    // Physical rank 5 is dead from the start.
+    let cluster = SimCluster::new(8, NicModel::ec2_10g()).seed(3);
+    let got = cluster.run_all(|comm| {
+        if comm.rank() == 5 {
+            return None;
+        }
         let mut rc = ReplicatedComm::new(comm, 2);
         let me = rc.rank();
-        Kylix::new(plan.clone())
-            .allreduce_combined(
-                &mut rc,
-                &nodes[me].in_indices,
-                &nodes[me].out_indices,
-                &nodes[me].out_values,
-                SumReducer,
-                0,
-            )
-            .unwrap()
-            .0
+        let out = Kylix::new(plan.clone()).allreduce_combined(
+            &mut rc,
+            &nodes[me].in_indices,
+            &nodes[me].out_indices,
+            &nodes[me].out_values,
+            SumReducer,
+            0,
+        );
+        Some(out.unwrap().0)
     });
     for phys in [0usize, 1, 2, 3, 4, 6, 7] {
         let logical = phys % 4;

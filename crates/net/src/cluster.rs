@@ -1,21 +1,23 @@
 //! In-process cluster runner: one OS thread per rank.
 //!
 //! [`LocalCluster::run`] spawns `m` node threads, hands each its
-//! [`crate::ThreadComm`] endpoint, and collects per-rank results. The
-//! failure-injection variant simply *does not run* the dead ranks — their
-//! endpoints are dropped, so traffic addressed to them disappears and a
-//! receive from them fails with `Closed`, exactly as a closed socket
-//! does on `TcpComm`. That is the failure model of the paper's §V
-//! (crashed machines stop talking; they do not babble).
+//! [`crate::ThreadComm`] endpoint, and collects per-rank results;
+//! [`run_each`] does the same for any set of endpoints. A rank dies
+//! when its closure returns: its endpoint drops, so traffic addressed
+//! to it disappears and a receive from it fails with `Closed`, exactly
+//! as a closed socket does on `TcpComm`. A rank that is dead from the
+//! start is a closure that returns at once. That is the failure model
+//! of the paper's §V (crashed machines stop talking; they do not
+//! babble). Faults are a [`crate::ChaosComm`] the closure wraps around
+//! its endpoint. `kylix-netsim`'s `Substrate::run` is the same runner
+//! over the simulator, threads or TCP, with telemetry attached.
 
-use crate::fault::{ChaosComm, FaultPlan};
 use crate::thread_comm::ThreadComm;
-use kylix_telemetry::Telemetry;
 use std::thread;
 
 /// Run `f` on every endpoint, one scoped OS thread each; returns the
 /// results indexed by rank. A panicking node thread propagates.
-pub(crate) fn run_each<C, R, F>(comms: Vec<C>, f: F) -> Vec<R>
+pub fn run_each<C, R, F>(comms: Vec<C>, f: F) -> Vec<R>
 where
     C: Send,
     R: Send,
@@ -30,7 +32,7 @@ where
     })
 }
 
-/// Entry points for running closures as an in-process cluster.
+/// Entry point for running closures as an in-process cluster.
 pub struct LocalCluster;
 
 impl LocalCluster {
@@ -39,90 +41,13 @@ impl LocalCluster {
     ///
     /// Panics in any node thread propagate (the run is a test/bench
     /// harness; a panicking protocol is a bug, not a tolerated fault —
-    /// tolerated faults are injected with [`LocalCluster::run_with_failures`]).
+    /// tolerated faults are a [`crate::ChaosComm`] inside `f`).
     pub fn run<R, F>(m: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(ThreadComm) -> R + Sync,
     {
         run_each(ThreadComm::make_cluster(m), f)
-    }
-
-    /// [`LocalCluster::run`] with a telemetry instance attached: each
-    /// rank's endpoint records sends, deliveries, and stash parks into
-    /// `tel.rank(r)` (wall-clock flavour — pair with
-    /// `Telemetry::new(m, Clock::Wall)`).
-    pub fn run_with_telemetry<R, F>(m: usize, tel: &Telemetry, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(ThreadComm) -> R + Sync,
-    {
-        run_each(ThreadComm::make_cluster_with_telemetry(m, tel), f)
-    }
-
-    /// Run every rank behind a [`ChaosComm`] applying `plan` — lossy
-    /// links, duplicates, corruption, delays, and mid-run crashes, all
-    /// deterministic in the plan's seed. Unlike
-    /// [`LocalCluster::run_with_failures`], crashed ranks *do* run
-    /// until their crash event fires. The crash drops the rank's
-    /// endpoint, so its peers see it closed at once, as if its closure
-    /// had returned, while the closure itself runs on and gets
-    /// `CommError::Crashed` from every later receive.
-    pub fn run_with_faults<R, F>(m: usize, plan: &FaultPlan, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(ChaosComm<ThreadComm>) -> R + Sync,
-    {
-        run_each(ThreadComm::make_cluster(m), |c| {
-            f(ChaosComm::new(c, plan.clone()))
-        })
-    }
-
-    /// [`LocalCluster::run_with_faults`] with telemetry attached: the
-    /// underlying endpoints count real wire traffic (post-fault), and
-    /// the chaos/reliable wrappers stacked above record their own
-    /// counters into the same per-rank shards.
-    pub fn run_with_faults_telemetry<R, F>(
-        m: usize,
-        plan: &FaultPlan,
-        tel: &Telemetry,
-        f: F,
-    ) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(ChaosComm<ThreadComm>) -> R + Sync,
-    {
-        run_each(ThreadComm::make_cluster_with_telemetry(m, tel), |c| {
-            f(ChaosComm::new(c, plan.clone()))
-        })
-    }
-
-    /// Run with the given ranks dead from the start. Dead ranks yield
-    /// `None`; their endpoints are dropped so messages to them vanish
-    /// and receives from them fail with `Closed`.
-    pub fn run_with_failures<R, F>(m: usize, dead: &[usize], f: F) -> Vec<Option<R>>
-    where
-        R: Send,
-        F: Fn(ThreadComm) -> R + Sync,
-    {
-        let comms = ThreadComm::make_cluster(m);
-        thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .enumerate()
-                .map(|(rank, comm)| {
-                    if dead.contains(&rank) {
-                        None
-                    } else {
-                        Some(s.spawn(|| f(comm)))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("node thread panicked")))
-                .collect()
-        })
     }
 }
 
@@ -156,11 +81,15 @@ mod tests {
 
     #[test]
     fn failures_leave_none_and_alive_proceed() {
-        let out = LocalCluster::run_with_failures(4, &[2], |mut c| {
-            // Everyone (alive) sends to rank 2; nobody waits on it.
+        let out = LocalCluster::run(4, |mut c| {
+            // Rank 2 is dead from the start; everyone alive sends to it,
+            // and nobody waits on it.
+            if c.rank() == 2 {
+                return None;
+            }
             let t = Tag::new(Phase::App, 0, 0);
             c.send(2, t, Bytes::from_static(b"hello?"));
-            c.rank()
+            Some(c.rank())
         });
         assert_eq!(out[0], Some(0));
         assert_eq!(out[1], Some(1));
@@ -175,13 +104,15 @@ mod tests {
     }
 
     #[test]
-    fn run_with_faults_crashes_mid_protocol() {
+    fn chaos_crash_mid_protocol() {
         use crate::comm::CommError;
+        use crate::fault::{ChaosComm, FaultPlan};
         use std::time::Duration;
         // Rank 1 crashes on its second comm operation: its first send
         // lands, its second does not, and every rank keeps running.
         let plan = FaultPlan::new(11).crash_after_ops(1, 2);
-        let out = LocalCluster::run_with_faults(3, &plan, |mut c| {
+        let out = LocalCluster::run(3, |c| {
+            let mut c = ChaosComm::new(c, plan.clone());
             let t = Tag::new(Phase::App, 0, 0);
             let t2 = Tag::new(Phase::App, 0, 1);
             c.send(2, t, Bytes::from(vec![c.rank() as u8]));

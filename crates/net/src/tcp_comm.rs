@@ -36,7 +36,6 @@
 //! [`CommError::Corrupt`](crate::CommError::Corrupt).
 
 use crate::channel::Sender;
-use crate::cluster::run_each;
 use crate::endpoint::{build_cluster, Endpoint, Event, Link};
 use crate::frame::{read_frame, write_frame};
 use crate::tag::Tag;
@@ -96,12 +95,10 @@ impl Link for SocketLink {
     }
 }
 
-/// Entry points for building and running loopback-TCP clusters.
-///
-/// Mirrors [`crate::LocalCluster`]: `run*` spawns one OS thread per
-/// rank, hands each its [`TcpComm`] endpoint, and collects per-rank
-/// results; `make_cluster*` returns the endpoints for callers that
-/// manage their own threads.
+/// Builds loopback-TCP clusters: `make_cluster*` returns the endpoints,
+/// one per rank, for the caller to run — [`crate::cluster::run_each`]
+/// runs a closure on each, one OS thread per rank, and
+/// `kylix-netsim`'s `Substrate::Tcp` does so with telemetry attached.
 pub struct TcpCluster;
 
 impl TcpCluster {
@@ -118,40 +115,6 @@ impl TcpCluster {
     /// `Telemetry::new(m, Clock::Wall)`).
     pub fn make_cluster_with_telemetry(m: usize, tel: &Telemetry) -> Vec<TcpComm> {
         build_cluster(m, Some(tel), socket_links)
-    }
-
-    /// Run `f(rank's comm)` on `m` concurrent node threads over real
-    /// loopback sockets; returns each rank's result, indexed by rank.
-    pub fn run<R, F>(m: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(TcpComm) -> R + Sync,
-    {
-        run_each(Self::make_cluster(m), f)
-    }
-
-    /// [`TcpCluster::run`] with a telemetry instance attached.
-    pub fn run_with_telemetry<R, F>(m: usize, tel: &Telemetry, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(TcpComm) -> R + Sync,
-    {
-        run_each(Self::make_cluster_with_telemetry(m, tel), f)
-    }
-
-    /// Run every rank behind a [`crate::ChaosComm`] applying `plan` —
-    /// seeded drop/dup/corrupt/delay and mid-run crashes injected
-    /// *above* the real sockets, exactly as
-    /// [`crate::LocalCluster::run_with_faults`] injects them above the
-    /// in-process channels.
-    pub fn run_with_faults<R, F>(m: usize, plan: &crate::fault::FaultPlan, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(crate::fault::ChaosComm<TcpComm>) -> R + Sync,
-    {
-        run_each(Self::make_cluster(m), |c| {
-            f(crate::fault::ChaosComm::new(c, plan.clone()))
-        })
     }
 }
 
@@ -486,7 +449,7 @@ mod tests {
 
     #[test]
     fn cluster_runner_collects_in_rank_order() {
-        let out = TcpCluster::run(5, |c| c.rank() * 10);
+        let out = crate::cluster::run_each(TcpCluster::make_cluster(5), |c| c.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40]);
     }
 }

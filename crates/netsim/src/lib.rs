@@ -37,15 +37,20 @@
 //! Modules:
 //! * [`nic`] — the LogGP-style NIC/link cost model and EC2 presets.
 //! * [`simcomm`] — [`simcomm::SimComm`] (implements `Comm`) and
-//!   [`simcomm::SimCluster`] (thread-per-node runner with failure
-//!   injection). Every count a run makes, and the message events of a
-//!   traced run, land in the cluster's `kylix_telemetry` instance.
+//!   [`simcomm::SimCluster`] (thread-per-node runner). Every count a
+//!   run makes, and the message events of a traced run, land in the
+//!   cluster's `kylix_telemetry` instance.
+//! * [`substrate`] — [`Substrate`], the one runner over the simulator,
+//!   in-process threads and loopback TCP, and [`AnyComm`], the endpoint
+//!   its closure gets on any of them.
 //! * [`throughput`] — effective-throughput curves (Fig. 2) both closed
 //!   form and measured through the simulator.
 
 pub mod nic;
 pub mod simcomm;
+pub mod substrate;
 pub mod throughput;
 
 pub use nic::NicModel;
 pub use simcomm::{SimCluster, SimComm};
+pub use substrate::{AnyComm, Substrate};

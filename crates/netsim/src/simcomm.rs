@@ -41,11 +41,12 @@
 //! a receiver in order, so the `Eof` lands after the rank's last message
 //! (fail-stop: it stops talking, it does not babble), and a receiver
 //! knows a peer is dead exactly when it has drained that `Eof`. A rank
-//! dies when its closure returns, when it is listed dead from the start
-//! ([`SimCluster::failures`]: the cluster drops its endpoint before any
-//! rank runs), or when a `kylix_net::ChaosComm` wrapped around it
+//! dies when its closure returns (one that is dead from the start
+//! returns at once), or when a `kylix_net::ChaosComm` wrapped around it
 //! crashes — the wrapper drops its `SimComm` the first time the rank
 //! touches it at or after the crash time, a deterministic point in
+//! virtual time. Either way the race below waits for every candidate
+//! to deliver or close, so when in real time an `Eof` lands moves no
 //! virtual time.
 //!
 //! A selective `recv` from a dead rank fails with `CommError::Closed`
@@ -59,6 +60,7 @@
 use crate::nic::NicModel;
 use bytes::Bytes;
 use kylix_net::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use kylix_net::cluster::run_each;
 use kylix_net::{Comm, CommError, Mailbox, RawComm, RawMessage, Tag};
 use kylix_sparse::hash::mix_many;
 use kylix_telemetry::{Clock, Counter, RankTelemetry, Telemetry};
@@ -341,7 +343,6 @@ pub struct SimCluster {
     m: usize,
     nic: NicModel,
     seed: u64,
-    dead: Vec<usize>,
     telemetry: Arc<Telemetry>,
     slowdowns: Vec<(usize, f64)>,
 }
@@ -354,7 +355,6 @@ impl SimCluster {
             m,
             nic,
             seed: 0,
-            dead: Vec::new(),
             telemetry: Telemetry::new(m, Clock::Virtual),
             slowdowns: Vec::new(),
         }
@@ -388,23 +388,16 @@ impl SimCluster {
         self
     }
 
-    /// Mark ranks dead from the start: their endpoints drop before any
-    /// rank runs. A mid-run crash is a `kylix_net::ChaosComm` around
-    /// the rank's `SimComm`.
-    pub fn failures(mut self, dead: &[usize]) -> Self {
-        self.dead = dead.to_vec();
-        self
-    }
-
     /// The cluster's telemetry instance (virtual-clock flavour): every
     /// per-rank, per-phase, per-layer count of a run, and the event
-    /// ring of a [`SimCluster::traced`] one. Readable after `run`.
+    /// ring of a [`SimCluster::traced`] one. Readable after `run_all`.
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
     }
 
-    /// Run `f` on every live rank concurrently. Dead ranks yield `None`.
-    pub fn run<R, F>(&self, f: F) -> Vec<Option<R>>
+    /// Run `f` on every rank concurrently, one OS thread each; returns
+    /// the results indexed by rank.
+    pub fn run_all<R, F>(&self, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(SimComm) -> R + Sync,
@@ -417,9 +410,7 @@ impl SimCluster {
             rxs.push(rx);
         }
         let senders = Arc::new(txs);
-        // The dead ranks' endpoints drop right here, so their `Eof`s are
-        // queued before any rank runs.
-        let comms: Vec<Option<SimComm>> = rxs
+        let comms: Vec<SimComm> = rxs
             .into_iter()
             .enumerate()
             .map(|(rank, rx)| SimComm {
@@ -442,43 +433,8 @@ impl SimCluster {
                     .find(|(r, _)| *r == rank)
                     .map_or(1.0, |(_, f)| *f),
             })
-            .map(|comm| (!self.dead.contains(&comm.rank)).then_some(comm))
             .collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| comm.map(|comm| s.spawn(|| f(comm))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("sim node panicked")))
-                .collect()
-        })
-    }
-
-    /// Run with no failures and unwrap every result.
-    pub fn run_all<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(SimComm) -> R + Sync,
-    {
-        assert!(self.dead.is_empty(), "use run() with failures");
-        self.run(f).into_iter().map(|r| r.expect("alive")).collect()
-    }
-
-    /// Convenience: the virtual makespan of a run — every rank returns
-    /// its final `now()`, and the cluster time is the maximum.
-    pub fn makespan<F>(&self, f: F) -> f64
-    where
-        F: Fn(&mut SimComm) + Sync,
-    {
-        self.run(|mut c| {
-            f(&mut c);
-            c.now()
-        })
-        .into_iter()
-        .flatten()
-        .fold(0.0, f64::max)
+        run_each(comms, f)
     }
 }
 
@@ -668,16 +624,20 @@ mod tests {
 
     #[test]
     fn dead_rank_closes_selective_recv() {
-        let cluster = SimCluster::new(2, NicModel::ideal(1e9)).failures(&[0]);
-        let out = cluster.run(|mut c| c.recv_timeout(0, t(0, 0), Duration::from_secs(5)).err());
+        let cluster = SimCluster::new(2, NicModel::ideal(1e9));
+        let out = cluster.run_all(|mut c| {
+            // Rank 0 is dead from the start.
+            (c.rank() == 1).then(|| c.recv_timeout(0, t(0, 0), Duration::from_secs(5)).err())
+        });
         assert_eq!(out[1], Some(Some(CommError::Closed)));
         assert!(out[0].is_none());
     }
 
     #[test]
     fn recv_any_skips_dead_replica() {
-        let cluster = SimCluster::new(3, NicModel::ideal(1e9)).failures(&[0]);
-        let out = cluster.run(|mut c| match c.rank() {
+        // Rank 0 is dead from the start.
+        let cluster = SimCluster::new(3, NicModel::ideal(1e9));
+        let out = cluster.run_all(|mut c| match c.rank() {
             1 => {
                 c.send(2, t(0, 0), Bytes::from_static(b"live"));
                 None
@@ -685,16 +645,17 @@ mod tests {
             2 => Some(c.recv_any(&[0, 1], t(0, 0)).unwrap().0),
             _ => None,
         });
-        assert_eq!(out[2], Some(Some(1)));
+        assert_eq!(out[2], Some(1));
     }
 
     #[test]
     fn recv_any_is_closed_when_all_sources_dead() {
-        let cluster = SimCluster::new(3, NicModel::ideal(1e9)).failures(&[0, 1]);
-        let out = cluster.run(|mut c| {
+        // Ranks 0 and 1 are dead from the start.
+        let cluster = SimCluster::new(3, NicModel::ideal(1e9));
+        let out = cluster.run_all(|mut c| {
             (c.rank() == 2).then(|| c.recv_any_timeout(&[0, 1], t(0, 0), Duration::from_secs(5)))
         });
-        assert_eq!(out[2], Some(Some(Err(CommError::Closed))));
+        assert_eq!(out[2], Some(Err(CommError::Closed)));
     }
 
     #[test]
@@ -840,14 +801,5 @@ mod tests {
         // Untraced clusters keep no ring.
         let plain = SimCluster::new(1, nic);
         assert!(!plain.telemetry().rank(0).tracing());
-    }
-
-    #[test]
-    fn makespan_is_max_over_nodes() {
-        let cluster = SimCluster::new(3, NicModel::ideal(1e9));
-        let span = cluster.makespan(|c| {
-            c.charge_compute(c.rank() as f64);
-        });
-        assert_eq!(span, 2.0);
     }
 }

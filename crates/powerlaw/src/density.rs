@@ -160,12 +160,6 @@ impl DensityModel {
         }
         out
     }
-
-    /// Expected per-neighbour message size, in elements, for communication
-    /// layer `t+1` when node layer `t` data is split `d` ways.
-    pub fn message_elems(&self, pred: &LayerPrediction, d: usize) -> f64 {
-        pred.elems_per_node / d as f64
-    }
 }
 
 #[cfg(test)]
@@ -263,17 +257,6 @@ mod tests {
                 "per-node volume must shrink downward (power-law collapse)"
             );
         }
-    }
-
-    #[test]
-    fn message_elems_divides_by_degree() {
-        let m = DensityModel::new(1000, 1.0);
-        let p = LayerPrediction {
-            aggregated: 1,
-            density: 0.5,
-            elems_per_node: 500.0,
-        };
-        assert_eq!(m.message_elems(&p, 4), 125.0);
     }
 
     #[test]

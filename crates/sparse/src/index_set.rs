@@ -120,11 +120,6 @@ impl IndexSet {
         self.keys.binary_search(&key).ok()
     }
 
-    /// Does the set contain the feature index?
-    pub fn contains_index(&self, index: u64) -> bool {
-        self.position(Key::new(index)).is_some()
-    }
-
     /// The position range `[start, end)` of keys whose hash lies in `range`.
     pub fn span_of(&self, range: &HashRange) -> std::ops::Range<usize> {
         let start = self
@@ -328,9 +323,9 @@ mod tests {
     fn contains_and_position() {
         let s = IndexSet::from_indices(0..100u64);
         for i in 0..100 {
-            assert!(s.contains_index(i));
+            assert!(s.position(Key::new(i)).is_some());
         }
-        assert!(!s.contains_index(100));
+        assert_eq!(s.position(Key::new(100)), None);
         for (p, k) in s.keys().iter().enumerate() {
             assert_eq!(s.position(*k), Some(p));
         }

@@ -302,11 +302,6 @@ impl RankTelemetry {
         self.op_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Number of timed operations recorded so far.
-    pub fn op_count(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
-    }
-
     /// Summed duration of all timed operations, in nanoseconds.
     pub fn op_nanos(&self) -> u64 {
         self.op_nanos.load(Ordering::Relaxed)
@@ -651,9 +646,9 @@ mod tests {
         t.record_op(3);
         t.record_op(3);
         t.record_op(1024);
-        assert_eq!(t.op_count(), 3);
         assert_eq!(t.op_nanos(), 1030);
         let snap = t.snapshot();
+        assert_eq!(snap.ops, 3);
         assert_eq!(snap.hist[2], 2);
         assert_eq!(snap.hist[11], 1);
         assert_eq!(snap.hist.iter().sum::<u64>(), 3);

@@ -2,7 +2,7 @@
 //! TCP sockets**: every inter-rank message leaves the process through
 //! the OS network stack as a length-prefixed frame and comes back in.
 //!
-//! Nothing about the protocol code changes — the cluster constructor is
+//! Nothing about the protocol code changes — the `Substrate` value is
 //! the only difference from the in-process version, which is the whole
 //! point of the substrate abstraction: code developed against
 //! `LocalCluster` deploys onto sockets untouched. Run with:
@@ -12,8 +12,9 @@
 //! ```
 
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry};
-use kylix_net::{Comm, TcpCluster};
+use kylix_net::telemetry::Counter;
+use kylix_net::Comm;
+use kylix_netsim::Substrate;
 use kylix_sparse::SumReducer;
 
 fn main() {
@@ -28,8 +29,7 @@ fn main() {
 
     // Telemetry rides along unchanged too; afterwards it shows how many
     // payload bytes actually crossed the sockets.
-    let tel = Telemetry::new(m, Clock::Wall);
-    let results = TcpCluster::run_with_telemetry(m, &tel, |mut comm| {
+    let (results, tel) = Substrate::Tcp.run(m, |mut comm| {
         let me = comm.rank() as u64;
         let kylix = Kylix::new(NetworkPlan::new(&[4, 2]));
 

@@ -11,8 +11,7 @@ use kylix_apps::diameter::distributed_diameter;
 use kylix_apps::eigen::{power_iteration, power_iteration_reference};
 use kylix_apps::sgd::{sgd_reference, Example, SgdWorker};
 use kylix_apps::{distributed_pagerank, PageRankConfig};
-use kylix_net::TcpCluster;
-use kylix_netsim::{NicModel, SimCluster};
+use kylix_netsim::{NicModel, SimCluster, Substrate};
 use kylix_powerlaw::{Csr, EdgeList, Zipf};
 use kylix_sparse::{mix_many, Xoshiro256};
 
@@ -54,15 +53,17 @@ fn bfs_replicated_with_failure_matches_reference() {
     let g = EdgeList::power_law(n, 700, 1.0, 1.0, 23);
     let expected = bfs_reference(n, &g.edges, 1);
     let parts = split_edges(&g.edges, 4);
-    // 8 physical = 4 logical x 2; one replica dead.
-    let cluster = SimCluster::new(8, NicModel::ec2_10g())
-        .seed(2)
-        .failures(&[5]);
-    let results = cluster.run(|comm| {
+    // 8 physical = 4 logical x 2; one replica, physical 5, is dead from
+    // the start.
+    let cluster = SimCluster::new(8, NicModel::ec2_10g()).seed(2);
+    let results = cluster.run_all(|comm| {
+        if kylix_net::Comm::rank(&comm) == 5 {
+            return None;
+        }
         let mut rc = ReplicatedComm::new(comm, 2);
         let me = kylix_net::Comm::rank(&rc);
         let kylix = Kylix::new(NetworkPlan::new(&[2, 2]));
-        distributed_bfs(&mut rc, &kylix, &parts[me], 1, 64).unwrap()
+        Some(distributed_bfs(&mut rc, &kylix, &parts[me], 1, 64).unwrap())
     });
     let mut checked = 0;
     for (phys, res) in results.iter().enumerate() {
@@ -139,7 +140,7 @@ fn pagerank_over_tcp_loopback_matches_reference() {
     };
     let expected = Csr::from_edges(n, &g.edges).pagerank_reference(iters, 0.85);
     let parts = split_edges(&g.edges, 4);
-    let outcomes = TcpCluster::run(4, |mut comm| {
+    let (outcomes, _) = Substrate::Tcp.run(4, |mut comm| {
         let me = kylix_net::Comm::rank(&comm);
         let kylix = Kylix::new(NetworkPlan::new(&[2, 2]));
         distributed_pagerank(&mut comm, &kylix, n, &parts[me], &cfg).unwrap()

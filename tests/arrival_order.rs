@@ -15,7 +15,7 @@
 //!   correctly without leaking receive-stash entries.
 
 use kylix::{reference_allreduce, Kylix, NetworkPlan, NodeContribution, RecvOrder};
-use kylix_net::{Comm, FaultPlan, LocalCluster, ReliableComm};
+use kylix_net::{ChaosComm, Comm, FaultPlan, LocalCluster, ReliableComm};
 use kylix_netsim::{NicModel, SimCluster};
 use kylix_sparse::{SumReducer, Xoshiro256};
 
@@ -174,8 +174,8 @@ fn pooled_reduces_under_chaos_keep_the_stash_clean() {
     let expected = reference_allreduce(&nodes, SumReducer);
     let plan = NetworkPlan::new(&DEGREES);
     let faults = FaultPlan::new(61).duplicate_rate(0.15).delay_rate(0.1);
-    let out = LocalCluster::run_with_faults(M, &faults, |chaos| {
-        let mut comm = ReliableComm::new(chaos);
+    let out = LocalCluster::run(M, |c| {
+        let mut comm = ReliableComm::new(ChaosComm::new(c, faults.clone()));
         let me = comm.rank();
         let kylix = Kylix::new(plan.clone());
         let mut state = kylix

@@ -1,10 +1,10 @@
 //! Whole-pipeline integration tests: dataset generation → network
-//! design → application → validation, across both execution substrates.
+//! design → application → validation, across the execution substrates.
 
 use kylix::{optimal_degrees, DesignInput, Kylix, NetworkPlan, ReplicatedComm};
 use kylix_apps::{distributed_pagerank, PageRankConfig};
 use kylix_net::{Comm, LocalCluster};
-use kylix_netsim::{NicModel, SimCluster};
+use kylix_netsim::{NicModel, SimCluster, Substrate};
 use kylix_powerlaw::{Csr, DatasetSpec, DensityModel};
 
 /// Generate → design → run → validate: the full user journey.
@@ -48,7 +48,8 @@ fn designed_network_runs_pagerank_correctly() {
     assert!(checked > 1000, "only {checked} ranks validated");
 }
 
-/// The same PageRank on the simulator produces identical ranks and a
+/// The same PageRank on every substrate produces identical ranks — the
+/// simulator's match the thread cluster's and the TCP cluster's — and a
 /// physically sensible makespan.
 #[test]
 fn simulated_pagerank_matches_thread_pagerank() {
@@ -62,34 +63,31 @@ fn simulated_pagerank_matches_thread_pagerank() {
         iterations: 4,
         compute_per_edge: 1e-9,
     };
-    let on_threads: Vec<Vec<(u64, f64)>> = LocalCluster::run(m, |mut comm| {
-        let me = comm.rank();
-        distributed_pagerank(
-            &mut comm,
-            &Kylix::new(plan.clone()),
-            spec.n_vertices,
-            &parts[me].edges,
-            &cfg,
-        )
-        .unwrap()
-        .ranks
-    });
-    let cluster = SimCluster::new(m, NicModel::ec2_10g()).seed(9);
-    let on_sim: Vec<(Vec<(u64, f64)>, f64)> = cluster.run_all(|mut comm| {
-        let me = comm.rank();
-        let out = distributed_pagerank(
-            &mut comm,
-            &Kylix::new(plan.clone()),
-            spec.n_vertices,
-            &parts[me].edges,
-            &cfg,
-        )
-        .unwrap();
-        (out.ranks, comm.now())
-    });
-    for (t, (s, makespan)) in on_threads.iter().zip(&on_sim) {
-        assert_eq!(t, s, "results must be identical across substrates");
-        assert!(*makespan > 0.0 && *makespan < 60.0, "makespan {makespan}");
+    let mut first: Option<(Substrate, Vec<_>)> = None;
+    for s in Substrate::all(NicModel::ec2_10g(), 9) {
+        let (out, _) = s.run(m, |mut comm| {
+            let me = comm.rank();
+            let out = distributed_pagerank(
+                &mut comm,
+                &Kylix::new(plan.clone()),
+                spec.n_vertices,
+                &parts[me].edges,
+                &cfg,
+            )
+            .unwrap();
+            (out.ranks, comm.now())
+        });
+        for (rank, (_, makespan)) in out.iter().enumerate() {
+            assert!(
+                *makespan > 0.0 && *makespan < 60.0,
+                "{s} rank {rank}: makespan {makespan}"
+            );
+        }
+        let ranks: Vec<_> = out.into_iter().map(|(r, _)| r).collect();
+        match &first {
+            None => first = Some((s, ranks)),
+            Some((s0, r0)) => assert_eq!(&ranks, r0, "{s}: results must be identical to {s0}'s"),
+        }
     }
 }
 
@@ -107,22 +105,23 @@ fn replicated_pagerank_survives_failures_on_simulator() {
         compute_per_edge: 0.0,
     };
     let expected = Csr::from_edges(n, &graph.edges).pagerank_reference(iters, 0.85);
-    // 8 physical = 4 logical x 2; kill one replica of logical 2.
-    let cluster = SimCluster::new(8, NicModel::ec2_10g())
-        .seed(11)
-        .failures(&[6]);
-    let outcomes = cluster.run(|comm| {
+    // 8 physical = 4 logical x 2; one replica of logical 2, physical 6,
+    // is dead from the start.
+    let cluster = SimCluster::new(8, NicModel::ec2_10g()).seed(11);
+    let outcomes = cluster.run_all(|comm| {
+        if comm.rank() == 6 {
+            return None;
+        }
         let mut rc = ReplicatedComm::new(comm, 2);
         let me = rc.rank();
-        distributed_pagerank(
+        let out = distributed_pagerank(
             &mut rc,
             &Kylix::new(NetworkPlan::new(&[2, 2])),
             n,
             &parts[me].edges,
             &cfg,
-        )
-        .unwrap()
-        .ranks
+        );
+        Some(out.unwrap().ranks)
     });
     let mut checked = 0;
     for (phys, ranks) in outcomes.iter().enumerate() {

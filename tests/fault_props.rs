@@ -10,7 +10,7 @@
 use kylix::{
     reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
 };
-use kylix_net::{Comm, FaultPlan, LocalCluster, PatienceComm};
+use kylix_net::{ChaosComm, Comm, FaultPlan, LocalCluster, PatienceComm};
 use kylix_sparse::{SumReducer, Xoshiro256};
 use std::time::{Duration, Instant};
 
@@ -54,8 +54,8 @@ fn check_survivable(seed: u64, kill_mask: u8, ops_budget: u64) -> Result<(), Str
             killed.push(rank);
         }
     }
-    let got = LocalCluster::run_with_faults(2 * M_LOGICAL, &faults, |chaos| {
-        let mut rc = ReplicatedComm::new(chaos, 2);
+    let got = LocalCluster::run(2 * M_LOGICAL, |c| {
+        let mut rc = ReplicatedComm::new(ChaosComm::new(c, faults.clone()), 2);
         let me = rc.rank();
         Kylix::new(plan.clone())
             .allreduce_combined(
@@ -100,8 +100,8 @@ fn check_group_death(seed: u64, group: usize, ops_budget: u64) -> Result<(), Str
         .crash_after_ops(group, ops_budget)
         .crash_after_ops(group + M_LOGICAL, ops_budget + 1);
     let start = Instant::now();
-    let got = LocalCluster::run_with_faults(2 * M_LOGICAL, &faults, |chaos| {
-        let patient = PatienceComm::new(chaos, PATIENCE);
+    let got = LocalCluster::run(2 * M_LOGICAL, |c| {
+        let patient = PatienceComm::new(ChaosComm::new(c, faults.clone()), PATIENCE);
         let mut rc = ReplicatedComm::new(patient, 2);
         let me = rc.rank();
         Kylix::new(plan.clone())

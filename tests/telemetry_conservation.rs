@@ -15,8 +15,9 @@
 
 use bytes::Bytes;
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry, SELF_PHASE};
-use kylix_net::{Comm, FaultPlan, LinkFaults, LocalCluster, Phase, ReliableComm, Tag};
+use kylix_net::telemetry::{Counter, SELF_PHASE};
+use kylix_net::{ChaosComm, Comm, FaultPlan, LinkFaults, Phase, ReliableComm, Tag};
+use kylix_netsim::Substrate;
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::SumReducer;
 
@@ -33,8 +34,7 @@ fn fault_free_collective_conserves_messages() {
     let m = 8;
     let plan = NetworkPlan::new(&[4, 2]);
     let idx = workload(m, 4096, 0.3, 9);
-    let tel = Telemetry::new(m, Clock::Wall);
-    LocalCluster::run_with_telemetry(m, &tel, |mut comm| {
+    let (_, tel) = Substrate::Thread.run(m, |mut comm| {
         let me = comm.rank();
         let kylix = Kylix::new(plan.clone());
         let mut state = kylix.configure(&mut comm, &idx[me], &idx[me], 0).unwrap();
@@ -71,8 +71,8 @@ fn fault_free_collective_conserves_messages() {
 /// Messages streamed rank 0 → rank 1 in the lossy-link harness.
 const STREAM_LEN: u64 = 50;
 
-/// Two ranks over `ReliableComm<ChaosComm<ThreadComm>>` with a
-/// one-directional drop + duplicate plan on the data link. After both
+/// Two ranks over `ReliableComm<ChaosComm<_>>` on the thread substrate,
+/// with a one-directional drop + duplicate plan on the data link. After both
 /// sides drain, the ledger must balance:
 ///
 /// * wire identity (exact): thread-level messages sent == logical sends
@@ -97,9 +97,8 @@ fn lossy_link_ledger_balances() {
             ..LinkFaults::none()
         },
     );
-    let tel = Telemetry::new(m, Clock::Wall);
-    let received = LocalCluster::run_with_faults_telemetry(m, &faults, &tel, |chaos| {
-        let mut comm = ReliableComm::new(chaos);
+    let (received, tel) = Substrate::Thread.run(m, |c| {
+        let mut comm = ReliableComm::new(ChaosComm::new(c, faults.clone()));
         let me = comm.rank();
         let mut got = Vec::new();
         if me == 0 {

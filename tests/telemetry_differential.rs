@@ -1,7 +1,8 @@
 //! Cross-substrate telemetry differential tests.
 //!
-//! The same plan and seed, run on the virtual-time simulator, the real
-//! thread cluster, and the loopback-TCP cluster, must produce
+//! The same plan and seed, run on every `Substrate` — the virtual-time
+//! simulator, the real thread cluster, and the loopback-TCP cluster —
+//! must produce
 //! **identical** per-rank, per-`(phase, layer)` send-side counters —
 //! bytes sent, messages sent, and the self-addressed volumes the reduce
 //! hot path records — and **bit-identical** reduction results. Send
@@ -20,9 +21,9 @@
 use std::collections::BTreeMap;
 
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry, TelemetryReport};
-use kylix_net::{Comm, LocalCluster, TcpCluster};
-use kylix_netsim::{NicModel, SimCluster};
+use kylix_net::telemetry::{Counter, TelemetryReport};
+use kylix_net::Comm;
+use kylix_netsim::{NicModel, Substrate};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::SumReducer;
 
@@ -35,13 +36,6 @@ fn workload(m: usize, n: u64, density: f64, seed: u64) -> Vec<Vec<u64>> {
 /// Send-side counters per rank: `(phase, layer)` → (bytes sent, msgs
 /// sent, self bytes, self msgs), zero rows dropped.
 type SendSide = Vec<BTreeMap<(u8, u16), (u64, u64, u64, u64)>>;
-
-/// One substrate's outcome: send-side counters plus each rank's reduced
-/// values as raw bits (exact equality, no float tolerance).
-struct Outcome {
-    send: SendSide,
-    reduced_bits: Vec<Vec<u64>>,
-}
 
 fn send_side(rep: &TelemetryReport) -> SendSide {
     rep.ranks
@@ -68,75 +62,53 @@ fn to_bits(vals: Vec<f64>) -> Vec<u64> {
     vals.into_iter().map(f64::to_bits).collect()
 }
 
-/// One rank's work, identical on every substrate: configure the
-/// butterfly, reduce once, return the reduced values as raw bits.
-fn rank_body<C: Comm>(comm: &mut C, plan: &NetworkPlan, idx: &[Vec<u64>]) -> Vec<u64> {
-    let me = comm.rank();
-    let kylix = Kylix::new(plan.clone());
-    let mut state = kylix.configure(comm, &idx[me], &idx[me], 0).unwrap();
-    let vals = vec![1.0f64; idx[me].len()];
-    to_bits(state.reduce(comm, &vals, SumReducer).unwrap())
-}
-
-/// Configure + one reduce on every rank of all three substrates;
-/// returns `[sim, thread, tcp]` outcomes.
-fn run_all_substrates(degrees: &[usize], seed: u64) -> [Outcome; 3] {
+/// Configure + one reduce on every rank of every substrate, the
+/// workload and the simulator's jitter both seeded by `seed`: each
+/// substrate's send-side counters and reduced bits must equal the
+/// simulator's.
+fn assert_identical(degrees: &[usize], seed: u64) {
     let plan = NetworkPlan::new(degrees);
     let m = plan.size();
     let idx = workload(m, 4096, 0.3, seed);
-
-    let sim_cluster = SimCluster::new(m, NicModel::ec2_10g()).seed(seed);
-    let sim_reduced = sim_cluster.run_all(|mut comm| rank_body(&mut comm, &plan, &idx));
-    let sim = Outcome {
-        send: send_side(&sim_cluster.telemetry().report()),
-        reduced_bits: sim_reduced,
-    };
-
-    let thread_tel = Telemetry::new(m, Clock::Wall);
-    let thread_reduced = LocalCluster::run_with_telemetry(m, &thread_tel, |mut comm| {
-        rank_body(&mut comm, &plan, &idx)
-    });
-    let thread = Outcome {
-        send: send_side(&thread_tel.report()),
-        reduced_bits: thread_reduced,
-    };
-
-    let tcp_tel = Telemetry::new(m, Clock::Wall);
-    let tcp_reduced =
-        TcpCluster::run_with_telemetry(m, &tcp_tel, |mut comm| rank_body(&mut comm, &plan, &idx));
-    let tcp = Outcome {
-        send: send_side(&tcp_tel.report()),
-        reduced_bits: tcp_reduced,
-    };
-
-    [sim, thread, tcp]
-}
-
-fn assert_identical(degrees: &[usize], seed: u64) {
-    let [sim, thread, tcp] = run_all_substrates(degrees, seed);
-    for (name, other) in [("thread", &thread), ("tcp", &tcp)] {
-        assert_eq!(sim.send.len(), other.send.len());
-        for (rank, (s, o)) in sim.send.iter().zip(&other.send).enumerate() {
+    let mut first: Option<(Substrate, SendSide, Vec<Vec<u64>>)> = None;
+    for s in Substrate::all(NicModel::ec2_10g(), seed) {
+        let (reduced_bits, tel) = s.run(m, |mut comm| {
+            let me = comm.rank();
+            let kylix = Kylix::new(plan.clone());
+            let mut state = kylix.configure(&mut comm, &idx[me], &idx[me], 0).unwrap();
+            let vals = vec![1.0f64; idx[me].len()];
+            to_bits(state.reduce(&mut comm, &vals, SumReducer).unwrap())
+        });
+        let send = send_side(&tel.report());
+        let Some((s0, send0, bits0)) = &first else {
+            // Sanity: the run actually sent something and produced
+            // reduced values.
+            let sent = send.iter().flat_map(|r| r.values()).map(|&(b, ..)| b);
+            assert!(
+                sent.sum::<u64>() > 0,
+                "{degrees:?} {s}: no traffic recorded"
+            );
+            let values = reduced_bits.iter().map(|r| r.len()).sum::<usize>();
+            assert!(values > 0, "{degrees:?} {s}: no reduced values produced");
+            first = Some((s, send, reduced_bits));
+            continue;
+        };
+        assert_eq!(
+            send0.len(),
+            send.len(),
+            "{degrees:?}: rank count ({s0} vs {s})"
+        );
+        for (rank, (a, b)) in send0.iter().zip(&send).enumerate() {
             assert_eq!(
-                s, o,
-                "{degrees:?} rank {rank}: send-side counters diverged (sim vs {name})"
+                a, b,
+                "{degrees:?} rank {rank}: send-side counters diverged ({s0} vs {s})"
             );
         }
         assert_eq!(
-            sim.reduced_bits, other.reduced_bits,
-            "{degrees:?}: reduction results not bit-identical (sim vs {name})"
+            bits0, &reduced_bits,
+            "{degrees:?}: reduction results not bit-identical ({s0} vs {s})"
         );
     }
-    // Sanity: the run actually sent something on every reduce layer.
-    let nonzero = sim
-        .send
-        .iter()
-        .flat_map(|r| r.values())
-        .map(|&(b, ..)| b)
-        .sum::<u64>();
-    assert!(nonzero > 0, "{degrees:?}: no traffic recorded");
-    let values = sim.reduced_bits.iter().map(|r| r.len()).sum::<usize>();
-    assert!(values > 0, "{degrees:?}: no reduced values produced");
 }
 
 #[test]

@@ -12,8 +12,9 @@
 
 use bytes::Bytes;
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Clock, Counter, Telemetry, SELF_PHASE};
-use kylix_net::{Comm, FaultPlan, LinkFaults, LocalCluster, Phase, ReliableComm, Tag};
+use kylix_net::telemetry::{Counter, SELF_PHASE};
+use kylix_net::{ChaosComm, Comm, FaultPlan, LinkFaults, Phase, ReliableComm, Tag};
+use kylix_netsim::Substrate;
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::{SumReducer, Xoshiro256};
 
@@ -39,8 +40,7 @@ fn fault_free_conservation() {
         let plan = NetworkPlan::new(TOPOLOGIES[seed as usize % TOPOLOGIES.len()]);
         let m = plan.size();
         let idx = workload(m, seed);
-        let tel = Telemetry::new(m, Clock::Wall);
-        LocalCluster::run_with_telemetry(m, &tel, |mut comm| {
+        let (_, tel) = Substrate::Thread.run(m, |mut comm| {
             let me = comm.rank();
             let kylix = Kylix::new(plan.clone());
             let mut state = kylix.configure(&mut comm, &idx[me], &idx[me], 0).unwrap();
@@ -86,9 +86,8 @@ fn lossy_wire_identity() {
                 ..LinkFaults::none()
             },
         );
-        let tel = Telemetry::new(2, Clock::Wall);
-        let received = LocalCluster::run_with_faults_telemetry(2, &faults, &tel, |chaos| {
-            let mut comm = ReliableComm::new(chaos);
+        let (received, tel) = Substrate::Thread.run(2, |c| {
+            let mut comm = ReliableComm::new(ChaosComm::new(c, faults.clone()));
             let me = comm.rank();
             let mut got = Vec::new();
             if me == 0 {
