@@ -38,11 +38,16 @@ fn substrates() -> [Substrate; 3] {
     Substrate::all(NicModel::ideal(1e9), 0)
 }
 
-/// `f`'s result, after asserting it returned within [`PROMPT`].
-fn promptly<T>(what: &str, f: impl FnOnce() -> T) -> T {
+/// `f`'s result and how long it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
-    let elapsed = start.elapsed();
+    (out, start.elapsed())
+}
+
+/// `f`'s result, after asserting it returned within [`PROMPT`].
+fn promptly<T>(what: &str, f: impl FnOnce() -> T) -> T {
+    let (out, elapsed) = timed(f);
     assert!(elapsed < PROMPT, "{what}: took {elapsed:?}");
     out
 }
@@ -75,41 +80,45 @@ const SILENCE: Duration = Duration::from_millis(50);
 /// Rank 2 of a 3-rank cluster whose ranks 0 and 1 are alive and say
 /// nothing (they wait in a barrier until rank 2 is done): a selective
 /// receive from each is `Timeout`, a race over both is `TimeoutAny`,
-/// and each waits out [`SILENCE`] but not much more.
+/// and each waits out [`SILENCE`] but not much more. The asserts run
+/// after the barrier, so a failing one cannot strand ranks 0 and 1.
 #[test]
 fn receive_from_silent_rank_times_out() {
     for s in substrates() {
         let done = Barrier::new(3);
-        s.run(3, |mut c| {
+        let (out, _) = s.run(3, |mut c| {
+            let mut got = Vec::new();
             if c.rank() == 2 {
                 for from in [0, 1] {
-                    let start = Instant::now();
-                    let got = promptly(&format!("{s}: selective receive"), || {
-                        c.recv_timeout(from, tag(0), SILENCE)
-                    });
-                    assert_eq!(
-                        got,
-                        Err(CommError::Timeout { from, tag: tag(0) }),
-                        "{s}: receive from rank {from}"
-                    );
-                    assert!(start.elapsed() >= SILENCE, "{s}: gave up early");
+                    got.push(timed(|| c.recv_timeout(from, tag(0), SILENCE).map(drop)));
                 }
-                let start = Instant::now();
-                let got = promptly(&format!("{s}: racing receive"), || {
-                    c.recv_any_timeout(&[0, 1], tag(0), SILENCE)
-                });
-                assert_eq!(
-                    got,
-                    Err(CommError::TimeoutAny {
-                        sources: vec![0, 1],
-                        tag: tag(0)
-                    }),
-                    "{s}: racing receive"
-                );
-                assert!(start.elapsed() >= SILENCE, "{s}: race gave up early");
+                got.push(timed(|| {
+                    c.recv_any_timeout(&[0, 1], tag(0), SILENCE).map(drop)
+                }));
             }
             done.wait();
+            got
         });
+        let want = [
+            CommError::Timeout {
+                from: 0,
+                tag: tag(0),
+            },
+            CommError::Timeout {
+                from: 1,
+                tag: tag(0),
+            },
+            CommError::TimeoutAny {
+                sources: vec![0, 1],
+                tag: tag(0),
+            },
+        ];
+        assert_eq!(out[2].len(), want.len(), "{s}: rank 2's receives");
+        for ((got, took), want) in out[2].iter().zip(want) {
+            assert!(*took >= SILENCE, "{s}: {want} gave up early");
+            assert!(*took < PROMPT, "{s}: {want} took {took:?}");
+            assert_eq!(got, &Err(want), "{s}");
+        }
     }
 }
 
@@ -147,15 +156,15 @@ fn crash_is_a_drop() {
         let done = Barrier::new(2);
         let (out, _) = s.run(2, |c| {
             let mut c = ChaosComm::new(c, FaultPlan::new(1).crash_after_ops(0, 1));
-            let start = Instant::now();
-            let got = if c.rank() == 0 {
-                c.recv(1, tag(0))
-            } else {
-                c.recv_timeout(0, tag(0), 5 * PROMPT)
-            };
-            let took = start.elapsed();
+            let out = timed(|| {
+                if c.rank() == 0 {
+                    c.recv(1, tag(0))
+                } else {
+                    c.recv_timeout(0, tag(0), 5 * PROMPT)
+                }
+            });
             done.wait();
-            (got, took)
+            out
         });
         assert_eq!(
             out[0].0,

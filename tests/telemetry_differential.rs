@@ -1,19 +1,18 @@
 //! Cross-substrate telemetry differential tests.
 //!
-//! The same plan and seed, run on every `Substrate` — the virtual-time
-//! simulator, the real thread cluster, and the loopback-TCP cluster —
-//! must produce
-//! **identical** per-rank, per-`(phase, layer)` send-side counters —
-//! bytes sent, messages sent, and the self-addressed volumes the reduce
-//! hot path records — and **bit-identical** reduction results. Send
-//! counts are fixed by the routing tables and reduction values by the
-//! deterministic arrival-order-independent reducers, so any divergence
-//! means one substrate's accounting or delivery drifted. Timing and
-//! receive-side stash behaviour are deliberately excluded — virtual and
-//! wall clocks cannot agree, and each substrate parks a different set
-//! of arrivals (the simulator parks everything, the thread and TCP
-//! clusters only out-of-order traffic, with real-socket interleaving
-//! differing from channel interleaving run to run).
+//! The same plan and seed, run on every `Substrate` (the virtual-time
+//! simulator, the real thread cluster, and the loopback-TCP cluster),
+//! must produce **identical** per-rank, per-`(phase, layer)` send-side
+//! counters — bytes sent, messages sent, and the self-addressed volumes
+//! the reduce hot path records — and **bit-identical** reduction
+//! results. Send counts are fixed by the routing tables and reduction
+//! values by the deterministic arrival-order-independent reducers, so
+//! any divergence means one substrate's accounting or delivery drifted.
+//! Timing and receive-side stash behaviour are deliberately excluded —
+//! virtual and wall clocks cannot agree, and each substrate parks a
+//! different set of arrivals (the simulator parks everything, the
+//! thread and TCP clusters only out-of-order traffic, with real-socket
+//! interleaving differing from channel interleaving run to run).
 //!
 //! Three topologies, including the heterogeneous-degree butterfly
 //! `4×3×2` where every layer has a different group size.
