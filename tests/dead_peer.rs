@@ -2,8 +2,9 @@
 //!
 //! The error matrix — {dead peer, silent live peer, corrupt payload} on
 //! {sim, thread, TCP} — with one `CommError` variant per row, and no
-//! cell taking a second of wall time. Each case is one body run on
-//! every [`Substrate`]:
+//! cell taking a second of wall time. Each case is one body taking a
+//! [`Substrate`], run as one test per substrate (`sim_*`, `thread_*`,
+//! `tcp_*`):
 //!
 //! * A receive from a rank that is gone — its closure returned, or a
 //!   `ChaosComm` crashed it — fails with `CommError::Closed` as soon as
@@ -33,9 +34,30 @@ fn tag(seq: u32) -> Tag {
     Tag::new(Phase::App, 0, seq)
 }
 
-/// Every substrate; the simulator's has no jitter.
-fn substrates() -> [Substrate; 3] {
-    Substrate::all(NicModel::ideal(1e9), 0)
+/// The simulator, with no jitter.
+fn sim() -> Substrate {
+    Substrate::Sim {
+        nic: NicModel::ideal(1e9),
+        seed: 0,
+    }
+}
+
+/// One test per substrate, each running the case body `$case` there.
+macro_rules! on_every_substrate {
+    ($case:ident: $sim:ident, $thread:ident, $tcp:ident) => {
+        #[test]
+        fn $sim() {
+            $case(sim());
+        }
+        #[test]
+        fn $thread() {
+            $case(Substrate::Thread);
+        }
+        #[test]
+        fn $tcp() {
+            $case(Substrate::Tcp);
+        }
+    };
 }
 
 /// `f`'s result and how long it took.
@@ -55,24 +77,28 @@ fn promptly<T>(what: &str, f: impl FnOnce() -> T) -> T {
 /// Rank 2 of a 3-rank cluster whose ranks 0 and 1 are dead from the
 /// start: a selective receive from each and a race over both are
 /// `Closed`, promptly.
-#[test]
-fn receive_from_dead_rank_is_closed() {
-    for s in substrates() {
-        s.run(3, |mut c| {
-            if c.rank() != 2 {
-                return;
-            }
-            for from in [0, 1] {
-                let got = promptly(&format!("{s}: selective receive"), || c.recv(from, tag(0)));
-                assert_eq!(got, Err(CommError::Closed), "{s}: receive from rank {from}");
-            }
-            let got = promptly(&format!("{s}: racing receive"), || {
-                c.recv_any(&[0, 1], tag(0))
-            });
-            assert_eq!(got, Err(CommError::Closed), "{s}: racing receive");
+fn receive_from_dead_rank_is_closed(s: Substrate) {
+    s.run(3, |mut c| {
+        if c.rank() != 2 {
+            return;
+        }
+        for from in [0, 1] {
+            let got = promptly(&format!("{s}: selective receive"), || c.recv(from, tag(0)));
+            assert_eq!(got, Err(CommError::Closed), "{s}: receive from rank {from}");
+        }
+        let got = promptly(&format!("{s}: racing receive"), || {
+            c.recv_any(&[0, 1], tag(0))
         });
-    }
+        assert_eq!(got, Err(CommError::Closed), "{s}: racing receive");
+    });
 }
+
+on_every_substrate!(
+    receive_from_dead_rank_is_closed:
+    sim_receive_from_dead_rank_is_closed,
+    thread_receive_from_dropped_rank_is_closed,
+    tcp_receive_from_dropped_rank_is_closed
+);
 
 /// The explicit patience a silent live peer is given.
 const SILENCE: Duration = Duration::from_millis(50);
@@ -82,107 +108,119 @@ const SILENCE: Duration = Duration::from_millis(50);
 /// receive from each is `Timeout`, a race over both is `TimeoutAny`,
 /// and each waits out [`SILENCE`] but not much more. The asserts run
 /// after the barrier, so a failing one cannot strand ranks 0 and 1.
-#[test]
-fn receive_from_silent_rank_times_out() {
-    for s in substrates() {
-        let done = Barrier::new(3);
-        let (out, _) = s.run(3, |mut c| {
-            let mut got = Vec::new();
-            if c.rank() == 2 {
-                for from in [0, 1] {
-                    got.push(timed(|| c.recv_timeout(from, tag(0), SILENCE).map(drop)));
-                }
-                got.push(timed(|| {
-                    c.recv_any_timeout(&[0, 1], tag(0), SILENCE).map(drop)
-                }));
+fn receive_from_silent_rank_times_out(s: Substrate) {
+    let done = Barrier::new(3);
+    let (out, _) = s.run(3, |mut c| {
+        let mut got = Vec::new();
+        if c.rank() == 2 {
+            for from in [0, 1] {
+                got.push(timed(|| c.recv_timeout(from, tag(0), SILENCE).map(drop)));
             }
-            done.wait();
-            got
-        });
-        let want = [
-            CommError::Timeout {
-                from: 0,
-                tag: tag(0),
-            },
-            CommError::Timeout {
-                from: 1,
-                tag: tag(0),
-            },
-            CommError::TimeoutAny {
-                sources: vec![0, 1],
-                tag: tag(0),
-            },
-        ];
-        assert_eq!(out[2].len(), want.len(), "{s}: rank 2's receives");
-        for ((got, took), want) in out[2].iter().zip(want) {
-            assert!(*took >= SILENCE, "{s}: {want} gave up early");
-            assert!(*took < PROMPT, "{s}: {want} took {took:?}");
-            assert_eq!(got, &Err(want), "{s}");
+            got.push(timed(|| {
+                c.recv_any_timeout(&[0, 1], tag(0), SILENCE).map(drop)
+            }));
         }
+        done.wait();
+        got
+    });
+    let want = [
+        CommError::Timeout {
+            from: 0,
+            tag: tag(0),
+        },
+        CommError::Timeout {
+            from: 1,
+            tag: tag(0),
+        },
+        CommError::TimeoutAny {
+            sources: vec![0, 1],
+            tag: tag(0),
+        },
+    ];
+    assert_eq!(out[2].len(), want.len(), "{s}: rank 2's receives");
+    for ((got, took), want) in out[2].iter().zip(want) {
+        assert!(*took >= SILENCE, "{s}: {want} gave up early");
+        assert!(*took < PROMPT, "{s}: {want} took {took:?}");
+        assert_eq!(got, &Err(want), "{s}");
     }
 }
 
+on_every_substrate!(
+    receive_from_silent_rank_times_out:
+    sim_receive_from_silent_rank_times_out,
+    thread_receive_from_silent_rank_times_out,
+    tcp_receive_from_silent_rank_times_out
+);
+
 /// Rank 0 sends two messages and returns; rank 1 still receives both,
 /// the second before the first, and only then sees `Closed`.
-#[test]
-fn message_sent_before_drop_is_delivered_first() {
-    for s in substrates() {
-        s.run(2, |mut c| {
-            if c.rank() == 0 {
-                c.send(1, tag(0), Bytes::from_static(b"first"));
-                c.send(1, tag(1), Bytes::from_static(b"last words"));
-                return;
-            }
-            let last = c.recv(0, tag(1)).unwrap();
-            assert_eq!(&last[..], b"last words", "{s}: second message");
-            let first = c.recv_any(&[0], tag(0)).unwrap().1;
-            assert_eq!(&first[..], b"first", "{s}: first message");
-            let got = promptly(&format!("{s}: receive after the last message"), || {
-                c.recv(0, tag(2))
-            });
-            assert_eq!(got, Err(CommError::Closed), "{s}: after the last message");
+fn message_sent_before_drop_is_delivered_first(s: Substrate) {
+    s.run(2, |mut c| {
+        if c.rank() == 0 {
+            c.send(1, tag(0), Bytes::from_static(b"first"));
+            c.send(1, tag(1), Bytes::from_static(b"last words"));
+            return;
+        }
+        let last = c.recv(0, tag(1)).unwrap();
+        assert_eq!(&last[..], b"last words", "{s}: second message");
+        let first = c.recv_any(&[0], tag(0)).unwrap().1;
+        assert_eq!(&first[..], b"first", "{s}: first message");
+        let got = promptly(&format!("{s}: receive after the last message"), || {
+            c.recv(0, tag(2))
         });
-    }
+        assert_eq!(got, Err(CommError::Closed), "{s}: after the last message");
+    });
 }
+
+on_every_substrate!(
+    message_sent_before_drop_is_delivered_first:
+    sim_message_sent_before_drop_is_delivered_first,
+    thread_message_sent_before_drop_is_delivered_first,
+    tcp_message_sent_before_drop_is_delivered_first
+);
 
 /// A crash is a drop. Rank 0 of a 2-rank cluster crashes on its first
 /// operation and lives on, held at a barrier until rank 1 has received
 /// from it. The crashed rank's own receive is `Crashed`, and its peer's
 /// receive from it is `Closed` within [`PROMPT`], although the crashed
 /// rank's closure has not returned.
-#[test]
-fn crash_is_a_drop() {
-    for s in substrates() {
-        let done = Barrier::new(2);
-        let (out, _) = s.run(2, |c| {
-            let mut c = ChaosComm::new(c, FaultPlan::new(1).crash_after_ops(0, 1));
-            let out = timed(|| {
-                if c.rank() == 0 {
-                    c.recv(1, tag(0))
-                } else {
-                    c.recv_timeout(0, tag(0), 5 * PROMPT)
-                }
-            });
-            done.wait();
-            out
+fn crash_is_a_drop(s: Substrate) {
+    let done = Barrier::new(2);
+    let (out, _) = s.run(2, |c| {
+        let mut c = ChaosComm::new(c, FaultPlan::new(1).crash_after_ops(0, 1));
+        let out = timed(|| {
+            if c.rank() == 0 {
+                c.recv(1, tag(0))
+            } else {
+                c.recv_timeout(0, tag(0), 5 * PROMPT)
+            }
         });
-        assert_eq!(
-            out[0].0,
-            Err(CommError::Crashed { rank: 0 }),
-            "{s}: the crashed rank's receive"
-        );
-        let (got, took) = &out[1];
-        assert_eq!(
-            got,
-            &Err(CommError::Closed),
-            "{s}: receive from the crashed rank"
-        );
-        assert!(
-            *took < PROMPT,
-            "{s}: receive from the crashed rank took {took:?}"
-        );
-    }
+        done.wait();
+        out
+    });
+    assert_eq!(
+        out[0].0,
+        Err(CommError::Crashed { rank: 0 }),
+        "{s}: the crashed rank's receive"
+    );
+    let (got, took) = &out[1];
+    assert_eq!(
+        got,
+        &Err(CommError::Closed),
+        "{s}: receive from the crashed rank"
+    );
+    assert!(
+        *took < PROMPT,
+        "{s}: receive from the crashed rank took {took:?}"
+    );
 }
+
+on_every_substrate!(
+    crash_is_a_drop:
+    sim_crash_is_a_drop,
+    thread_crash_is_a_drop,
+    tcp_crash_is_a_drop
+);
 
 const M: usize = 4;
 
@@ -212,48 +250,51 @@ fn workload(seed: u64) -> Vec<NodeContribution<u64>> {
 /// survivor returns the exact reference or `Closed`, at least one
 /// reports `Closed` (rank 0's reduce partners need its data), and the
 /// whole run takes under 5 s.
-#[test]
-fn rank_death_unwinds_survivors() {
+fn rank_death_unwinds_survivors(s: Substrate) {
     let plan = NetworkPlan::new(&[2, 2]);
-    for s in substrates() {
-        for seed in 1..=5u64 {
-            let nodes = workload(seed);
-            let expected = reference_allreduce(&nodes, SumReducer);
-            let start = Instant::now();
-            let (got, _) = s.run(M, |mut c| {
-                let me = c.rank();
-                let kylix = Kylix::new(plan.clone());
-                let state =
-                    kylix.configure(&mut c, &nodes[me].in_indices, &nodes[me].out_indices, 0);
-                if me == 0 {
-                    return None;
-                }
-                Some(state.and_then(|mut st| st.reduce(&mut c, &nodes[me].out_values, SumReducer)))
-            });
-            let elapsed = start.elapsed();
-            assert!(
-                elapsed < Duration::from_secs(5),
-                "{s} seed {seed}: survivors took {elapsed:?} to unwind"
-            );
-            assert!(got[0].is_none(), "{s}: rank 0 died");
-            let mut closed = 0;
-            for (rank, res) in got.iter().enumerate().skip(1) {
-                match res.as_ref().expect("survivors return") {
-                    Ok(v) => assert_eq!(v, &expected[rank], "{s} seed {seed} rank {rank}"),
-                    Err(KylixError::Comm {
-                        source: CommError::Closed,
-                        ..
-                    }) => closed += 1,
-                    Err(e) => panic!("{s} seed {seed} rank {rank}: expected Closed, got {e}"),
-                }
+    for seed in 1..=5u64 {
+        let nodes = workload(seed);
+        let expected = reference_allreduce(&nodes, SumReducer);
+        let start = Instant::now();
+        let (got, _) = s.run(M, |mut c| {
+            let me = c.rank();
+            let kylix = Kylix::new(plan.clone());
+            let state = kylix.configure(&mut c, &nodes[me].in_indices, &nodes[me].out_indices, 0);
+            if me == 0 {
+                return None;
             }
-            assert!(
-                closed >= 1,
-                "{s} seed {seed}: the dead rank's reduce partners must see it closed"
-            );
+            Some(state.and_then(|mut st| st.reduce(&mut c, &nodes[me].out_values, SumReducer)))
+        });
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "{s} seed {seed}: survivors took {elapsed:?} to unwind"
+        );
+        assert!(got[0].is_none(), "{s}: rank 0 died");
+        let mut closed = 0;
+        for (rank, res) in got.iter().enumerate().skip(1) {
+            match res.as_ref().expect("survivors return") {
+                Ok(v) => assert_eq!(v, &expected[rank], "{s} seed {seed} rank {rank}"),
+                Err(KylixError::Comm {
+                    source: CommError::Closed,
+                    ..
+                }) => closed += 1,
+                Err(e) => panic!("{s} seed {seed} rank {rank}: expected Closed, got {e}"),
+            }
         }
+        assert!(
+            closed >= 1,
+            "{s} seed {seed}: the dead rank's reduce partners must see it closed"
+        );
     }
 }
+
+on_every_substrate!(
+    rank_death_unwinds_survivors:
+    sim_rank_death_mid_collective_closes_survivors_fast,
+    thread_rank_death_mid_collective_closes_survivors_fast,
+    tcp_rank_death_mid_collective_closes_survivors_fast
+);
 
 /// The link whose every payload [`corrupt_one_link`] corrupts.
 const CORRUPT_SRC: usize = 1;
@@ -275,39 +316,43 @@ fn corrupt_one_link() -> FaultPlan {
 /// corrupt link reports `Corrupt` from its sender; every other rank
 /// finishes or is `Closed` by the receiver's exit. The whole run takes
 /// under [`PROMPT`].
-#[test]
-fn corrupt_payload_is_corrupt_from_its_sender() {
+fn corrupt_payload_is_corrupt_from_its_sender(s: Substrate) {
     let nodes = workload(9);
     let plan = NetworkPlan::new(&[2, 2]);
-    for s in substrates() {
-        let (got, _) = promptly(&format!("{s}: configure over a corrupt link"), || {
-            s.run(M, |c| {
-                let mut c = ChaosComm::new(c, corrupt_one_link());
-                let me = c.rank();
-                Kylix::new(plan.clone())
-                    .configure(&mut c, &nodes[me].in_indices, &nodes[me].out_indices, 0)
-                    .map(drop)
-            })
-        });
-        match &got[CORRUPT_DST] {
-            Err(KylixError::Comm {
-                source: CommError::Corrupt { from, .. },
-                ..
-            }) => assert_eq!(*from, CORRUPT_SRC, "{s}: the corrupt payload's sender"),
-            other => panic!("{s} rank {CORRUPT_DST}: expected Corrupt, got {other:?}"),
+    let (got, _) = promptly(&format!("{s}: configure over a corrupt link"), || {
+        s.run(M, |c| {
+            let mut c = ChaosComm::new(c, corrupt_one_link());
+            let me = c.rank();
+            Kylix::new(plan.clone())
+                .configure(&mut c, &nodes[me].in_indices, &nodes[me].out_indices, 0)
+                .map(drop)
+        })
+    });
+    match &got[CORRUPT_DST] {
+        Err(KylixError::Comm {
+            source: CommError::Corrupt { from, .. },
+            ..
+        }) => assert_eq!(*from, CORRUPT_SRC, "{s}: the corrupt payload's sender"),
+        other => panic!("{s} rank {CORRUPT_DST}: expected Corrupt, got {other:?}"),
+    }
+    for (rank, res) in got.iter().enumerate() {
+        if rank == CORRUPT_DST {
+            continue;
         }
-        for (rank, res) in got.iter().enumerate() {
-            if rank == CORRUPT_DST {
-                continue;
-            }
-            match res {
-                Ok(())
-                | Err(KylixError::Comm {
-                    source: CommError::Closed,
-                    ..
-                }) => {}
-                Err(e) => panic!("{s} rank {rank}: expected Ok or Closed, got {e}"),
-            }
+        match res {
+            Ok(())
+            | Err(KylixError::Comm {
+                source: CommError::Closed,
+                ..
+            }) => {}
+            Err(e) => panic!("{s} rank {rank}: expected Ok or Closed, got {e}"),
         }
     }
 }
+
+on_every_substrate!(
+    corrupt_payload_is_corrupt_from_its_sender:
+    sim_corrupt_payload_is_corrupt_from_its_sender,
+    thread_corrupt_payload_is_corrupt_from_its_sender,
+    tcp_corrupt_payload_is_corrupt_from_its_sender
+);

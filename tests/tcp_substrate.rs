@@ -1,19 +1,21 @@
-//! The real-socket substrate under protocol load.
+//! The real-socket substrate under protocol load and under abuse.
 //!
-//! Two claims pinned here, both over genuine loopback TCP (a rank's
-//! death mid-collective is one case of `dead_peer.rs`, run on every
-//! substrate):
+//! Three claims pinned here, all over genuine loopback TCP:
 //!
 //! 1. the full reliability stack composes unchanged on the new
 //!    substrate — `ReliableComm<ChaosComm<TcpComm>>` with seeded
 //!    drop/duplicate/corrupt faults still produces the exact reference
 //!    reduction;
-//! 2. a successful run tears down cleanly: every socket is closed and
+//! 2. killing a rank mid-protocol under a `PatienceComm` surfaces
+//!    `Closed`/`Timeout` on the live ranks, bounded by the configured
+//!    patience — never a hang (`dead_peer.rs` checks the same death
+//!    without a patience wrapper, on every substrate);
+//! 3. a successful run tears down cleanly: every socket is closed and
 //!    every reader thread joined when the cluster drops, in bounded
 //!    time.
 
-use kylix::{reference_allreduce, Kylix, NetworkPlan, NodeContribution};
-use kylix_net::{ChaosComm, Comm, FaultPlan, LinkFaults, ReliableComm};
+use kylix::{reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution};
+use kylix_net::{ChaosComm, Comm, CommError, FaultPlan, LinkFaults, PatienceComm, ReliableComm};
 use kylix_netsim::Substrate;
 use kylix_sparse::{SumReducer, Xoshiro256};
 use std::time::{Duration, Instant};
@@ -92,6 +94,79 @@ fn chaos_over_tcp_still_produces_reference_reduction() {
             );
         }
     }
+}
+
+/// Is this failure one a survivor of a peer death is allowed to report?
+fn is_peer_death_error(e: &KylixError) -> bool {
+    matches!(
+        e,
+        KylixError::Comm {
+            source: CommError::Closed | CommError::Timeout { .. } | CommError::TimeoutAny { .. },
+            ..
+        }
+    )
+}
+
+/// Satellite: peer death mid-collective. Rank 0 completes the
+/// configuration pass, then its closure returns and its endpoint
+/// drops — a node vanishing between protocol phases. The live ranks
+/// must all resolve (result or error) within the patience-bounded
+/// window: depended-on ranks fail with `Closed`/`Timeout`, nobody hangs
+/// out the 60 s default, and nobody reports a wrong value.
+#[test]
+fn rank_death_mid_collective_fails_live_ranks_fast() {
+    const PATIENCE: Duration = Duration::from_millis(400);
+    let seed = 5u64;
+    let plan = NetworkPlan::new(&[2, 2]);
+    let nodes = workload(seed);
+    let expected = reference_allreduce(&nodes, SumReducer);
+    let start = Instant::now();
+    let (got, _) = Substrate::Tcp.run(M, |comm| {
+        let me = comm.rank();
+        let mut patient = PatienceComm::new(comm, PATIENCE);
+        let kylix = Kylix::new(plan.clone());
+        let state = kylix.configure(
+            &mut patient,
+            &nodes[me].in_indices,
+            &nodes[me].out_indices,
+            0,
+        );
+        if me == 0 {
+            // Die between configure and reduce: drop the endpoint.
+            return None;
+        }
+        let mut state = match state {
+            Ok(s) => s,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(state.reduce(&mut patient, &nodes[me].out_values, SumReducer))
+    });
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "live ranks must unwind within the patience budget, took {elapsed:?}"
+    );
+    let mut failures = 0;
+    for (rank, res) in got.iter().enumerate() {
+        match res {
+            None => assert_eq!(rank, 0, "only rank 0 was killed"),
+            Some(Ok(v)) => assert_eq!(
+                v, &expected[rank],
+                "rank {rank}: a completing survivor must still be exact"
+            ),
+            Some(Err(e)) => {
+                assert!(
+                    is_peer_death_error(e),
+                    "rank {rank}: expected Closed/Timeout, got {e}"
+                );
+                failures += 1;
+            }
+        }
+    }
+    assert!(
+        failures >= 1,
+        "the dead rank's reduction partners must notice its death"
+    );
 }
 
 /// Satellite: clean shutdown. A fully successful collective, then the
