@@ -50,7 +50,7 @@ use kylix::{Configured, Kylix, NetworkPlan};
 use kylix_net::telemetry::Counter;
 use kylix_net::{Comm, LocalCluster, Phase, Tag};
 use kylix_netsim::Substrate;
-use kylix_sparse::vec::{gather, scatter_combine};
+use kylix_sparse::vec::scatter_combine;
 use kylix_sparse::SumReducer;
 
 const M: usize = 4;
@@ -104,11 +104,15 @@ fn old_reduce<C: Comm>(state: &mut Configured, comm: &mut C, out_values: &[f64])
         let tag = Tag::new(Phase::ReduceUp, layer as u16, seq);
         for (c, &peer) in lr.group.iter().enumerate() {
             if c != lr.my_pos {
-                comm.send(peer, tag, encode_values(&gather(&uvals, &lr.in_maps[c])));
+                let part: Vec<f64> = lr.in_maps[c].iter().map(|&p| uvals[p as usize]).collect();
+                comm.send(peer, tag, encode_values(&part));
             }
         }
         let mut prev = vec![0.0f64; lr.in_prev_len()];
-        let own = gather(&uvals, &lr.in_maps[lr.my_pos]);
+        let own: Vec<f64> = lr.in_maps[lr.my_pos]
+            .iter()
+            .map(|&p| uvals[p as usize])
+            .collect();
         prev[lr.in_spans[lr.my_pos].clone()].copy_from_slice(&own);
         for (c, &peer) in lr.group.iter().enumerate() {
             if c == lr.my_pos {

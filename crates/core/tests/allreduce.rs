@@ -8,7 +8,7 @@ use kylix::{
     reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
 };
 use kylix_net::{Comm, LocalCluster, Phase, Tag};
-use kylix_netsim::{NicModel, SimCluster};
+use kylix_netsim::{NicModel, SimCluster, Substrate};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::{BitOrReducer, IndexSet, MinReducer, SumReducer, Xoshiro256};
 
@@ -320,6 +320,99 @@ fn repeated_reduce_on_one_configuration() {
     for (g, e) in got.iter().zip(&expected) {
         for (a, b) in g.iter().zip(e) {
             assert!((a - b).abs() < 1e-9);
+        }
+    }
+}
+
+/// `reduce_into` overwrites a dirty, reused `out` on every substrate:
+/// one buffer serves three ops on each of two configurations with
+/// in-sets of different sizes, so it both shrinks and grows. The
+/// in-sets also request indices no rank contributes, which read as the
+/// identity. Quarter-valued sums are exact, so every result must be
+/// bit-equal to `reduce` and to `reference_allreduce`.
+#[test]
+fn reduce_into_overwrites_a_reused_buffer() {
+    let plan = NetworkPlan::new(&[2, 2]);
+    // Out indices lie in 0..200, so the requests at 1000 and above meet
+    // no contribution.
+    let base = random_workload(4, 200, 31);
+    let with_requests = |nodes: &[NodeContribution<f64>], extra: u64| -> Vec<_> {
+        nodes
+            .iter()
+            .enumerate()
+            .map(|(r, n)| {
+                let mut n = n.clone();
+                n.in_indices.extend([1000 + r as u64, 5000, 1000 + extra]);
+                n
+            })
+            .collect()
+    };
+    let mut long = with_requests(&base, 7);
+    for n in &mut long {
+        let again = n.in_indices.clone();
+        n.in_indices.extend(again);
+    }
+    let short: Vec<_> = with_requests(&base, 9)
+        .into_iter()
+        .map(|mut n| {
+            n.in_indices.drain(..n.in_indices.len() / 2);
+            n
+        })
+        .collect();
+    let configs = [&long, &short];
+    let ops = 3;
+    // Op `k` scales every contribution by `k + 1`.
+    let scaled = |nodes: &[NodeContribution<f64>], k: usize| -> Vec<NodeContribution<f64>> {
+        nodes
+            .iter()
+            .map(|n| NodeContribution {
+                out_values: n.out_values.iter().map(|v| v * (k + 1) as f64).collect(),
+                ..n.clone()
+            })
+            .collect()
+    };
+    for s in Substrate::all(NicModel::ec2_10g(), 3) {
+        let (got, _) = s.run(4, |mut comm| {
+            let me = comm.rank();
+            let kylix = Kylix::new(plan.clone());
+            let mut states: Vec<_> = configs
+                .iter()
+                .enumerate()
+                .map(|(i, nodes)| {
+                    let n = &nodes[me];
+                    let channel = (i as u32) << 16;
+                    kylix
+                        .configure(&mut comm, &n.in_indices, &n.out_indices, channel)
+                        .unwrap()
+                })
+                .collect();
+            let mut out = vec![f64::NAN; 3 * long[me].in_indices.len()];
+            // (config, op) -> (reduce_into result, reduce result).
+            let mut results = Vec::new();
+            for k in 0..ops {
+                for (state, nodes) in states.iter_mut().zip(configs) {
+                    let vals = &scaled(nodes, k)[me].out_values;
+                    state
+                        .reduce_into(&mut comm, vals, SumReducer, &mut out)
+                        .unwrap();
+                    let fresh = state.reduce(&mut comm, vals, SumReducer).unwrap();
+                    results.push((out.clone(), fresh));
+                }
+            }
+            results
+        });
+        for k in 0..ops {
+            for (i, nodes) in configs.iter().enumerate() {
+                let expected = reference_allreduce(&scaled(nodes, k), SumReducer);
+                for (me, rank) in got.iter().enumerate() {
+                    let (into, fresh) = &rank[k * configs.len() + i];
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let case = format!("{s} config {i} op {k} rank {me}");
+                    assert_eq!(into.len(), nodes[me].in_indices.len(), "{case}");
+                    assert_eq!(bits(into), bits(fresh), "{case}: reduce_into vs reduce");
+                    assert_eq!(bits(into), bits(&expected[me]), "{case}: vs reference");
+                }
+            }
         }
     }
 }

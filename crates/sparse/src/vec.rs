@@ -50,26 +50,17 @@ pub fn copy_from_le<V: Scalar>(dst: &mut [V], raw: &[u8]) {
     }
 }
 
-/// Gather through a position map: `out[p] = src[map[p]]`
-/// (paper's map `g`, up pass).
+/// Gather through a position map into a reused buffer:
+/// `out[p] = src[map[p]]` (paper's map `g`, up pass).
 ///
-/// Allocates per call; hot paths use [`gather_into`] instead. Kept for
-/// tests and one-shot callers.
-#[doc(hidden)]
-#[inline]
-pub fn gather<V: Copy>(src: &[V], map: &[u32]) -> Vec<V> {
-    map.iter().map(|&p| src[p as usize]).collect()
-}
-
-/// Gather into a caller-provided buffer (avoids per-message allocation in
-/// hot loops).
+/// Whatever `out` held is dropped, and on return `out.len() ==
+/// map.len()`. Its capacity is kept, so a buffer reused across ops
+/// stops allocating once it has grown to the largest map. The values are
+/// written in one `extend` over the map, not with a per-element `push`.
 #[inline]
 pub fn gather_into<V: Copy>(src: &[V], map: &[u32], out: &mut Vec<V>) {
     out.clear();
-    out.reserve(map.len());
-    for &p in map {
-        out.push(src[p as usize]);
-    }
+    out.extend(map.iter().map(|&p| src[p as usize]));
 }
 
 #[cfg(test)]
@@ -78,6 +69,7 @@ mod tests {
     use crate::index_set::IndexSet;
     use crate::merge::tree_merge;
     use crate::reducer::SumReducer;
+    use crate::Xoshiro256;
 
     #[test]
     fn scatter_gather_round_trip_through_merge() {
@@ -89,7 +81,8 @@ mod tests {
         let mut acc = vec![0.0f64; m.union.len()];
         scatter_combine(&mut acc, &[1.0, 1.0, 1.0], &m.maps[0], SumReducer);
         scatter_combine(&mut acc, &[2.0, 2.0], &m.maps[1], SumReducer);
-        let back_a = gather(&acc, &m.maps[0]);
+        let mut back_a = Vec::new();
+        gather_into(&acc, &m.maps[0], &mut back_a);
         // Positions of a = indices 1,2,3 in hash order; index 3 has 1+2.
         let idx3_pos = a.keys().iter().position(|k| k.index == 3).unwrap();
         assert_eq!(back_a[idx3_pos], 3.0);
@@ -130,5 +123,28 @@ mod tests {
         assert_eq!(buf, vec![30.0, 10.0]);
         gather_into(&src, &[1u32], &mut buf);
         assert_eq!(buf, vec![20.0]);
+    }
+
+    /// A reused `out` holding stale values, longer or shorter than the
+    /// map, ends up exactly the naive gather, whatever the map's shape.
+    #[test]
+    fn gather_into_overwrites_stale_buffer() {
+        let src: Vec<u64> = (0..97u64).map(|i| i * 7 + 1).collect();
+        let mut rng = Xoshiro256::new(5);
+        let random: Vec<u32> = (0..64).map(|_| rng.next_index(src.len()) as u32).collect();
+        let monotone: Vec<u32> = (0..src.len() as u32).step_by(3).collect();
+        for (name, map) in [
+            ("random", &random[..]),
+            ("monotone", &monotone),
+            ("empty", &[]),
+        ] {
+            let naive: Vec<u64> = map.iter().map(|&p| src[p as usize]).collect();
+            for stale_len in [0, map.len() / 2, map.len() + 40] {
+                let mut out = vec![u64::MAX; stale_len];
+                gather_into(&src, map, &mut out);
+                assert_eq!(out.len(), map.len(), "{name} map, {stale_len} stale");
+                assert_eq!(out, naive, "{name} map, {stale_len} stale");
+            }
+        }
     }
 }

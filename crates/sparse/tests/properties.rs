@@ -3,7 +3,7 @@
 
 use kylix_sparse::hash::unmix64;
 use kylix_sparse::merge::hash_union;
-use kylix_sparse::vec::{gather, scatter_combine};
+use kylix_sparse::vec::{gather_into, scatter_combine};
 use kylix_sparse::Xoshiro256;
 use kylix_sparse::{merge_union, mix64, tree_merge, HashRange, IndexSet, Key, SumReducer};
 use std::collections::HashSet;
@@ -62,7 +62,8 @@ fn scatter_gather_semantics() {
         let mut acc = vec![0.0f64; r.union.len()];
         scatter_combine(&mut acc, &av, &r.maps[0], SumReducer);
         scatter_combine(&mut acc, &bv, &r.maps[1], SumReducer);
-        let back_a = gather(&acc, &r.maps[0]);
+        let mut back_a = Vec::new();
+        gather_into(&acc, &r.maps[0], &mut back_a);
         for (i, k) in a.iter().enumerate() {
             let b_share = b.iter().position(|bk| bk == k).map_or(0.0, |j| bv[j]);
             assert_eq!(back_a[i], av[i] + b_share, "seed {seed}");
