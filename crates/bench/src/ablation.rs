@@ -72,44 +72,36 @@ fn makespan(
         } else if race {
             run_once(ReplicatedComm::new(comm, replication), workload, plan)
         } else {
-            run_once(PinnedReplicaComm::new(comm, replication), workload, plan)
+            let logical = comm.size() / replication;
+            let pinned = ReplicaZero {
+                inner: comm,
+                logical,
+            };
+            run_once(ReplicatedComm::new(pinned, replication), workload, plan)
         }
     });
     spans.into_iter().fold(0.0, f64::max) * workload.scale as f64
 }
 
-/// Like [`ReplicatedComm`] but with racing disabled: every receive is
-/// pinned to replica 0 of the sender — the §V.B ablation baseline.
-struct PinnedReplicaComm<C: Comm> {
+/// The physical communicator below a [`ReplicatedComm`] with racing
+/// disabled: every receive keeps only the replica-0 sources (physical
+/// ranks below `logical`), so it is pinned to the sender's replica 0 —
+/// the §V.B ablation baseline. Sends still fan out to every replica,
+/// and the replicated layer above still discards the winner's siblings.
+struct ReplicaZero<C: Comm> {
     inner: C,
-    logical_size: usize,
-    replication: usize,
+    logical: usize,
 }
 
-impl<C: Comm> PinnedReplicaComm<C> {
-    fn new(inner: C, replication: usize) -> Self {
-        assert_eq!(inner.size() % replication, 0);
-        let logical_size = inner.size() / replication;
-        Self {
-            inner,
-            logical_size,
-            replication,
-        }
-    }
-}
-
-impl<C: Comm> Comm for PinnedReplicaComm<C> {
+impl<C: Comm> Comm for ReplicaZero<C> {
     fn rank(&self) -> usize {
-        self.inner.rank() % self.logical_size
+        self.inner.rank()
     }
     fn size(&self) -> usize {
-        self.logical_size
+        self.inner.size()
     }
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
-        for r in 0..self.replication {
-            self.inner
-                .send(to + r * self.logical_size, tag, payload.clone());
-        }
+        self.inner.send(to, tag, payload);
     }
     fn recv_any_timeout(
         &mut self,
@@ -117,25 +109,15 @@ impl<C: Comm> Comm for PinnedReplicaComm<C> {
         tag: Tag,
         timeout: Duration,
     ) -> Result<(usize, Bytes), CommError> {
-        // No race: logical rank `s` is physical rank `s` of replica 0,
-        // so this waits for primary copies only, then cancels the other
-        // replicas' duplicates so the stash stays bounded.
-        let (src, p) = self.inner.recv_any_timeout(sources, tag, timeout)?;
-        let logical = src % self.logical_size;
-        let siblings: Vec<usize> = (0..self.replication)
-            .map(|r| logical + r * self.logical_size)
-            .filter(|&r| r != src)
+        let primaries: Vec<usize> = sources
+            .iter()
+            .copied()
+            .filter(|&s| s < self.logical)
             .collect();
-        self.inner.discard(&siblings, tag);
-        Ok((logical, p))
+        self.inner.recv_any_timeout(&primaries, tag, timeout)
     }
     fn discard(&mut self, sources: &[usize], tag: Tag) {
-        let (rep, logical) = (self.replication, self.logical_size);
-        let physical: Vec<usize> = sources
-            .iter()
-            .flat_map(|&s| (0..rep).map(move |r| s + r * logical))
-            .collect();
-        self.inner.discard(&physical, tag);
+        self.inner.discard(sources, tag);
     }
     fn now(&self) -> f64 {
         self.inner.now()

@@ -81,7 +81,7 @@ impl Kylix {
             None,
             SumReducer,
         )
-        .map(|r| r.configured)
+        .map(|(configured, _)| configured)
     }
 
     /// Configuration and reduction in one combined down pass plus an up
@@ -102,7 +102,7 @@ impl Kylix {
         V: Scalar,
         R: Reducer<V>,
     {
-        let down = run_down_pass(
+        let (mut configured, mut scratch) = run_down_pass(
             comm,
             &self.plan,
             channel,
@@ -111,9 +111,10 @@ impl Kylix {
             Some(out_values),
             reducer,
         )?;
-        let mut configured = down.configured;
-        let bottom = down.bottom_values.expect("combined mode carries values");
-        let result = configured.finish_combined(comm, bottom, reducer, channel)?;
+        let mut result = Vec::with_capacity(in_indices.len());
+        configured.finish_op(comm, reducer, channel, &mut scratch, &mut result)?;
+        // The pooled buffers stay on the state for later reduce calls.
+        configured.scratch.put(scratch);
         Ok((result, configured))
     }
 }

@@ -26,17 +26,19 @@
 //! do configuration and reduction concurrently with combined network
 //! messages"). `run_down_pass` therefore takes an optional value
 //! rider and is shared by `configure` and `allreduce_combined`. The
-//! riders are scatter-combined straight from the wire once the merge
-//! has built the maps, in the reduce pass's deterministic order, so
-//! combined results are bit-identical to `configure` + `reduce`.
+//! rider lives in the reduce passes' pooled buffers, and each layer runs
+//! the same three steps as theirs: `send_layer`, `recv_layer` and
+//! `fold_parked` (see `reduce`). Its value sections stay parked on the
+//! wire until the merge has built the maps, then fold in the reduce
+//! pass's order, own slice first, so combined results are bit-identical
+//! to `configure` + `reduce`.
 
 use crate::codec::{put_keys, put_values, seal, Decoder, SEAL_LEN};
 use crate::error::{surface_corrupt, KylixError, Result};
 use crate::plan::NetworkPlan;
-use crate::reduce::{coord_of, fill_pending, recv_next};
+use crate::reduce::{fold_parked, recv_layer, section, send_layer, ReduceScratch};
 use bytes::Bytes;
 use kylix_net::{Comm, Phase, Tag};
-use kylix_sparse::vec::{scatter_combine, scatter_combine_le};
 use kylix_sparse::{tree_merge, IndexSet, Key, Reducer, Scalar};
 use std::any::{Any, TypeId};
 use std::borrow::Cow;
@@ -179,20 +181,15 @@ pub(crate) fn values_wire_len<V: Scalar>(n: usize) -> usize {
     8 + V::WIDTH * n
 }
 
-/// Outcome of the shared down pass.
-pub(crate) struct DownResult<V> {
-    pub configured: Configured,
-    /// In combined mode, the node's fully reduced bottom values (aligned
-    /// with the bottom out-union).
-    pub bottom_values: Option<Vec<V>>,
-}
-
 /// Run the configuration down pass, optionally carrying reduction
 /// values (combined mode).
 ///
 /// `user_out_values`, when provided, is aligned with `out_user_map` /
 /// the caller's original out list; the rider is reduced on the way down
-/// exactly like a standalone reduce pass would.
+/// exactly like a standalone reduce pass would. Returns the configured
+/// state and the pooled scratch the pass ran on; in combined mode its
+/// `a` holds the node's fully reduced values, aligned with the bottom
+/// out-union.
 pub(crate) fn run_down_pass<C, V, R>(
     comm: &mut C,
     plan: &NetworkPlan,
@@ -201,7 +198,7 @@ pub(crate) fn run_down_pass<C, V, R>(
     out_indices: &[u64],
     user_out_values: Option<&[V]>,
     reducer: R,
-) -> Result<DownResult<V>>
+) -> Result<(Configured, Box<ReduceScratch<V>>)>
 where
     C: Comm,
     V: Scalar,
@@ -218,33 +215,31 @@ where
     let (in0, in_user_map) = IndexSet::with_positions(in_indices);
     let (out0, out_user_map) = IndexSet::with_positions(out_indices);
 
-    // Combined-mode rider: fold the user's values into sorted layout.
-    let mut values: Option<Vec<V>> = match user_out_values {
-        None => None,
+    // Combined mode rides the reduce pass's pooled buffers: the rider
+    // starts in sorted layout in `a` and is folded into `b` per layer.
+    let mut scratch: Box<ReduceScratch<V>> = Box::default();
+    let phase = match user_out_values {
+        None => Phase::Config,
+        Some(uv) if uv.len() != out_user_map.len() => {
+            return Err(KylixError::Usage {
+                what: "out_values length != out_indices length",
+            })
+        }
         Some(uv) => {
-            if uv.len() != out_user_map.len() {
-                return Err(KylixError::Usage {
-                    what: "out_values length != out_indices length",
-                });
-            }
-            let mut v = vec![reducer.identity(); out0.len()];
-            for (x, &sp) in uv.iter().zip(&out_user_map) {
-                reducer.combine(&mut v[sp as usize], *x);
-            }
-            Some(v)
+            scratch.load_sorted(uv, &out_user_map, out0.len(), reducer);
+            Phase::Combined
         }
     };
-
-    let phase = if values.is_some() {
-        Phase::Combined
-    } else {
-        Phase::Config
-    };
+    let combined = phase == Phase::Combined;
+    let ReduceScratch {
+        a,
+        b,
+        parked,
+        pending,
+        ..
+    } = &mut *scratch;
 
     let mut layers: Vec<LayerRouting> = Vec::with_capacity(plan.layers());
-    // Peers whose parts have not landed yet, refilled per layer.
-    let mut pending = Vec::new();
-
     for layer in 0..plan.layers() {
         let (cur_out, cur_in) = current_sets(&layers, &out0, &in0);
         let d = plan.degrees()[layer];
@@ -258,55 +253,47 @@ where
         let in_spans: Vec<Range<usize>> = sub_ranges.iter().map(|r| cur_in.span_of(r)).collect();
         let tag = Tag::new(phase, layer as u16, channel);
 
-        // Fire all sends first (opportunistic communication, §VI.B).
-        for (c, &peer) in group.iter().enumerate() {
-            let out_part = &cur_out.keys()[out_spans[c].clone()];
-            let in_part = &cur_in.keys()[in_spans[c].clone()];
-            let mut wire = keys_wire_len(out_part.len()) + keys_wire_len(in_part.len()) + SEAL_LEN;
-            if values.is_some() {
-                wire += values_wire_len::<V>(out_spans[c].len());
+        // A part: the out keys, in combined mode their values, the in
+        // keys.
+        let wire = |c: usize| {
+            let values = if combined {
+                values_wire_len::<V>(out_spans[c].len())
+            } else {
+                0
+            };
+            keys_wire_len(out_spans[c].len()) + values + keys_wire_len(in_spans[c].len()) + SEAL_LEN
+        };
+        send_layer(comm, &group, my_pos, tag, wire(my_pos), |c| {
+            let mut buf = Vec::with_capacity(wire(c));
+            put_keys(&mut buf, &cur_out.keys()[out_spans[c].clone()]);
+            if combined {
+                put_values(&mut buf, &a[out_spans[c].clone()]);
             }
-            if c == my_pos {
-                // Self part never crosses the network; account it so the
-                // per-layer volume matches the paper's definition.
-                comm.note_traffic(layer as u16, wire);
-                continue;
-            }
-            let mut buf = Vec::with_capacity(wire);
-            put_keys(&mut buf, out_part);
-            if let Some(vals) = &values {
-                put_values(&mut buf, &vals[out_spans[c].clone()]);
-            }
-            put_keys(&mut buf, in_part);
-            comm.send(peer, tag, seal(buf));
-        }
+            put_keys(&mut buf, &cur_in.keys()[in_spans[c].clone()]);
+            seal(buf)
+        });
 
         // Every coordinate's parts: the own part borrowed from the local
         // sets, the peers' decoded as they land (§VI.B's opportunistic
         // receive; the union and the maps do not depend on arrival
         // order). In combined mode each peer's value section stays on
-        // the wire until the union's maps exist.
+        // the wire, parked, until the union's maps exist.
         let mut out_parts = vec![Cow::Borrowed(&cur_out.keys()[out_spans[my_pos].clone()]); d];
         let mut in_parts = vec![Cow::Borrowed(&cur_in.keys()[in_spans[my_pos].clone()]); d];
-        let mut riders: Vec<(usize, Bytes)> = Vec::new();
-        fill_pending(&mut pending, &group, my_pos);
-        while !pending.is_empty() {
-            let (peer, payload) =
-                recv_next(comm, RecvOrder::Arrival, &mut pending, tag, "config down")?;
-            let c = coord_of(&group, peer);
+        parked.clear();
+        parked.resize(d, None);
+        let on_part = |c: usize, payload: Bytes| -> Result<()> {
             let mut dec =
-                Decoder::new(&payload).map_err(surface_corrupt("config down", peer, tag))?;
+                Decoder::new(&payload).map_err(surface_corrupt("config down", group[c], tag))?;
             out_parts[c] = Cow::Owned(dec.keys()?);
-            if values.is_some() {
+            if combined {
                 let (n, raw) = dec.raw_values::<V>()?;
                 if n != out_parts[c].len() {
                     return Err(KylixError::Codec {
                         what: "combined values misaligned with keys",
                     });
                 }
-                // The values follow the `n` keys and their own count.
-                let start = keys_wire_len(n) + 8;
-                riders.push((c, payload.slice(start..start + raw.len())));
+                parked[c] = Some(section(&payload, raw));
             }
             in_parts[c] = Cow::Owned(dec.keys()?);
             if !dec.finished() {
@@ -314,10 +301,17 @@ where
                     what: "trailing bytes in config message",
                 });
             }
-        }
-        // The fold below runs in coordinate order, whatever the arrival
-        // order, so results stay bit-identical to `configure` + `reduce`.
-        riders.sort_unstable_by_key(|&(c, _)| c);
+            Ok(())
+        };
+        recv_layer(
+            comm,
+            RecvOrder::Arrival,
+            pending,
+            &group,
+            my_pos,
+            tag,
+            on_part,
+        )?;
 
         // Union with maps (tree merge, §VI.A).
         let mut parts: Vec<&[Key]> = out_parts.iter().map(|p| &p[..]).collect();
@@ -327,15 +321,14 @@ where
         let in_merged = tree_merge(&parts);
 
         // Combined mode: fold the values into the union layout in the
-        // reduce pass's deterministic order, own slice first.
-        if let Some(vals) = &values {
-            let (maps, own) = (&out_merged.maps, &vals[out_spans[my_pos].clone()]);
-            let mut acc = vec![reducer.identity(); out_merged.union.len()];
-            scatter_combine(&mut acc, own, &maps[my_pos], reducer);
-            for (c, raw) in &riders {
-                scatter_combine_le(&mut acc, raw, &maps[*c], reducer);
-            }
-            values = Some(acc);
+        // reduce pass's order, whatever the arrival order, so results
+        // stay bit-identical to `configure` + `reduce`.
+        if combined {
+            b.clear();
+            b.resize(out_merged.union.len(), reducer.identity());
+            let own = &a[out_spans[my_pos].clone()];
+            fold_parked(b, own, parked, &mut 0, &out_merged.maps, my_pos, reducer);
+            std::mem::swap(a, b);
         }
 
         layers.push(LayerRouting {
@@ -359,23 +352,21 @@ where
     let (cur_out, cur_in) = current_sets(&layers, &out0, &in0);
     let bottom_in_to_out = locate_sorted(cur_in.keys(), cur_out.keys());
 
-    Ok(DownResult {
-        configured: Configured {
-            plan: plan.clone(),
-            rank,
-            channel,
-            ops_issued: 0,
-            in0,
-            out0,
-            layers,
-            bottom_in_to_out,
-            in_user_map,
-            out_user_map,
-            recv_order: RecvOrder::default(),
-            scratch: ScratchStore::default(),
-        },
-        bottom_values: values,
-    })
+    let configured = Configured {
+        plan: plan.clone(),
+        rank,
+        channel,
+        ops_issued: 0,
+        in0,
+        out0,
+        layers,
+        bottom_in_to_out,
+        in_user_map,
+        out_user_map,
+        recv_order: RecvOrder::default(),
+        scratch: ScratchStore::default(),
+    };
+    Ok((configured, scratch))
 }
 
 /// The node's current `(out, in)` sets: the last layer's unions, or the
@@ -455,7 +446,7 @@ mod tests {
             let inn: Vec<u64> = (0..60).map(|i| (i * 11 + r * 13) % 1200).collect();
             run_down_pass::<_, f64, _>(&mut comm, &plan, 0, &inn, &out, None, SumReducer)
                 .expect("configure")
-                .configured
+                .0
         });
         let mut missing = 0;
         for cfg in &results {

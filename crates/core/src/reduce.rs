@@ -17,17 +17,25 @@
 //!
 //! ### The hot path (paper §VI.B)
 //!
+//! Every pass — these two and the configuration pass — runs each
+//! butterfly layer through the same three steps. `send_layer` sends
+//! every group member its part in coordinate order before the first
+//! receive, and files the own part, which never crosses the network,
+//! as self traffic under the true phase. `recv_layer` takes the peers'
+//! parts and hands each to the pass. `fold_parked` folds parked value
+//! sections into the accumulator in coordinate order, own slice first.
+//!
 //! The paper credits *multi-threaded opportunistic communication* —
 //! processing slices in arrival order rather than a fixed peer order —
 //! for saturating commodity NICs. Receives here therefore default to
 //! `recv_any` over the group ([`RecvOrder::Arrival`]): one slow peer no
 //! longer stalls the slices that already landed. Because floating-point
 //! addition is not associative, order-sensitive scalars (floats, see
-//! `Scalar::ORDER_SENSITIVE`) park out-of-order arrivals and combine
-//! them in coordinate order — bit-identical to the fixed-order
-//! schedule — while exact integer reducers combine immediately on
-//! arrival. The up pass writes disjoint spans, so its arrival order
-//! never affects results.
+//! `Scalar::ORDER_SENSITIVE`) verify each arrival as it lands, park the
+//! out-of-order ones as raw value sections and combine them in
+//! coordinate order — bit-identical to the fixed-order schedule — while
+//! exact integer reducers combine immediately on arrival. The up pass writes disjoint
+//! spans, so its arrival order never affects results.
 //!
 //! Steady-state operations are also **allocation-free**: a
 //! `ReduceScratch` slot kept on [`Configured`] pools the send arena
@@ -70,16 +78,18 @@ pub(crate) struct ReduceScratch<V> {
     /// `Bytes`, and the backing storage reclaimed once receivers drop it.
     arena: BytesMut,
     /// Ping-pong value buffers: `a` holds the current layer's input,
-    /// `b` the accumulator being built; swapped per layer.
-    a: Vec<V>,
-    b: Vec<V>,
+    /// `b` the accumulator being built; swapped per layer. The combined
+    /// config pass carries its value rider in them too.
+    pub(crate) a: Vec<V>,
+    pub(crate) b: Vec<V>,
     /// Up-pass gather staging.
     gathered: Vec<V>,
-    /// Deterministic-mode parking: out-of-order down-pass arrivals per
-    /// coordinate, held until their turn in the combine order.
-    parked: Vec<Option<Bytes>>,
-    /// Peers still outstanding in the current arrival-order loop.
-    pending: Vec<usize>,
+    /// Raw value sections per coordinate, held until their turn in the
+    /// combine order: out-of-order down-pass arrivals of order-sensitive
+    /// scalars, and every combined-mode rider.
+    pub(crate) parked: Vec<Option<Bytes>>,
+    /// Peers still outstanding in the current receive loop.
+    pub(crate) pending: Vec<usize>,
 }
 
 impl Configured {
@@ -160,46 +170,16 @@ impl Configured {
         V: Scalar,
         R: Reducer<V>,
     {
-        // User order -> sorted layout, combining duplicate indices.
-        s.a.clear();
-        s.a.resize(self.out0.len(), reducer.identity());
-        for (x, &sp) in out_values.iter().zip(&self.out_user_map) {
-            reducer.combine(&mut s.a[sp as usize], *x);
-        }
-
+        s.load_sorted(out_values, &self.out_user_map, self.out0.len(), reducer);
         self.down_values(comm, reducer, seq, s)?;
         self.finish_op(comm, reducer, seq, s, out)
-    }
-
-    /// Finish a combined config+reduce pass: `bottom` holds the fully
-    /// reduced values aligned with the bottom out-union; returns the
-    /// results in the caller's in-order. Runs on the pooled scratch,
-    /// which stays on `self` for later reduce calls.
-    pub(crate) fn finish_combined<C, V, R>(
-        &mut self,
-        comm: &mut C,
-        bottom: Vec<V>,
-        reducer: R,
-        seq: u32,
-    ) -> Result<Vec<V>>
-    where
-        C: Comm,
-        V: Scalar,
-        R: Reducer<V>,
-    {
-        let mut scratch: Box<ReduceScratch<V>> = self.scratch.take();
-        scratch.a = bottom;
-        let mut out = Vec::with_capacity(self.in_user_map.len());
-        let result = self.finish_op(comm, reducer, seq, &mut scratch, &mut out);
-        self.scratch.put(scratch);
-        result.map(|()| out)
     }
 
     /// Second half of every op: project the fully reduced bottom values
     /// in `s.a` onto the bottom in-union (requested indices nobody
     /// contributed to read as the identity), carry them up, and write
     /// them to `out` in the caller's in-order.
-    fn finish_op<C, V, R>(
+    pub(crate) fn finish_op<C, V, R>(
         &self,
         comm: &mut C,
         reducer: R,
@@ -255,70 +235,38 @@ impl Configured {
         } = &mut *s;
         for (layer, lr) in self.layers.iter().enumerate() {
             let tag = Tag::new(Phase::ReduceDown, layer as u16, seq);
-            for (c, &peer) in lr.group.iter().enumerate() {
-                if c == lr.my_pos {
-                    let bytes = values_wire_len::<V>(lr.out_spans[c].len()) + SEAL_LEN;
-                    comm.note_traffic(layer as u16, bytes);
-                    // `note_traffic` files under the pseudo-phase so the
-                    // traffic report stays whole; the dedicated self
-                    // kinds carry the true phase for per-pass figures.
-                    if let Some(tel) = comm.telemetry() {
-                        let (p, l) = (Phase::ReduceDown as u8, layer as u16);
-                        tel.add(p, l, Counter::SelfBytes, bytes as u64);
-                        tel.add(p, l, Counter::SelfMsgs, 1);
-                    }
-                    continue;
-                }
-                let msg = encode_values_into(arena, &a[lr.out_spans[c].clone()]);
-                comm.send(peer, tag, msg);
-            }
+            let (group, my_pos) = (&lr.group[..], lr.my_pos);
+            let own = values_wire_len::<V>(lr.out_spans[my_pos].len()) + SEAL_LEN;
+            send_layer(comm, group, my_pos, tag, own, |c| {
+                encode_values_into(arena, &a[lr.out_spans[c].clone()])
+            });
             b.clear();
             b.resize(lr.out_union.len(), reducer.identity());
-            // Own slice first — the head of the deterministic combine
-            // order (and free: it never crosses the network).
-            scatter_combine(
-                b,
-                &a[lr.out_spans[lr.my_pos].clone()],
-                &lr.out_maps[lr.my_pos],
-                reducer,
-            );
-            fill_pending(pending, &lr.group, lr.my_pos);
             parked.clear();
-            parked.resize(lr.group.len(), None);
-            let mut next = 0usize;
-            while !pending.is_empty() {
-                let (src, payload) = recv_next(comm, self.recv_order, pending, tag, "reduce down")?;
-                let c = coord_of(&lr.group, src);
-                if !V::ORDER_SENSITIVE {
+            parked.resize(group.len(), None);
+            let own = &a[lr.out_spans[my_pos].clone()];
+            // The own slice heads the combine order, and is free: it
+            // never crosses the network.
+            let mut next = 0;
+            fold_parked(b, own, parked, &mut next, &lr.out_maps, my_pos, reducer);
+            let on_part = |c: usize, payload: Bytes| -> Result<()> {
+                let map = &lr.out_maps[c];
+                let raw = value_section::<V>(&payload, map.len(), group[c], tag)?;
+                if V::ORDER_SENSITIVE {
+                    // Opportunistic receive, fixed combine: park each
+                    // arrival at its coordinate and fold the prefix that
+                    // is ready. Results stay bit-identical to the
+                    // fixed-order schedule while the waiting still
+                    // overlaps with whoever arrives first.
+                    parked[c] = Some(section(&payload, raw));
+                    fold_parked(b, own, parked, &mut next, &lr.out_maps, my_pos, reducer);
+                } else {
                     // Exact reducers: combine in arrival order.
-                    combine_slice(b, &payload, &lr.out_maps[c], reducer, src, tag)?;
-                    continue;
+                    scatter_combine_le(b, raw, map, reducer);
                 }
-                // Opportunistic receive, fixed combine: park each arrival
-                // at its coordinate and fold the prefix that is ready.
-                // Results stay bit-identical to the fixed-order schedule
-                // while the waiting still overlaps with whoever arrives
-                // first.
-                parked[c] = Some(payload);
-                while next < parked.len() {
-                    if next == lr.my_pos {
-                        next += 1;
-                        continue;
-                    }
-                    let Some(payload) = parked[next].take() else {
-                        break;
-                    };
-                    combine_slice(
-                        b,
-                        &payload,
-                        &lr.out_maps[next],
-                        reducer,
-                        lr.group[next],
-                        tag,
-                    )?;
-                    next += 1;
-                }
-            }
+                Ok(())
+            };
+            recv_layer(comm, self.recv_order, pending, group, my_pos, tag, on_part)?;
             std::mem::swap(a, b);
         }
         Ok(())
@@ -342,125 +290,171 @@ impl Configured {
         } = &mut *s;
         for (layer, lr) in self.layers.iter().enumerate().rev() {
             let tag = Tag::new(Phase::ReduceUp, layer as u16, seq);
-            for (c, &peer) in lr.group.iter().enumerate() {
-                if c == lr.my_pos {
-                    let bytes = values_wire_len::<V>(lr.in_maps[c].len()) + SEAL_LEN;
-                    comm.note_traffic(layer as u16, bytes);
-                    if let Some(tel) = comm.telemetry() {
-                        let (p, l) = (Phase::ReduceUp as u8, layer as u16);
-                        tel.add(p, l, Counter::SelfBytes, bytes as u64);
-                        tel.add(p, l, Counter::SelfMsgs, 1);
-                    }
-                    continue;
-                }
+            let (group, my_pos) = (&lr.group[..], lr.my_pos);
+            let own = values_wire_len::<V>(lr.in_maps[my_pos].len()) + SEAL_LEN;
+            send_layer(comm, group, my_pos, tag, own, |c| {
                 gather_into(a, &lr.in_maps[c], gathered);
-                comm.send(peer, tag, encode_values_into(arena, gathered));
-            }
+                encode_values_into(arena, gathered)
+            });
             // Every position is overwritten by a returned slice; the
             // default is just an initialiser.
             b.clear();
             b.resize(lr.in_prev_len(), V::default());
             // Own requested part comes straight from local memory.
-            gather_into(a, &lr.in_maps[lr.my_pos], gathered);
-            b[lr.in_spans[lr.my_pos].clone()].copy_from_slice(gathered);
-            fill_pending(pending, &lr.group, lr.my_pos);
-            while !pending.is_empty() {
-                let (src, payload) = recv_next(comm, self.recv_order, pending, tag, "reduce up")?;
-                let c = coord_of(&lr.group, src);
-                fill_span(&mut b[lr.in_spans[c].clone()], &payload, src, tag)?;
-            }
+            gather_into(a, &lr.in_maps[my_pos], gathered);
+            b[lr.in_spans[my_pos].clone()].copy_from_slice(gathered);
+            let on_part = |c: usize, payload: Bytes| -> Result<()> {
+                let span = &mut b[lr.in_spans[c].clone()];
+                let raw = value_section::<V>(&payload, span.len(), group[c], tag)?;
+                copy_from_le(span, raw);
+                Ok(())
+            };
+            recv_layer(comm, self.recv_order, pending, group, my_pos, tag, on_part)?;
             std::mem::swap(a, b);
         }
         Ok(())
     }
 }
 
-/// Coordinate of `src` in a layer group (groups are small: linear scan).
-#[inline]
-pub(crate) fn coord_of(group: &[usize], src: usize) -> usize {
-    group
-        .iter()
-        .position(|&r| r == src)
-        .expect("recv_any winner is in the group")
+impl<V: Scalar> ReduceScratch<V> {
+    /// Put the caller's values, aligned with `user_map`, into sorted
+    /// layout in `a` (`len` slots), combining duplicate indices.
+    pub(crate) fn load_sorted<R: Reducer<V>>(
+        &mut self,
+        values: &[V],
+        user_map: &[u32],
+        len: usize,
+        reducer: R,
+    ) {
+        self.a.clear();
+        self.a.resize(len, reducer.identity());
+        for (x, &sp) in values.iter().zip(user_map) {
+            reducer.combine(&mut self.a[sp as usize], *x);
+        }
+    }
 }
 
-/// The group's peers (every member but coordinate `my_pos`), in
-/// coordinate order, as the outstanding list.
-pub(crate) fn fill_pending(pending: &mut Vec<usize>, group: &[usize], my_pos: usize) {
-    pending.clear();
-    pending.extend(
-        group
-            .iter()
-            .enumerate()
-            .filter(|&(c, _)| c != my_pos)
-            .map(|(_, &peer)| peer),
-    );
+/// Send one layer's parts in coordinate order, all before the layer's
+/// first receive (§VI.B); `part(c)` builds coordinate `c`'s message.
+/// The own part never crosses the network, but Fig. 5 counts packets to
+/// self: it is filed as `own_bytes` under the pseudo-phase, which keeps
+/// whole-layer reports exact, and under the true phase as the self
+/// kinds, for per-pass figures.
+pub(crate) fn send_layer<C: Comm>(
+    comm: &mut C,
+    group: &[usize],
+    my_pos: usize,
+    tag: Tag,
+    own_bytes: usize,
+    mut part: impl FnMut(usize) -> Bytes,
+) {
+    for (c, &peer) in group.iter().enumerate() {
+        if c == my_pos {
+            comm.note_traffic(tag.layer(), own_bytes);
+            if let Some(tel) = comm.telemetry() {
+                let (p, l) = (tag.phase(), tag.layer());
+                tel.add(p, l, Counter::SelfBytes, own_bytes as u64);
+                tel.add(p, l, Counter::SelfMsgs, 1);
+            }
+            continue;
+        }
+        comm.send(peer, tag, part(c));
+    }
 }
 
-/// Receive the next slice of a layer from the peers still `pending`,
-/// and retire its sender (keeping the rest in coordinate order).
-/// Arrival order races every outstanding peer; fixed order races a
-/// one-peer candidate set — the next peer in coordinate order.
-pub(crate) fn recv_next<C: Comm>(
+/// Take one layer's parts from every group member but `my_pos` and hand
+/// each `(coordinate, payload)` to `on_part`. [`RecvOrder::Arrival`]
+/// races every outstanding peer; [`RecvOrder::Fixed`] races a one-peer
+/// candidate set, the next peer in coordinate order. `pending` is the
+/// caller's pooled outstanding list.
+pub(crate) fn recv_layer<C: Comm>(
     comm: &mut C,
     order: RecvOrder,
     pending: &mut Vec<usize>,
+    group: &[usize],
+    my_pos: usize,
     tag: Tag,
-    what: &'static str,
-) -> Result<(usize, Bytes)> {
-    let candidates = if order == RecvOrder::Fixed {
-        &pending[..1]
-    } else {
-        &pending[..]
-    };
-    let (src, payload) = comm.recv_any(candidates, tag).map_err(comm_err(what))?;
-    let i = pending
-        .iter()
-        .position(|&r| r == src)
-        .expect("recv_any winner was pending");
-    pending.remove(i);
-    Ok((src, payload))
+    mut on_part: impl FnMut(usize, Bytes) -> Result<()>,
+) -> Result<()> {
+    pending.clear();
+    pending.extend_from_slice(group);
+    pending.remove(my_pos);
+    while !pending.is_empty() {
+        let candidates = if order == RecvOrder::Fixed {
+            &pending[..1]
+        } else {
+            &pending[..]
+        };
+        let (src, payload) = comm
+            .recv_any(candidates, tag)
+            .map_err(comm_err(pass_of(tag)))?;
+        pending.retain(|&r| r != src);
+        // Groups are small: a linear scan finds the coordinate.
+        let c = group.iter().position(|&r| r == src);
+        on_part(c.expect("recv_any winner is in the group"), payload)?;
+    }
+    Ok(())
 }
 
-/// Verify one down-pass slice and scatter-combine it straight from the
-/// wire body into the accumulator (no intermediate `Vec<V>`).
-fn combine_slice<V, R>(
+/// Fold a layer's value slices into `acc` in the deterministic combine
+/// order — the own slice `own` first, then the peers' parked raw
+/// slices by coordinate — from the cursor `next` (slices folded so far)
+/// up to the first slice that has not landed. `maps[c]` carries
+/// coordinate `c`'s slice into `acc`.
+pub(crate) fn fold_parked<V: Scalar, R: Reducer<V>>(
     acc: &mut [V],
-    payload: &[u8],
-    map: &[u32],
+    own: &[V],
+    parked: &mut [Option<Bytes>],
+    next: &mut usize,
+    maps: &[Vec<u32>],
+    my_pos: usize,
     reducer: R,
-    peer: usize,
-    tag: Tag,
-) -> Result<()>
-where
-    V: Scalar,
-    R: Reducer<V>,
-{
-    let mut dec = Decoder::new(payload).map_err(surface_corrupt("reduce down", peer, tag))?;
-    let (n, raw) = dec
-        .raw_values::<V>()
-        .map_err(surface_corrupt("reduce down", peer, tag))?;
-    if n != map.len() || !dec.finished() {
-        return Err(KylixError::Codec {
-            what: "down-pass values misaligned with configuration",
-        });
+) {
+    while *next < parked.len() {
+        let c = match *next {
+            0 => my_pos,
+            k if k <= my_pos => k - 1,
+            k => k,
+        };
+        if c == my_pos {
+            scatter_combine(acc, own, &maps[c], reducer);
+        } else {
+            let Some(raw) = parked[c].take() else {
+                break;
+            };
+            scatter_combine_le(acc, &raw, &maps[c], reducer);
+        }
+        *next += 1;
     }
-    scatter_combine_le(acc, raw, map, reducer);
-    Ok(())
 }
 
-/// Verify one up-pass slice and decode it straight into its partition
-/// span.
-fn fill_span<V: Scalar>(dst: &mut [V], payload: &[u8], peer: usize, tag: Tag) -> Result<()> {
-    let mut dec = Decoder::new(payload).map_err(surface_corrupt("reduce up", peer, tag))?;
-    let (n, raw) = dec
-        .raw_values::<V>()
-        .map_err(surface_corrupt("reduce up", peer, tag))?;
-    if n != dst.len() || !dec.finished() {
+/// Error context of a pass, from its tag.
+fn pass_of(tag: Tag) -> &'static str {
+    match tag.phase() {
+        p if p == Phase::ReduceDown as u8 => "reduce down",
+        p if p == Phase::ReduceUp as u8 => "reduce up",
+        _ => "config down",
+    }
+}
+
+/// `raw`, a section of `payload`, as a slice of the same buffer (no
+/// copy).
+pub(crate) fn section(payload: &Bytes, raw: &[u8]) -> Bytes {
+    let start = raw.as_ptr() as usize - payload.as_ptr() as usize;
+    payload.slice(start..start + raw.len())
+}
+
+/// Verify one reduce-pass message from `peer` and return its value
+/// section, which must hold `n` scalars: the down pass combines it
+/// straight from the wire body, the up pass decodes it straight into a
+/// partition span (no intermediate `Vec<V>`).
+fn value_section<V: Scalar>(payload: &[u8], n: usize, peer: usize, tag: Tag) -> Result<&[u8]> {
+    let mut dec = Decoder::new(payload).map_err(surface_corrupt(pass_of(tag), peer, tag))?;
+    let (len, raw) = dec.raw_values::<V>()?;
+    if len != n || !dec.finished() {
         return Err(KylixError::Codec {
-            what: "up-pass values misaligned with configuration",
+            what: "reduce values misaligned with configuration",
         });
     }
-    copy_from_le(dst, raw);
-    Ok(())
+    Ok(raw)
 }

@@ -6,13 +6,14 @@
 //! completes over lossy links and a replicated one survives crash+loss
 //! combined. The mechanism is classic ARQ:
 //!
-//! * every payload travels in a frame carrying a per-`(destination,
-//!   tag)` sequence number and sealed with [`checksum`], which detects
-//!   every single changed byte with certainty;
+//! * every payload travels in a frame carrying a per-destination
+//!   sequence number and sealed with [`checksum`], which detects every
+//!   single changed byte with certainty;
 //! * the receiver acknowledges every data frame (including duplicates —
-//!   the first ack may have been lost) and delivers in sequence order,
-//!   parking out-of-order arrivals, into a [`Mailbox`] — the stash and
-//!   racing-discard policy every substrate shares;
+//!   the first ack may have been lost) and delivers each sender's frames
+//!   in sequence order, parking out-of-order arrivals with their tags,
+//!   into a [`Mailbox`] — the stash and racing-discard policy every
+//!   substrate shares;
 //! * the sender retransmits unacknowledged frames on an exponential
 //!   backoff schedule, up to a bounded attempt count;
 //! * frames that fail their checksum are silently discarded —
@@ -23,6 +24,12 @@
 //! peer while the protocol above it waits on one specific message.
 //! All ranks of a cluster must wrap identically: a `ReliableComm`
 //! speaks only to other `ReliableComm`s.
+//!
+//! Numbering frames per peer rather than per `(peer, tag)` keeps the
+//! state bounded by the cluster size: every collective op uses fresh
+//! tags, so per-tag streams would grow by a few entries per op forever.
+//! The price is that one lost frame holds back the sender's later
+//! frames, whatever their tags, until its retransmission lands.
 //!
 //! Because retransmission scheduling runs on *wall* time even over the
 //! virtual-time simulator, runs that actually lose messages are not
@@ -35,7 +42,7 @@ use crate::mailbox::Mailbox;
 use crate::tag::Tag;
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 const KIND_DATA: u8 = 1;
@@ -64,9 +71,10 @@ impl Default for RetryConfig {
         // `max_attempts` is sized so that a *live* peer is effectively
         // never abandoned: even at 25% loss + 10% corruption each way,
         // thirty attempts fail with probability ~1e-7. Abandoning a
-        // frame to a live peer would permanently stall its in-order
-        // stream, so the budget errs far on the side of patience; a
-        // genuinely dead peer still costs only ~1.5s of backoff.
+        // frame to a live peer would permanently stall every later
+        // frame it gets from us, so the budget errs far on the side of
+        // patience; a genuinely dead peer still costs only ~1.5s of
+        // backoff.
         // `linger` must comfortably exceed `cap`: a peer whose final
         // ack was lost retransmits at most every `cap`, and flush may
         // only declare the link quiet after several such periods have
@@ -90,24 +98,25 @@ struct Pending {
     due: Instant,
 }
 
-/// Per-`(peer, tag)` receive stream state.
-#[derive(Default)]
+/// Receive stream state of one sending peer.
+#[derive(Default, Clone)]
 struct RecvStream {
     /// Next sequence number to deliver.
     expected: u32,
-    /// Arrived ahead of sequence.
-    parked: BTreeMap<u32, Bytes>,
+    /// Arrived ahead of sequence, with their tags.
+    parked: BTreeMap<u32, (Tag, Bytes)>,
 }
 
 /// Acked, retransmitting, duplicate-suppressing communicator wrapper.
 pub struct ReliableComm<C: RawComm> {
     inner: C,
     cfg: RetryConfig,
-    /// Next sequence number per outgoing `(to, tag)` stream.
-    send_seq: HashMap<(usize, Tag), u32>,
+    /// Next sequence number per destination rank.
+    send_seq: Vec<u32>,
     /// Sent-but-unacknowledged frames, in send order.
     unacked: VecDeque<Pending>,
-    streams: HashMap<(usize, Tag), RecvStream>,
+    /// Receive stream per source rank.
+    streams: Vec<RecvStream>,
     /// In-order payloads not yet consumed by the protocol. Counts
     /// nothing: the substrate below already counted the frames.
     mailbox: Mailbox<()>,
@@ -121,12 +130,13 @@ impl<C: RawComm> ReliableComm<C> {
 
     /// Wrap `inner` with explicit retransmission parameters.
     pub fn with_config(inner: C, cfg: RetryConfig) -> Self {
+        let size = inner.size();
         Self {
             inner,
             cfg,
-            send_seq: HashMap::new(),
+            send_seq: vec![0; size],
             unacked: VecDeque::new(),
-            streams: HashMap::new(),
+            streams: vec![RecvStream::default(); size],
             mailbox: Mailbox::new(None),
         }
     }
@@ -201,7 +211,7 @@ impl<C: RawComm> ReliableComm<C> {
                 if let Some(i) = self
                     .unacked
                     .iter()
-                    .position(|p| p.to == msg.src && p.tag == msg.tag && p.seq == seq)
+                    .position(|p| p.to == msg.src && p.seq == seq)
                 {
                     self.unacked.remove(i);
                 }
@@ -211,15 +221,15 @@ impl<C: RawComm> ReliableComm<C> {
                 // Data. Ack unconditionally: a duplicate means our
                 // previous ack was lost (or the link duplicated).
                 self.send_ack(msg.src, msg.tag, seq);
-                let stream = self.streams.entry((msg.src, msg.tag)).or_default();
+                let stream = &mut self.streams[msg.src];
                 if seq < stream.expected || stream.parked.contains_key(&seq) {
                     self.tel_bump(msg.tag, Counter::DupesDropped);
                 } else {
-                    stream.parked.insert(seq, payload);
+                    stream.parked.insert(seq, (msg.tag, payload));
                     // Deliver the in-sequence prefix.
-                    while let Some(p) = stream.parked.remove(&stream.expected) {
+                    while let Some((tag, p)) = stream.parked.remove(&stream.expected) {
                         stream.expected = stream.expected.wrapping_add(1);
-                        self.mailbox.accept(msg.src, msg.tag, (), p);
+                        self.mailbox.accept(msg.src, tag, (), p);
                     }
                 }
                 true
@@ -309,9 +319,8 @@ impl<C: RawComm> Comm for ReliableComm<C> {
     }
 
     fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
-        let seq_ref = self.send_seq.entry((to, tag)).or_insert(0);
-        let seq = *seq_ref;
-        *seq_ref = seq.wrapping_add(1);
+        let seq = self.send_seq[to];
+        self.send_seq[to] = seq.wrapping_add(1);
         let frame = Self::frame(KIND_DATA, seq, &payload);
         self.inner.send(to, tag, frame.clone());
         self.unacked.push_back(Pending {
@@ -368,7 +377,7 @@ impl<C: RawComm> Comm for ReliableComm<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{ChaosComm, FaultPlan};
+    use crate::fault::{ChaosComm, FaultPlan, LinkFaults};
     use crate::tag::Phase;
     use crate::thread_comm::ThreadComm;
     use kylix_telemetry::{Clock, Telemetry};
@@ -498,6 +507,66 @@ mod tests {
         for got in out {
             assert_eq!(got, (0..30u8).collect::<Vec<_>>(), "FIFO restored");
         }
+    }
+
+    /// One sequence space per peer: a thousand distinct tags over a
+    /// link that drops, duplicates and delays each arrive exactly once,
+    /// and the stream state stays one entry per rank.
+    #[test]
+    fn distinct_tags_share_one_stream_per_peer() {
+        const N: u32 = 1000;
+        let (a, b, tel) = pair();
+        let faults = LinkFaults {
+            drop_p: 0.2,
+            dup_p: 0.2,
+            delay_p: 0.2,
+            ..LinkFaults::none()
+        };
+        // Data flows 0 → 1 over the bad link; acks come back clean, so
+        // nothing is given up on.
+        let plan = FaultPlan::new(21).link(0, 1, faults);
+        let got: Vec<Vec<u32>> = thread::scope(|s| {
+            let plan = &plan;
+            let handles: Vec<_> = [a, b]
+                .into_iter()
+                .map(|c| {
+                    s.spawn(move || {
+                        let mut r = ReliableComm::new(ChaosComm::new(c, plan.clone()));
+                        let mut got = Vec::new();
+                        if r.rank() == 0 {
+                            for i in 0..N {
+                                r.send(1, tag(i), Bytes::from(i.to_le_bytes().to_vec()));
+                            }
+                        } else {
+                            // Newest tag first: all but the last wait in
+                            // the mailbox under their own tags.
+                            for i in (0..N).rev() {
+                                let p = r.recv(0, tag(i)).unwrap();
+                                got.push(u32::from_le_bytes(p[..].try_into().unwrap()));
+                            }
+                        }
+                        r.flush().unwrap();
+                        // A second delivery of anything would sit here.
+                        assert_eq!(r.mailbox.stash_len(), 0, "rank {}", r.rank());
+                        assert!(r.streams.iter().all(|s| s.parked.is_empty()));
+                        assert_eq!((r.send_seq.len(), r.streams.len()), (2, 2));
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(got[1], (0..N).rev().collect::<Vec<_>>());
+        let rep = tel.report();
+        assert!(
+            rep.total(Counter::FaultsDropped) > 0,
+            "seed dropped nothing"
+        );
+        assert!(
+            rep.total(Counter::DupesDropped) > 0,
+            "no duplicate was caught"
+        );
+        assert_eq!(rep.total(Counter::GaveUp), 0, "nothing may be abandoned");
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //! never touches the wire (a rank's own part of a scatter) is recorded
 //! under the pseudo-phase [`SELF_PHASE`] by `Comm::note_traffic`, and
 //! additionally under its true protocol phase as `SelfBytes`/`SelfMsgs`
-//! by the reduce hot path — the pseudo-phase keeps whole-layer traffic
-//! reports exact, the true-phase copy lets per-phase consumers (Fig. 5)
-//! separate the down pass from the up pass.
+//! by every pass (config, combined, down and up) — the pseudo-phase
+//! keeps whole-layer traffic reports exact, the true-phase copy lets
+//! per-phase consumers (Fig. 5) separate the passes. Per rank and
+//! layer, `SelfBytes` summed over the wire phases equals the
+//! pseudo-phase's `BytesSent`, and `SelfMsgs` its `MsgsSent`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

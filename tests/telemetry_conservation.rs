@@ -17,7 +17,7 @@ use bytes::Bytes;
 use kylix::{Kylix, NetworkPlan};
 use kylix_net::telemetry::{Counter, SELF_PHASE};
 use kylix_net::{ChaosComm, Comm, FaultPlan, LinkFaults, Phase, ReliableComm, Tag};
-use kylix_netsim::Substrate;
+use kylix_netsim::{NicModel, Substrate};
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
 use kylix_sparse::SumReducer;
 
@@ -66,6 +66,60 @@ fn fault_free_collective_conserves_messages() {
     // Self-addressed parts never cross the wire: sent only.
     assert!(rep.on(SELF_PHASE, 0, Counter::MsgsSent) > 0);
     assert_eq!(rep.on(SELF_PHASE, 0, Counter::MsgsRecv), 0);
+}
+
+/// Every self part is filed twice: under its true phase as
+/// `SelfBytes`/`SelfMsgs`, and under the pseudo-phase `SELF_PHASE` as
+/// `BytesSent`/`MsgsSent`. Per rank and layer the two views must agree
+/// — over configure + reduce and a combined op, so every pass's own
+/// part is in the ledger — on every substrate.
+#[test]
+fn self_traffic_balances_across_both_views() {
+    let plan = NetworkPlan::new(&[4, 2]);
+    let m = plan.size();
+    let idx = workload(m, 4096, 0.3, 5);
+    for s in Substrate::all(NicModel::ec2_10g(), 5) {
+        let (_, tel) = s.run(m, |mut comm| {
+            let me = comm.rank();
+            let kylix = Kylix::new(plan.clone());
+            let vals = vec![1.0f64; idx[me].len()];
+            let mut state = kylix.configure(&mut comm, &idx[me], &idx[me], 0).unwrap();
+            state.reduce(&mut comm, &vals, SumReducer).unwrap();
+            kylix
+                .allreduce_combined(&mut comm, &idx[me], &idx[me], &vals, SumReducer, 2)
+                .unwrap();
+        });
+        let rep = tel.report();
+        for (rank, r) in rep.ranks.iter().enumerate() {
+            for layer in rep.layers() {
+                let by_phase = |k| (0..SELF_PHASE).map(|p| r.get(p, layer, k)).sum::<u64>();
+                assert_eq!(
+                    by_phase(Counter::SelfBytes),
+                    r.get(SELF_PHASE, layer, Counter::BytesSent),
+                    "{s} rank {rank} layer {layer}: SelfBytes vs self-phase BytesSent"
+                );
+                assert_eq!(
+                    by_phase(Counter::SelfMsgs),
+                    r.get(SELF_PHASE, layer, Counter::MsgsSent),
+                    "{s} rank {rank} layer {layer}: SelfMsgs vs self-phase MsgsSent"
+                );
+                // One own part per pass and layer; the combined op's
+                // up pass is a second `ReduceUp`.
+                for (phase, parts) in [
+                    (Phase::Config, 1),
+                    (Phase::ReduceDown, 1),
+                    (Phase::ReduceUp, 2),
+                    (Phase::Combined, 1),
+                ] {
+                    assert_eq!(
+                        r.get(phase as u8, layer, Counter::SelfMsgs),
+                        parts,
+                        "{s} rank {rank} layer {layer}: {phase:?} own parts"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Messages streamed rank 0 → rank 1 in the lossy-link harness.
