@@ -42,7 +42,7 @@ pub fn power_iteration<C: Comm>(
     local_edges: &[(u32, u32)],
     iters: usize,
 ) -> Result<EigenOutcome> {
-    let share = DistMatrix::pagerank_share(n_vertices, local_edges);
+    let share = DistMatrix::pagerank_share(local_edges);
     // For A·v with A the raw adjacency (edge (s,d) ⇒ A[d][s] = 1), the
     // pagerank_share orientation is exactly what we need. The iterate
     // is tracked on *all* local vertices — dst-only vertices carry

@@ -12,8 +12,6 @@ use kylix_sparse::IndexSet;
 /// One machine's triplet share of a sparse matrix, locally compacted.
 #[derive(Debug, Clone)]
 pub struct DistMatrix {
-    n_rows: u64,
-    n_cols: u64,
     rows: IndexSet,
     cols: IndexSet,
     /// Entries as (row position, col position, value).
@@ -22,11 +20,7 @@ pub struct DistMatrix {
 
 impl DistMatrix {
     /// Build from global `(row, col, value)` triplets.
-    pub fn from_triplets(
-        n_rows: u64,
-        n_cols: u64,
-        triplets: impl IntoIterator<Item = (u64, u64, f64)>,
-    ) -> Self {
+    pub fn from_triplets(triplets: impl IntoIterator<Item = (u64, u64, f64)>) -> Self {
         let triplets: Vec<(u64, u64, f64)> = triplets.into_iter().collect();
         let row_ids: Vec<u64> = triplets.iter().map(|t| t.0).collect();
         let col_ids: Vec<u64> = triplets.iter().map(|t| t.1).collect();
@@ -38,8 +32,6 @@ impl DistMatrix {
             .map(|(t, (&r, &c))| (r, c, t.2))
             .collect();
         Self {
-            n_rows,
-            n_cols,
             rows,
             cols,
             entries,
@@ -49,22 +41,8 @@ impl DistMatrix {
     /// Adjacency share for PageRank: edge `(s, d)` contributes entry
     /// `(row=d, col=s, 1.0)` — the matrix that sums `rank/deg` over
     /// in-edges once values are divided by degree.
-    pub fn pagerank_share(n_vertices: u64, edges: &[(u32, u32)]) -> Self {
-        Self::from_triplets(
-            n_vertices,
-            n_vertices,
-            edges.iter().map(|&(s, d)| (d as u64, s as u64, 1.0)),
-        )
-    }
-
-    /// Global row dimension.
-    pub fn n_rows(&self) -> u64 {
-        self.n_rows
-    }
-
-    /// Global column dimension.
-    pub fn n_cols(&self) -> u64 {
-        self.n_cols
+    pub fn pagerank_share(edges: &[(u32, u32)]) -> Self {
+        Self::from_triplets(edges.iter().map(|&(s, d)| (d as u64, s as u64, 1.0)))
     }
 
     /// Number of local entries.
@@ -120,7 +98,7 @@ mod tests {
 
     #[test]
     fn compaction_round_trips() {
-        let m = DistMatrix::from_triplets(10, 10, [(3u64, 7u64, 2.0), (3, 2, 1.0), (9, 7, 4.0)]);
+        let m = DistMatrix::from_triplets([(3u64, 7u64, 2.0), (3, 2, 1.0), (9, 7, 4.0)]);
         assert_eq!(m.nnz(), 3);
         let mut rows = m.row_indices();
         rows.sort_unstable();
@@ -133,7 +111,7 @@ mod tests {
     #[test]
     fn multiply_matches_dense() {
         // A = [[1, 2], [0, 3]] over rows {0,1}, cols {0,1}.
-        let m = DistMatrix::from_triplets(2, 2, [(0u64, 0u64, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
+        let m = DistMatrix::from_triplets([(0u64, 0u64, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
         // x aligned with col set (hash order!) — map explicitly.
         let cols = m.col_indices();
         let x: Vec<f64> = cols
@@ -151,14 +129,14 @@ mod tests {
     #[test]
     fn pagerank_share_orients_edges() {
         // Edge (s=1, d=2): row 2, col 1.
-        let m = DistMatrix::pagerank_share(5, &[(1, 2)]);
+        let m = DistMatrix::pagerank_share(&[(1, 2)]);
         assert_eq!(m.row_indices(), vec![2]);
         assert_eq!(m.col_indices(), vec![1]);
     }
 
     #[test]
     fn col_counts_count_entries() {
-        let m = DistMatrix::pagerank_share(5, &[(1, 2), (1, 3), (4, 2)]);
+        let m = DistMatrix::pagerank_share(&[(1, 2), (1, 3), (4, 2)]);
         let cols = m.col_indices();
         let counts = m.col_counts();
         for (i, &c) in cols.iter().enumerate() {

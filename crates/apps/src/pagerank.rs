@@ -76,7 +76,7 @@ pub fn distributed_pagerank<C: Comm>(
     local_edges: &[(u32, u32)],
     cfg: &PageRankConfig,
 ) -> Result<PageRankOutcome> {
-    let share = DistMatrix::pagerank_share(n_vertices, local_edges);
+    let share = DistMatrix::pagerank_share(local_edges);
     let srcs = share.col_indices();
     let dsts = share.row_indices();
 

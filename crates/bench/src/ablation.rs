@@ -17,15 +17,16 @@
 //!    allreduce systems; we compare wire volumes against a dense ring
 //!    allreduce on the same vector space.
 
+use crate::fig5;
+use crate::fig6::slowest_rank_ends;
 use crate::scaling::scaled_nic;
 use crate::workload::{VectorWorkload, ELEM_BYTES};
 use bytes::Bytes;
-use kylix::{Kylix, NetworkPlan, ReplicatedComm};
+use kylix::{NetworkPlan, ReplicatedComm};
 use kylix_baselines::ring::ring_volume_elems;
 use kylix_net::telemetry::RankTelemetry;
 use kylix_net::{Comm, CommError, Tag};
 use kylix_netsim::SimCluster;
-use kylix_sparse::SumReducer;
 use std::time::Duration;
 
 /// Generic labelled measurement row.
@@ -41,46 +42,39 @@ pub struct AblationRow {
     pub unit: &'static str,
 }
 
-/// Configure + one reduce on an arbitrary communicator; returns the
-/// node's final virtual time.
-fn run_once<C: Comm>(mut comm: C, workload: &VectorWorkload, plan: &NetworkPlan) -> f64 {
-    let idx = &workload.node_indices[comm.rank()];
-    let kylix = Kylix::new(plan.clone());
-    let mut state = kylix.configure(&mut comm, idx, idx, 0).unwrap();
-    let vals = vec![1.0f64; idx.len()];
-    state.reduce(&mut comm, &vals, SumReducer).unwrap();
-    comm.now()
-}
-
-/// Time one configure+reduce makespan of a workload over a plan with
-/// optional replication, on the scaled collective NIC.
+/// Configure + one reduce makespan of a workload over a plan, in
+/// full-scale seconds, on the scaled collective NIC with the given
+/// latency jitter and straggler ranks. Every rank runs under
+/// [`ReplicatedComm`] (a pass-through at `replication` 1), racing its
+/// receives, or with `race` off pinned to replica 0.
 fn makespan(
     workload: &VectorWorkload,
     plan: &NetworkPlan,
     replication: usize,
     race: bool,
     jitter: f64,
+    stragglers: &[(usize, f64)],
     seed: u64,
 ) -> f64 {
-    let logical = plan.size();
-    let physical = logical * replication;
     let nic = scaled_nic(workload.scale as f64).with_jitter(jitter);
-    let cluster = SimCluster::new(physical, nic).seed(seed);
-    let spans: Vec<f64> = cluster.run_all(|comm| {
-        if replication == 1 {
-            run_once(comm, workload, plan)
-        } else if race {
-            run_once(ReplicatedComm::new(comm, replication), workload, plan)
-        } else {
+    let cluster = SimCluster::new(plan.size() * replication, nic)
+        .seed(seed)
+        .stragglers(stragglers);
+    let ends = if race {
+        slowest_rank_ends(&cluster, workload, plan, 1, |comm| {
+            Some(ReplicatedComm::new(comm, replication))
+        })
+    } else {
+        slowest_rank_ends(&cluster, workload, plan, 1, |comm| {
             let logical = comm.size() / replication;
             let pinned = ReplicaZero {
                 inner: comm,
                 logical,
             };
-            run_once(ReplicatedComm::new(pinned, replication), workload, plan)
-        }
-    });
-    spans.into_iter().fold(0.0, f64::max) * workload.scale as f64
+            Some(ReplicatedComm::new(pinned, replication))
+        })
+    };
+    ends[1] * workload.scale as f64
 }
 
 /// The physical communicator below a [`ReplicatedComm`] with racing
@@ -142,7 +136,7 @@ pub fn degree_order(scale: u64, seed: u64) -> Vec<AblationRow> {
     .map(|(label, degrees)| AblationRow {
         study: "degree-order",
         variant: label.to_string(),
-        value: makespan(&w, &NetworkPlan::new(&degrees), 1, true, 0.3, seed),
+        value: makespan(&w, &NetworkPlan::new(&degrees), 1, true, 0.3, &[], seed),
         unit: "s",
     })
     .collect()
@@ -157,19 +151,19 @@ pub fn packet_racing(scale: u64, seed: u64) -> Vec<AblationRow> {
         AblationRow {
             study: "packet-racing",
             variant: "replicated, racing".into(),
-            value: makespan(&w, &plan, 2, true, jitter, seed),
+            value: makespan(&w, &plan, 2, true, jitter, &[], seed),
             unit: "s",
         },
         AblationRow {
             study: "packet-racing",
             variant: "replicated, pinned to replica 0".into(),
-            value: makespan(&w, &plan, 2, false, jitter, seed),
+            value: makespan(&w, &plan, 2, false, jitter, &[], seed),
             unit: "s",
         },
         AblationRow {
             study: "packet-racing",
             variant: "unreplicated".into(),
-            value: makespan(&w, &plan, 1, true, jitter, seed),
+            value: makespan(&w, &plan, 1, true, jitter, &[], seed),
             unit: "s",
         },
     ]
@@ -184,7 +178,7 @@ pub fn replication_factor(scale: u64, seed: u64) -> Vec<AblationRow> {
         .map(|s| AblationRow {
             study: "replication-factor",
             variant: format!("s = {s}"),
-            value: makespan(&w, &plan, s, true, 0.3, seed),
+            value: makespan(&w, &plan, s, true, 0.3, &[], seed),
             unit: "s",
         })
         .collect()
@@ -195,17 +189,11 @@ pub fn replication_factor(scale: u64, seed: u64) -> Vec<AblationRow> {
 pub fn sparse_vs_dense(scale: u64, seed: u64) -> Vec<AblationRow> {
     let w = VectorWorkload::twitter_like(64, scale, seed);
     let m = 64;
-    // Sparse: measured per-node down+up volume on the paper plan.
-    let plan = NetworkPlan::new(&[8, 4, 2]);
-    let per_node: Vec<usize> = kylix_net::LocalCluster::run(m, |mut comm| {
-        let me = comm.rank();
-        let kylix = Kylix::new(plan.clone());
-        let state = kylix
-            .configure(&mut comm, &w.node_indices[me], &w.node_indices[me], 0)
-            .unwrap();
-        state.down_volume_elems().iter().sum::<usize>() * 2 // down + up
-    });
-    let sparse_bytes = per_node.iter().sum::<usize>() as f64 / m as f64 * ELEM_BYTES as f64;
+    // Sparse: the per-node down volume Fig. 5 measures on the paper
+    // plan, twice (down + up).
+    let down_bytes: u64 = fig5::profile(&w, &[8, 4, 2]).measured_bytes.iter().sum();
+    let elems = down_bytes as usize / ELEM_BYTES * 2;
+    let sparse_bytes = elems as f64 / m as f64 * ELEM_BYTES as f64;
     let dense_bytes = ring_volume_elems(w.model.n as usize, m) as f64 * ELEM_BYTES as f64;
     vec![
         AblationRow {
@@ -223,29 +211,6 @@ pub fn sparse_vs_dense(scale: u64, seed: u64) -> Vec<AblationRow> {
     ]
 }
 
-/// Time one configure+reduce makespan with designated stragglers.
-fn makespan_with_stragglers(
-    workload: &VectorWorkload,
-    plan: &NetworkPlan,
-    replication: usize,
-    stragglers: &[(usize, f64)],
-    seed: u64,
-) -> f64 {
-    let physical = plan.size() * replication;
-    let nic = scaled_nic(workload.scale as f64);
-    let cluster = SimCluster::new(physical, nic)
-        .seed(seed)
-        .stragglers(stragglers);
-    let spans: Vec<f64> = cluster.run_all(|comm| {
-        if replication == 1 {
-            run_once(comm, workload, plan)
-        } else {
-            run_once(ReplicatedComm::new(comm, replication), workload, plan)
-        }
-    });
-    spans.into_iter().fold(0.0, f64::max) * workload.scale as f64
-}
-
 /// Ablation 5: straggler sensitivity (paper §II's "variable compute
 /// node performance"). One node runs 4× slow; the direct topology's 63
 /// serialised messages amplify it far more than the butterfly's 11,
@@ -259,8 +224,8 @@ pub fn straggler_sensitivity(scale: u64, seed: u64) -> Vec<AblationRow> {
         ("direct (64)", NetworkPlan::direct(64)),
         ("8x4x2", NetworkPlan::new(&[8, 4, 2])),
     ] {
-        let base = makespan_with_stragglers(&w64, &plan, 1, &[], seed);
-        let hit = makespan_with_stragglers(&w64, &plan, 1, &slow, seed);
+        let base = makespan(&w64, &plan, 1, true, 0.3, &[], seed);
+        let hit = makespan(&w64, &plan, 1, true, 0.3, &slow, seed);
         rows.push(AblationRow {
             study: "straggler",
             variant: format!("{label}, 4x straggler slowdown factor"),
@@ -272,8 +237,8 @@ pub fn straggler_sensitivity(scale: u64, seed: u64) -> Vec<AblationRow> {
     // should hide most of it.
     let w32 = VectorWorkload::twitter_like(32, scale, seed);
     let plan = NetworkPlan::new(&[8, 4]);
-    let base = makespan_with_stragglers(&w32, &plan, 2, &[], seed);
-    let hit = makespan_with_stragglers(&w32, &plan, 2, &slow, seed);
+    let base = makespan(&w32, &plan, 2, true, 0.3, &[], seed);
+    let hit = makespan(&w32, &plan, 2, true, 0.3, &slow, seed);
     rows.push(AblationRow {
         study: "straggler",
         variant: "8x4 rep=2, straggler on one replica".into(),

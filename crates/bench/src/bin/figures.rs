@@ -8,8 +8,9 @@
 //! Each experiment prints an aligned text table; `--json` additionally
 //! dumps machine-readable rows (used to refresh EXPERIMENTS.md); a
 //! missing or malformed flag value prints the usage and exits with 2.
-//! `--telemetry` dumps the raw per-rank telemetry export behind the
-//! Fig. 5 volumes (the CI build artifact). `--quick` trims the fault
+//! `--telemetry` writes the per-rank telemetry behind the Fig. 5
+//! volumes (the CI build artifact) through the same JSON printer, one
+//! `{dataset, telemetry}` profile per dataset. `--quick` trims the fault
 //! and straggler sweeps to their CI-smoke subsets and `merge` to fewer
 //! timed calls.
 
@@ -91,26 +92,6 @@ fn parse_number(flag: &str, v: &str) -> Result<u64, String> {
         .map_err(|_| format!("{flag} needs a non-negative integer, got '{v}'"))
 }
 
-/// Combine the per-profile telemetry exports (already JSON) into one
-/// artifact document. Assembled by hand so the payload stays exactly
-/// what `Telemetry::to_json` produced, wrapped with run metadata.
-fn telemetry_artifact(profiles: &[fig5::Fig5Profile], scale: u64, seed: u64) -> String {
-    let mut s = format!(
-        "{{\n  \"experiment\": \"fig5\",\n  \"scale\": {scale},\n  \"seed\": {seed},\n  \"profiles\": ["
-    );
-    for (i, p) in profiles.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"dataset\": \"{}\", \"telemetry\": {}}}",
-            p.dataset, p.telemetry_json
-        ));
-    }
-    s.push_str("\n  ]\n}\n");
-    s
-}
-
 fn mb(bytes: f64) -> String {
     format!("{:.2}", bytes / 1e6)
 }
@@ -190,8 +171,19 @@ fn main() {
             "fig5" => {
                 let profiles = fig5::run(args.scale, args.seed);
                 if let Some(path) = &args.telemetry {
-                    std::fs::write(path, telemetry_artifact(&profiles, args.scale, args.seed))
-                        .expect("write telemetry");
+                    let profiles: Json = profiles
+                        .iter()
+                        .map(|p| {
+                            Json::object(&[("dataset", &p.dataset), ("telemetry", &p.telemetry)])
+                        })
+                        .collect();
+                    let artifact = Json::object(&[
+                        ("experiment", &"fig5"),
+                        ("scale", &args.scale),
+                        ("seed", &args.seed),
+                        ("profiles", &profiles),
+                    ]);
+                    std::fs::write(path, artifact.to_pretty()).expect("write telemetry");
                     eprintln!("wrote {path}");
                 }
                 for p in &profiles {

@@ -47,9 +47,9 @@ pub struct Fig5Profile {
     pub predicted_bytes: Vec<f64>,
     /// Model-predicted bottom volume.
     pub predicted_bottom: f64,
-    /// Full telemetry export (JSON) of the measuring run — the CI
-    /// artifact behind the measured numbers.
-    pub telemetry_json: String,
+    /// Full telemetry snapshot of the measuring run — the numbers
+    /// behind `measured_bytes`, written out by `figures --telemetry`.
+    pub telemetry: TelemetryReport,
 }
 
 /// Distil per-layer down-pass element bytes from a telemetry snapshot:
@@ -91,8 +91,8 @@ pub fn profile(workload: &VectorWorkload, degrees: &[usize]) -> Fig5Profile {
     });
 
     let layers = plan.layers();
-    let rep = tel.report();
-    let measured = down_volume_from_telemetry(&rep, layers);
+    let telemetry = tel.report();
+    let measured = down_volume_from_telemetry(&telemetry, layers);
     let bottom: u64 = bottoms.iter().map(|&b| b as u64 * ELEM_BYTES).sum();
 
     let preds = workload
@@ -111,7 +111,7 @@ pub fn profile(workload: &VectorWorkload, degrees: &[usize]) -> Fig5Profile {
         bottom_bytes: bottom,
         predicted_bytes: predicted,
         predicted_bottom,
-        telemetry_json: tel.to_json(),
+        telemetry,
     }
 }
 
@@ -159,7 +159,7 @@ mod tests {
 
         let thread = profile(&w, &degrees);
         assert_eq!(thread.measured_bytes, structural);
-        assert!(!thread.telemetry_json.is_empty());
+        assert_eq!(thread.telemetry.ranks.len(), 64);
 
         // Same workload on the simulator: identical counters.
         let cluster = SimCluster::new(64, scaled_nic(4000.0)).seed(5);

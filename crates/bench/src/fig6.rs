@@ -17,7 +17,7 @@ use crate::scaling::scaled_nic;
 use crate::workload::VectorWorkload;
 use kylix::{Kylix, NetworkPlan};
 use kylix_net::Comm;
-use kylix_netsim::SimCluster;
+use kylix_netsim::{SimCluster, SimComm};
 use kylix_sparse::SumReducer;
 
 /// Timing result for one (dataset, topology) cell.
@@ -33,6 +33,42 @@ pub struct Fig6Row {
     pub reduce_time: f64,
 }
 
+/// The simulated configure-and-reduce timing behind Figs. 6 and 7,
+/// Table I and the ablations. Every rank of `cluster` whose endpoint
+/// `wrap` keeps (`None` is a rank dead from the start) configures
+/// `plan` on its workload indices, then runs `iters` reduces of 1.0.
+/// Returns, per phase (the configure, then each reduce), the virtual
+/// time at which the slowest live rank finished it.
+pub(crate) fn slowest_rank_ends<C, W>(
+    cluster: &SimCluster,
+    workload: &VectorWorkload,
+    plan: &NetworkPlan,
+    iters: usize,
+    wrap: W,
+) -> Vec<f64>
+where
+    C: Comm,
+    W: Fn(SimComm) -> Option<C> + Sync,
+{
+    let per_rank: Vec<Option<Vec<f64>>> = cluster.run_all(|comm| {
+        let mut comm = wrap(comm)?;
+        let idx = &workload.node_indices[comm.rank()];
+        let kylix = Kylix::new(plan.clone());
+        let mut state = kylix.configure(&mut comm, idx, idx, 0).unwrap();
+        let mut ends = vec![comm.now()];
+        let vals = vec![1.0f64; idx.len()];
+        for _ in 0..iters {
+            state.reduce(&mut comm, &vals, SumReducer).unwrap();
+            ends.push(comm.now());
+        }
+        Some(ends)
+    });
+    let live: Vec<Vec<f64>> = per_rank.into_iter().flatten().collect();
+    (0..=iters)
+        .map(|phase| live.iter().map(|e| e[phase]).fold(0.0, f64::max))
+        .collect()
+}
+
 /// Time configure + `iters` reduces of a workload on a topology;
 /// returns full-scale (config, reduce-per-iteration) seconds.
 pub fn time_topology(
@@ -43,32 +79,11 @@ pub fn time_topology(
 ) -> (f64, f64) {
     let m = workload.node_indices.len();
     assert_eq!(plan.size(), m);
-    let nic = scaled_nic(workload.scale as f64);
-    let cluster = SimCluster::new(m, nic).seed(seed);
-    let per_node: Vec<(f64, Vec<f64>)> = cluster.run_all(|mut comm| {
-        let me = comm.rank();
-        let idx = &workload.node_indices[me];
-        let kylix = Kylix::new(plan.clone());
-        let mut state = kylix.configure(&mut comm, idx, idx, 0).unwrap();
-        let t_cfg = comm.now();
-        let vals = vec![1.0f64; idx.len()];
-        let mut ends = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            state.reduce(&mut comm, &vals, SumReducer).unwrap();
-            ends.push(comm.now());
-        }
-        (t_cfg, ends)
-    });
-    let config_end = per_node.iter().map(|p| p.0).fold(0.0, f64::max);
-    let mut last = config_end;
-    let mut total_reduce = 0.0;
-    for i in 0..iters {
-        let end = per_node.iter().map(|p| p.1[i]).fold(0.0, f64::max);
-        total_reduce += end - last;
-        last = end;
-    }
+    let cluster = SimCluster::new(m, scaled_nic(workload.scale as f64)).seed(seed);
+    let ends = slowest_rank_ends(&cluster, workload, plan, iters, Some);
+    let total_reduce: f64 = ends.windows(2).map(|w| w[1] - w[0]).sum();
     let scale = workload.scale as f64;
-    (config_end * scale, total_reduce / iters as f64 * scale)
+    (ends[0] * scale, total_reduce / iters as f64 * scale)
 }
 
 /// Run the full Fig. 6 grid.
@@ -97,6 +112,54 @@ pub fn run(scale: u64, seed: u64) -> Vec<Fig6Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kylix::ReplicatedComm;
+
+    /// The slowest-rank reduction skips a rank dead from the start and
+    /// takes each phase's maximum on its own. Each live rank's phase
+    /// ends are read back independently from its traced `reduce_op`
+    /// event: the event's time is the reduce end, and its duration
+    /// reaches back to the configure end (to the rounded nanosecond).
+    #[test]
+    fn slowest_rank_ends_skip_dead_ranks_and_max_each_phase() {
+        let dead = 5;
+        let w = VectorWorkload::twitter_like(4, 40000, 0);
+        let plan = NetworkPlan::new(&[2, 2]);
+        let cluster = SimCluster::new(8, scaled_nic(40000.0)).seed(0).traced();
+        let ends = slowest_rank_ends(&cluster, &w, &plan, 1, |comm| {
+            (comm.rank() != dead).then(|| ReplicatedComm::new(comm, 2))
+        });
+        let rep = cluster.telemetry().report();
+        assert!(rep.ranks[dead].events.is_empty(), "the dead rank ran");
+        let per_rank: Vec<(usize, f64, f64)> = (0..8)
+            .filter(|&r| r != dead)
+            .map(|r| {
+                let e = rep.ranks[r]
+                    .events
+                    .iter()
+                    .find(|e| e.label == "reduce_op")
+                    .unwrap();
+                (r, e.t - e.value as f64 / 1e9, e.t)
+            })
+            .collect();
+        let slowest = |phase: fn(&(usize, f64, f64)) -> f64| {
+            *per_rank
+                .iter()
+                .max_by(|a, b| phase(a).total_cmp(&phase(b)))
+                .unwrap()
+        };
+        let (config_rank, config_end, _) = slowest(|p| p.1);
+        let (reduce_rank, _, reduce_end) = slowest(|p| p.2);
+        assert_eq!(ends.len(), 2);
+        assert!(
+            (ends[0] - config_end).abs() < 1e-9,
+            "{ends:?} vs {config_end}"
+        );
+        assert_eq!(ends[1], reduce_end);
+        assert_ne!(
+            config_rank, reduce_rank,
+            "one rank is slowest in both phases"
+        );
+    }
 
     fn rows_for<'a>(rows: &'a [Fig6Row], dataset: &str) -> (&'a Fig6Row, &'a Fig6Row, &'a Fig6Row) {
         let ds: Vec<&Fig6Row> = rows.iter().filter(|r| r.dataset == dataset).collect();

@@ -7,8 +7,11 @@
 //! sweeping the pool size reproduces the curve: processing serialises
 //! behind one worker and overlaps across many.
 
+use crate::fig6::slowest_rank_ends;
+use crate::scaling::scaled_nic;
 use crate::workload::VectorWorkload;
 use kylix::NetworkPlan;
+use kylix_netsim::SimCluster;
 
 /// One point of the thread sweep.
 #[derive(Debug, Clone, Copy)]
@@ -25,52 +28,22 @@ pub const THREAD_LEVELS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 /// Run the sweep on the Twitter-like workload over 8×4×2.
 pub fn run(scale: u64, seed: u64) -> Vec<Fig7Row> {
     let plan = NetworkPlan::new(&[8, 4, 2]);
+    // One workload and one seed for every level: only the worker count
+    // varies.
+    let w = VectorWorkload::twitter_like(64, scale, seed);
     THREAD_LEVELS
         .iter()
         .map(|&threads| {
-            // Regenerate the workload per level with the same seed so
-            // only the worker count varies.
-            let mut w = VectorWorkload::twitter_like(64, scale, seed);
-            w.name = format!("twitter-like-t{threads}");
-            let (config, reduce) = time_topology_with_workers(&w, &plan, seed, threads);
+            let nic = scaled_nic(scale as f64).with_workers(threads);
+            let cluster = SimCluster::new(64, nic).seed(seed);
+            let ends = slowest_rank_ends(&cluster, &w, &plan, 1, Some);
+            let s = scale as f64;
             Fig7Row {
                 threads,
-                runtime: config + reduce,
+                runtime: ends[0] * s + (ends[1] - ends[0]) * s,
             }
         })
         .collect()
-}
-
-/// `fig6::time_topology` with an overridden worker count.
-fn time_topology_with_workers(
-    workload: &VectorWorkload,
-    plan: &NetworkPlan,
-    seed: u64,
-    workers: usize,
-) -> (f64, f64) {
-    use crate::scaling::scaled_nic;
-    use kylix::Kylix;
-    use kylix_net::Comm;
-    use kylix_netsim::SimCluster;
-    use kylix_sparse::SumReducer;
-
-    let m = workload.node_indices.len();
-    let nic = scaled_nic(workload.scale as f64).with_workers(workers);
-    let cluster = SimCluster::new(m, nic).seed(seed);
-    let per_node: Vec<(f64, f64)> = cluster.run_all(|mut comm| {
-        let me = comm.rank();
-        let idx = &workload.node_indices[me];
-        let kylix = Kylix::new(plan.clone());
-        let mut state = kylix.configure(&mut comm, idx, idx, 0).unwrap();
-        let t_cfg = comm.now();
-        let vals = vec![1.0f64; idx.len()];
-        state.reduce(&mut comm, &vals, SumReducer).unwrap();
-        (t_cfg, comm.now())
-    });
-    let config_end = per_node.iter().map(|p| p.0).fold(0.0, f64::max);
-    let reduce_end = per_node.iter().map(|p| p.1).fold(0.0, f64::max);
-    let s = workload.scale as f64;
-    (config_end * s, (reduce_end - config_end) * s)
 }
 
 #[cfg(test)]

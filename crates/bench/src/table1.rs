@@ -12,12 +12,12 @@
 //! racing claws back latency), and the runtime is flat in the number of
 //! failures.
 
+use crate::fig6::slowest_rank_ends;
 use crate::scaling::scaled_nic;
 use crate::workload::VectorWorkload;
-use kylix::{Kylix, NetworkPlan, ReplicatedComm};
+use kylix::{NetworkPlan, ReplicatedComm};
 use kylix_net::Comm;
 use kylix_netsim::SimCluster;
-use kylix_sparse::SumReducer;
 
 /// One column of Table I.
 #[derive(Debug, Clone)]
@@ -36,45 +36,25 @@ pub struct Table1Row {
     pub reduce_time: f64,
 }
 
-/// Time one (plan, replication, dead set) cell.
-fn time_cell(
-    workload: &VectorWorkload,
-    plan: &NetworkPlan,
-    replication: usize,
-    dead: &[usize],
-    seed: u64,
-) -> (f64, f64) {
-    let logical = plan.size();
-    let physical = logical * replication;
-    let nic = scaled_nic(workload.scale as f64);
-    let cluster = SimCluster::new(physical, nic).seed(seed);
-    let per_node: Vec<Option<(f64, f64)>> = cluster.run_all(|comm| {
-        if dead.contains(&comm.rank()) {
-            return None;
-        }
-        let mut rc = ReplicatedComm::new(comm, replication);
-        let me = rc.rank();
-        let idx = &workload.node_indices[me];
-        let kylix = Kylix::new(plan.clone());
-        let mut state = kylix.configure(&mut rc, idx, idx, 0).unwrap();
-        let t_cfg = rc.now();
-        let vals = vec![1.0f64; idx.len()];
-        state.reduce(&mut rc, &vals, SumReducer).unwrap();
-        Some((t_cfg, rc.now()))
-    });
-    let alive: Vec<(f64, f64)> = per_node.into_iter().flatten().collect();
-    let config_end = alive.iter().map(|p| p.0).fold(0.0, f64::max);
-    let reduce_end = alive.iter().map(|p| p.1).fold(0.0, f64::max);
-    let s = workload.scale as f64;
-    (config_end * s, (reduce_end - config_end) * s)
-}
-
 /// Regenerate Table I.
 pub fn run(scale: u64, seed: u64) -> Vec<Table1Row> {
+    // One cell: `degrees` replicated `replication` times over the
+    // physical cluster, the `dead` physical ranks down from the start;
+    // full-scale (config, reduce) seconds over the live ranks.
+    let cell = |w: &VectorWorkload, degrees: &[usize], replication: usize, dead: &[usize]| {
+        let plan = NetworkPlan::new(degrees);
+        let cluster =
+            SimCluster::new(plan.size() * replication, scaled_nic(scale as f64)).seed(seed);
+        let ends = slowest_rank_ends(&cluster, w, &plan, 1, |comm| {
+            (!dead.contains(&comm.rank())).then(|| ReplicatedComm::new(comm, replication))
+        });
+        let s = scale as f64;
+        (ends[0] * s, (ends[1] - ends[0]) * s)
+    };
     let mut rows = Vec::new();
     // Column 1: unreplicated 64-node 8x4x2.
     let w64 = VectorWorkload::twitter_like(64, scale, seed);
-    let (c, r) = time_cell(&w64, &NetworkPlan::new(&[8, 4, 2]), 1, &[], seed);
+    let (c, r) = cell(&w64, &[8, 4, 2], 1, &[]);
     rows.push(Table1Row {
         system: "8x4x2 rep=1 (64 nodes)".into(),
         physical_nodes: 64,
@@ -85,7 +65,7 @@ pub fn run(scale: u64, seed: u64) -> Vec<Table1Row> {
     });
     // Column 2: unreplicated 32-node 8x4 (same data split 32 ways).
     let w32 = VectorWorkload::twitter_like(32, scale, seed + 1);
-    let (c, r) = time_cell(&w32, &NetworkPlan::new(&[8, 4]), 1, &[], seed);
+    let (c, r) = cell(&w32, &[8, 4], 1, &[]);
     rows.push(Table1Row {
         system: "8x4 rep=1 (32 nodes)".into(),
         physical_nodes: 32,
@@ -99,7 +79,7 @@ pub fn run(scale: u64, seed: u64) -> Vec<Table1Row> {
         // Kill second replicas of distinct logical nodes (physical
         // ranks 32, 33, 34): each group keeps a survivor.
         let dead: Vec<usize> = (0..dead_count).map(|i| 32 + i).collect();
-        let (c, r) = time_cell(&w32, &NetworkPlan::new(&[8, 4]), 2, &dead, seed);
+        let (c, r) = cell(&w32, &[8, 4], 2, &dead);
         rows.push(Table1Row {
             system: "8x4 rep=2 (64 nodes)".into(),
             physical_nodes: 64,

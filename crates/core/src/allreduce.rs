@@ -36,6 +36,7 @@
 use crate::config::{run_down_pass, Configured};
 use crate::error::Result;
 use crate::plan::NetworkPlan;
+use crate::reduce::record_op;
 use kylix_net::Comm;
 use kylix_sparse::{Reducer, Scalar, SumReducer};
 
@@ -102,6 +103,7 @@ impl Kylix {
         V: Scalar,
         R: Reducer<V>,
     {
+        let t0 = comm.now();
         let (mut configured, mut scratch) = run_down_pass(
             comm,
             &self.plan,
@@ -115,6 +117,7 @@ impl Kylix {
         configured.finish_op(comm, reducer, channel, &mut scratch, &mut result)?;
         // The pooled buffers stay on the state for later reduce calls.
         configured.scratch.put(scratch);
+        record_op(comm, t0);
         Ok((result, configured))
     }
 }

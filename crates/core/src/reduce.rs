@@ -92,6 +92,20 @@ pub(crate) struct ReduceScratch<V> {
     pub(crate) pending: Vec<usize>,
 }
 
+/// Histogram one whole collective op (a reduce, or a combined
+/// configure-and-reduce) that started at `t0`, through the substrate's
+/// own clock: virtual seconds on the simulator, wall seconds on real
+/// clusters. Atomic adds only — nothing here allocates.
+pub(crate) fn record_op<C: Comm>(comm: &C, t0: f64) {
+    let nanos = ((comm.now() - t0) * 1e9).round() as u64;
+    if let Some(tel) = comm.telemetry() {
+        tel.record_op(nanos);
+        if tel.tracing() {
+            tel.trace_event(comm.now(), Phase::App as u8, 0, "reduce_op", nanos);
+        }
+    }
+}
+
 impl Configured {
     /// Run one sparse allreduce over previously configured index sets.
     ///
@@ -142,16 +156,7 @@ impl Configured {
         let result = self.reduce_op(comm, out_values, reducer, seq, &mut scratch, out);
         self.scratch.put(scratch);
         if result.is_ok() {
-            // Histogram the whole collective through the substrate's own
-            // clock: virtual seconds on the simulator, wall seconds on
-            // real clusters. Two atomic adds — nothing here allocates.
-            let nanos = ((comm.now() - t0) * 1e9).round() as u64;
-            if let Some(tel) = comm.telemetry() {
-                tel.record_op(nanos);
-                if tel.tracing() {
-                    tel.trace_event(comm.now(), Phase::App as u8, 0, "reduce_op", nanos);
-                }
-            }
+            record_op(comm, t0);
         }
         result
     }

@@ -82,10 +82,6 @@ impl LinkFaults {
             assert!((0.0..=1.0).contains(&p), "{name} must be in [0,1], got {p}");
         }
     }
-
-    fn is_none(&self) -> bool {
-        self.drop_p == 0.0 && self.dup_p == 0.0 && self.corrupt_p == 0.0 && self.delay_p == 0.0
-    }
 }
 
 /// When a node crashes.
@@ -195,13 +191,6 @@ impl FaultPlan {
     /// The crash event for `rank`, if any.
     pub fn crash(&self, rank: usize) -> Option<Crash> {
         self.crashes.get(&rank).copied()
-    }
-
-    /// True when the plan injects nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.default_link.is_none()
-            && self.links.values().all(LinkFaults::is_none)
-            && self.crashes.is_empty()
     }
 
     /// Deterministic biased coin: does fault `salt` strike message `k`

@@ -4,7 +4,9 @@
 //!
 //! Cross-substrate observability for the Kylix reproduction: per-rank,
 //! per-phase, per-layer counters, a bounded log₂ timing histogram, and
-//! an optional ring-buffer event trace — all exportable as JSON.
+//! an optional ring-buffer event trace — all readable from a
+//! [`TelemetryReport`] snapshot (the `figures` harness writes it out as
+//! JSON).
 //!
 //! The same facility serves both execution substrates. On
 //! `LocalCluster` (real threads) the histogram records wall time; on
@@ -47,7 +49,6 @@
 //! pseudo-phase's `BytesSent`, and `SelfMsgs` its `MsgsSent`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -445,11 +446,6 @@ impl Telemetry {
             ranks: self.ranks.iter().map(|r| r.snapshot()).collect(),
         }
     }
-
-    /// Snapshot and serialise in one step.
-    pub fn to_json(&self) -> String {
-        self.report().to_json()
-    }
 }
 
 /// Snapshot of one rank's shard.
@@ -529,72 +525,6 @@ impl TelemetryReport {
         ls.sort_unstable();
         ls.dedup();
         ls
-    }
-
-    /// Serialise the report as JSON. Hand-rolled (the crate is
-    /// dependency-free) and stable: objects are emitted in sorted key
-    /// order, zero slots and empty sections are omitted.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"clock\": \"{}\",", self.clock.name());
-        let _ = writeln!(s, "  \"ranks\": [");
-        for (i, r) in self.ranks.iter().enumerate() {
-            s.push_str("    {\n");
-            let _ = writeln!(s, "      \"rank\": {i},");
-            let _ = writeln!(s, "      \"ops\": {},", r.ops);
-            let _ = writeln!(s, "      \"op_nanos\": {},", r.op_nanos);
-            s.push_str("      \"counters\": [");
-            let mut first = true;
-            for ((phase, layer), kinds) in &r.counters {
-                if !first {
-                    s.push(',');
-                }
-                first = false;
-                s.push_str("\n        {");
-                let _ = write!(s, "\"phase\": {phase}, \"layer\": {layer}");
-                for (k, &v) in kinds.iter().enumerate() {
-                    if v != 0 {
-                        let _ = write!(s, ", \"{}\": {v}", ALL_COUNTERS[k].name());
-                    }
-                }
-                s.push('}');
-            }
-            s.push_str(if first { "],\n" } else { "\n      ],\n" });
-            s.push_str("      \"hist\": [");
-            let top = r.hist.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-            for (i, &c) in r.hist[..top].iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                let _ = write!(s, "{c}");
-            }
-            s.push(']');
-            if r.events.is_empty() {
-                s.push('\n');
-            } else {
-                s.push_str(",\n      \"events\": [");
-                for (j, e) in r.events.iter().enumerate() {
-                    if j > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "\n        {{\"t\": {}, \"phase\": {}, \"layer\": {}, \
-                         \"label\": \"{}\", \"value\": {}}}",
-                        e.t, e.phase, e.layer, e.label, e.value
-                    );
-                }
-                s.push_str("\n      ]\n");
-            }
-            s.push_str(if i + 1 < self.ranks.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
     }
 }
 
@@ -700,26 +630,6 @@ mod tests {
         assert_eq!(rep.total(Counter::BytesSent), 42);
         assert_eq!(rep.layers(), vec![0, 1]);
         assert_eq!(rep.clock, Clock::Wall);
-    }
-
-    #[test]
-    fn json_export_is_wellformed_and_nonempty() {
-        let tel = Telemetry::with_trace(2, Clock::Virtual, 8);
-        tel.rank(0).add(1, 2, Counter::BytesSent, 160);
-        tel.rank(0).add(1, 2, Counter::MsgsSent, 2);
-        tel.rank(0).record_op(1500);
-        tel.rank(1).trace_event(0.5, 1, 2, "reduce_op", 1500);
-        let js = tel.to_json();
-        assert!(js.contains("\"clock\": \"virtual\""));
-        assert!(js.contains("\"bytes_sent\": 160"));
-        assert!(js.contains("\"msgs_sent\": 2"));
-        assert!(js.contains("\"reduce_op\""));
-        // Crude structural sanity: balanced braces/brackets.
-        let opens = js.matches('{').count() + js.matches('[').count();
-        let closes = js.matches('}').count() + js.matches(']').count();
-        assert_eq!(opens, closes);
-        // Zero cells are omitted.
-        assert!(!js.contains("corrupt_rejects"));
     }
 
     #[test]

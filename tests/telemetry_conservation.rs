@@ -122,6 +122,31 @@ fn self_traffic_balances_across_both_views() {
     }
 }
 
+/// Every collective op lands in its rank's op histogram: a combined
+/// op and then a reduce on its state read two timed ops per rank, on
+/// every substrate.
+#[test]
+fn combined_and_reduce_ops_are_both_timed() {
+    let plan = NetworkPlan::new(&[4, 2]);
+    let m = plan.size();
+    let idx = workload(m, 4096, 0.3, 7);
+    for s in Substrate::all(NicModel::ec2_10g(), 7) {
+        let (_, tel) = s.run(m, |mut comm| {
+            let me = comm.rank();
+            let kylix = Kylix::new(plan.clone());
+            let vals = vec![1.0f64; idx[me].len()];
+            let (_, mut state) = kylix
+                .allreduce_combined(&mut comm, &idx[me], &idx[me], &vals, SumReducer, 0)
+                .unwrap();
+            state.reduce(&mut comm, &vals, SumReducer).unwrap();
+        });
+        for (rank, r) in tel.report().ranks.iter().enumerate() {
+            assert_eq!(r.ops, 2, "{s} rank {rank}: timed ops");
+            assert!(r.op_nanos > 0, "{s} rank {rank}: no op time");
+        }
+    }
+}
+
 /// Messages streamed rank 0 → rank 1 in the lossy-link harness.
 const STREAM_LEN: u64 = 50;
 
