@@ -203,9 +203,10 @@ pub fn loss_run(scale: u64, seed: u64, p: f64) -> Vec<(bool, f64, u64)> {
         };
         (correct, secs)
     });
+    let rep = tel.report();
     out.into_iter()
-        .enumerate()
-        .map(|(rank, (correct, secs))| (correct, secs, tel.rank(rank).total(Counter::Retransmits)))
+        .zip(&rep.ranks)
+        .map(|((correct, secs), r)| (correct, secs, r.total(Counter::Retransmits)))
         .collect()
 }
 

@@ -401,13 +401,6 @@ fn locate_sorted(needles: &[Key], hay: &[Key]) -> Vec<u32> {
 }
 
 impl Configured {
-    /// Drop every pooled scratch buffer (send arenas, accumulators).
-    /// The next reduce op re-grows them; useful to trim memory between
-    /// phases, and to measure cold-path allocation in tests.
-    pub fn reset_scratch(&mut self) {
-        self.scratch = ScratchStore::default();
-    }
-
     /// Elements of fully reduced data this node holds at the bottom
     /// (the last bar of the paper's Fig. 5).
     pub fn bottom_elems(&self) -> usize {

@@ -23,44 +23,20 @@
 //! layers".
 //!
 //! The module also provides a closed-form time estimate for any plan
-//! (an analytic LogGP-style cost model), used to sanity-check the
-//! simulator and to rank candidate plans in the ablation benches.
+//! (an analytic LogGP-style cost model over a [`SimpleNic`]), which
+//! ranks candidate plans.
 
 use crate::plan::NetworkPlan;
 use kylix_powerlaw::DensityModel;
-use nic_like::NicLike;
 
-/// Minimal view of a NIC cost model, so `kylix` does not depend on the
-/// simulator crate (which depends back on `kylix-net`). Any type with
-/// per-message overhead and bandwidth can drive the design workflow;
-/// `kylix-netsim`'s `NicModel` satisfies it through a tiny adapter in
-/// the bench harness.
-pub mod nic_like {
-    /// Overhead/bandwidth view of a NIC.
-    pub trait NicLike {
-        /// Fixed per-message cost, seconds.
-        fn overhead_s(&self) -> f64;
-        /// Link bandwidth, bytes/second.
-        fn bandwidth_bps(&self) -> f64;
-    }
-
-    /// A bare (overhead, bandwidth) pair.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct SimpleNic {
-        /// Fixed per-message cost, seconds.
-        pub overhead: f64,
-        /// Bandwidth, bytes/second.
-        pub bandwidth: f64,
-    }
-
-    impl NicLike for SimpleNic {
-        fn overhead_s(&self) -> f64 {
-            self.overhead
-        }
-        fn bandwidth_bps(&self) -> f64 {
-            self.bandwidth
-        }
-    }
+/// The two NIC parameters the cost estimate reads: a fixed per-message
+/// overhead and a link bandwidth.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimpleNic {
+    /// Fixed per-message cost, seconds.
+    pub overhead: f64,
+    /// Bandwidth, bytes/second.
+    pub bandwidth: f64,
 }
 
 /// Workload + network inputs to the design workflow.
@@ -135,21 +111,20 @@ pub fn optimal_degrees(input: &DesignInput) -> NetworkPlan {
 /// mirrors the down pass with the in-set volumes ≈ out-set volumes.
 ///
 /// The estimate deliberately ignores receive CPU and jitter — it is a
-/// *ranking* model (which plan is better), validated against the full
-/// simulator in the integration tests, not a clock.
-pub fn predict_reduce_time<N: NicLike>(
+/// *ranking* model (which plan is better), not a clock.
+pub fn predict_reduce_time(
     plan: &NetworkPlan,
     model: &DensityModel,
     lambda0: f64,
     elem_bytes: usize,
-    nic: &N,
+    nic: &SimpleNic,
 ) -> f64 {
     let preds = model.layer_predictions(lambda0, plan.degrees());
     let mut total = 0.0;
     for (i, &d) in plan.degrees().iter().enumerate() {
         let per_node_bytes = preds[i].elems_per_node * elem_bytes as f64;
         let packet = per_node_bytes / d as f64;
-        let layer = (d as f64 - 1.0) * (nic.overhead_s() + packet / nic.bandwidth_bps());
+        let layer = (d as f64 - 1.0) * (nic.overhead + packet / nic.bandwidth);
         total += 2.0 * layer; // down + up
     }
     total
@@ -157,7 +132,6 @@ pub fn predict_reduce_time<N: NicLike>(
 
 #[cfg(test)]
 mod tests {
-    use super::nic_like::SimpleNic;
     use super::*;
 
     fn twitterish() -> (DensityModel, f64) {

@@ -21,20 +21,21 @@
 //! butterfly layer through the same three steps. `send_layer` sends
 //! every group member its part in coordinate order before the first
 //! receive, and files the own part, which never crosses the network,
-//! as self traffic under the true phase. `recv_layer` takes the peers'
-//! parts and hands each to the pass. `fold_parked` folds parked value
-//! sections into the accumulator in coordinate order, own slice first.
+//! once, as `SelfBytes`/`SelfMsgs` under the pass's phase and layer.
+//! `recv_layer` takes the peers' parts and hands each to the pass.
+//! `fold_parked` folds parked value sections into the accumulator in
+//! coordinate order, own slice first.
 //!
 //! The paper credits *multi-threaded opportunistic communication* —
 //! processing slices in arrival order rather than a fixed peer order —
 //! for saturating commodity NICs. Receives here therefore default to
 //! `recv_any` over the group ([`RecvOrder::Arrival`]): one slow peer no
 //! longer stalls the slices that already landed. Because floating-point
-//! addition is not associative, order-sensitive scalars (floats, see
-//! `Scalar::ORDER_SENSITIVE`) verify each arrival as it lands, park the
-//! out-of-order ones as raw value sections and combine them in
-//! coordinate order — bit-identical to the fixed-order schedule — while
-//! exact integer reducers combine immediately on arrival. The up pass writes disjoint
+//! addition is not associative, the down pass verifies each arrival as
+//! it lands, parks it as a raw value section and combines the parked
+//! sections in coordinate order, so results are bit-identical to the
+//! fixed-order schedule. Every scalar takes this one path; integer
+//! results would be exact in any order. The up pass writes disjoint
 //! spans, so its arrival order never affects results.
 //!
 //! Steady-state operations are also **allocation-free**: a
@@ -63,6 +64,7 @@ use crate::codec::{encode_values_into, Decoder, SEAL_LEN};
 use crate::config::{values_wire_len, Configured, RecvOrder};
 use crate::error::{comm_err, surface_corrupt, KylixError, Result};
 use bytes::{Bytes, BytesMut};
+use kylix_net::tag::count;
 use kylix_net::telemetry::Counter;
 use kylix_net::{Comm, Phase, Tag};
 use kylix_sparse::vec::{copy_from_le, gather_into, scatter_combine, scatter_combine_le};
@@ -70,8 +72,7 @@ use kylix_sparse::{Reducer, Scalar};
 
 /// Pooled per-op buffers for one value type, kept on [`Configured`]
 /// between reduce calls (see `ScratchStore`). Everything here is a
-/// cache: dropping it (`Configured::reset_scratch`) only costs the next
-/// op a warm-up.
+/// cache: dropping it only costs the next op a warm-up.
 #[derive(Debug, Default)]
 pub(crate) struct ReduceScratch<V> {
     /// Send-buffer arena: each message is written in place, split off as
@@ -85,8 +86,7 @@ pub(crate) struct ReduceScratch<V> {
     /// Up-pass gather staging.
     gathered: Vec<V>,
     /// Raw value sections per coordinate, held until their turn in the
-    /// combine order: out-of-order down-pass arrivals of order-sensitive
-    /// scalars, and every combined-mode rider.
+    /// combine order: down-pass arrivals and combined-mode riders.
     pub(crate) parked: Vec<Option<Bytes>>,
     /// Peers still outstanding in the current receive loop.
     pub(crate) pending: Vec<usize>,
@@ -254,21 +254,14 @@ impl Configured {
             // never crosses the network.
             let mut next = 0;
             fold_parked(b, own, parked, &mut next, &lr.out_maps, my_pos, reducer);
+            // Opportunistic receive, fixed combine: park each arrival at
+            // its coordinate and fold the prefix that is ready. Results
+            // stay bit-identical to the fixed-order schedule while the
+            // waiting still overlaps with whoever arrives first.
             let on_part = |c: usize, payload: Bytes| -> Result<()> {
-                let map = &lr.out_maps[c];
-                let raw = value_section::<V>(&payload, map.len(), group[c], tag)?;
-                if V::ORDER_SENSITIVE {
-                    // Opportunistic receive, fixed combine: park each
-                    // arrival at its coordinate and fold the prefix that
-                    // is ready. Results stay bit-identical to the
-                    // fixed-order schedule while the waiting still
-                    // overlaps with whoever arrives first.
-                    parked[c] = Some(section(&payload, raw));
-                    fold_parked(b, own, parked, &mut next, &lr.out_maps, my_pos, reducer);
-                } else {
-                    // Exact reducers: combine in arrival order.
-                    scatter_combine_le(b, raw, map, reducer);
-                }
+                let raw = value_section::<V>(&payload, lr.out_maps[c].len(), group[c], tag)?;
+                parked[c] = Some(section(&payload, raw));
+                fold_parked(b, own, parked, &mut next, &lr.out_maps, my_pos, reducer);
                 Ok(())
             };
             recv_layer(comm, self.recv_order, pending, group, my_pos, tag, on_part)?;
@@ -342,9 +335,8 @@ impl<V: Scalar> ReduceScratch<V> {
 /// Send one layer's parts in coordinate order, all before the layer's
 /// first receive (§VI.B); `part(c)` builds coordinate `c`'s message.
 /// The own part never crosses the network, but Fig. 5 counts packets to
-/// self: it is filed as `own_bytes` under the pseudo-phase, which keeps
-/// whole-layer reports exact, and under the true phase as the self
-/// kinds, for per-pass figures.
+/// self: it is filed once, as `own_bytes` of `SelfBytes` and one
+/// `SelfMsgs` under `tag`.
 pub(crate) fn send_layer<C: Comm>(
     comm: &mut C,
     group: &[usize],
@@ -355,12 +347,8 @@ pub(crate) fn send_layer<C: Comm>(
 ) {
     for (c, &peer) in group.iter().enumerate() {
         if c == my_pos {
-            comm.note_traffic(tag.layer(), own_bytes);
-            if let Some(tel) = comm.telemetry() {
-                let (p, l) = (tag.phase(), tag.layer());
-                tel.add(p, l, Counter::SelfBytes, own_bytes as u64);
-                tel.add(p, l, Counter::SelfMsgs, 1);
-            }
+            count(comm.telemetry(), tag, Counter::SelfBytes, own_bytes as u64);
+            count(comm.telemetry(), tag, Counter::SelfMsgs, 1);
             continue;
         }
         comm.send(peer, tag, part(c));

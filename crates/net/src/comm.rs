@@ -24,7 +24,7 @@
 
 use crate::tag::Tag;
 use bytes::Bytes;
-use kylix_telemetry::{Counter, RankTelemetry, SELF_PHASE};
+use kylix_telemetry::RankTelemetry;
 use std::time::Duration;
 
 /// Errors a receive can surface.
@@ -186,20 +186,11 @@ pub trait Comm: Send {
     /// virtual clock.
     fn charge_compute(&mut self, _seconds: f64) {}
 
-    /// Bytes-per-element-independent hook: report how many application
-    /// payload bytes a protocol message carries that never touch the
-    /// wire (a rank's own part of a scatter), for traffic accounting.
-    ///
-    /// The default implementation files the traffic under the
-    /// [`SELF_PHASE`] pseudo-phase of this endpoint's telemetry shard
-    /// (if any), so whole-layer volume reports are exact on every
-    /// substrate.
-    fn note_traffic(&mut self, layer: u16, bytes: usize) {
-        if let Some(tel) = self.telemetry() {
-            tel.add(SELF_PHASE, layer, Counter::BytesSent, bytes as u64);
-            tel.add(SELF_PHASE, layer, Counter::MsgsSent, 1);
-        }
-    }
+    /// Does nothing, and nothing in the workspace calls it: a rank's
+    /// own part of a layer is filed as `SelfBytes`/`SelfMsgs` by the
+    /// pass that keeps it. The method stays only so that existing
+    /// wrappers overriding it still compile.
+    fn note_traffic(&mut self, _layer: u16, _bytes: usize) {}
 
     /// This endpoint's telemetry shard, if counters were attached when
     /// the cluster was built. Wrappers must delegate so instrumentation

@@ -48,7 +48,7 @@
 use crate::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use crate::comm::{Comm, CommError, RawComm, RawMessage};
 use crate::mailbox::Mailbox;
-use crate::tag::Tag;
+use crate::tag::{count, Tag};
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry, Telemetry};
 use std::sync::Arc;
@@ -222,15 +222,9 @@ impl<L: Link> Comm for Endpoint<L> {
         // point and unit as the simulator's, so the three-way
         // differential tests can demand exact equality. Framing overhead
         // is a wire detail below the telemetry line.
-        if let Some(t) = self.mailbox.telemetry() {
-            t.add(
-                tag.phase(),
-                tag.layer(),
-                Counter::BytesSent,
-                payload.len() as u64,
-            );
-            t.add(tag.phase(), tag.layer(), Counter::MsgsSent, 1);
-        }
+        let tel = self.mailbox.telemetry();
+        count(tel, tag, Counter::BytesSent, payload.len() as u64);
+        count(tel, tag, Counter::MsgsSent, 1);
         match &mut self.links[to] {
             Some(link) => link.send(tag, payload),
             None => {
@@ -630,8 +624,8 @@ pub(crate) mod suite {
         // Reverse order: the first arrival parks in the stash.
         assert_eq!(&c1.recv(0, tag(2, 1)).unwrap()[..], b"defgh");
         assert_eq!(&c1.recv(0, tag(2, 0)).unwrap()[..], b"abc");
-        // Self-addressed traffic files under the pseudo-phase.
-        c0.note_traffic(2, 7);
+        // An own part, filed as the passes file it.
+        count(c0.telemetry(), tag(2, 2), Counter::SelfBytes, 7);
         let rep = tel.report();
         let app = Phase::App as u8;
         // Payload bytes, not framed bytes, on every link kind.
@@ -640,12 +634,10 @@ pub(crate) mod suite {
         assert_eq!(rep.ranks[1].get(app, 2, Counter::BytesRecv), 8);
         assert_eq!(rep.ranks[1].get(app, 2, Counter::MsgsRecv), 2);
         assert!(rep.ranks[1].get(app, 2, Counter::StashParks) >= 1);
-        assert_eq!(
-            rep.ranks[0].get(kylix_telemetry::SELF_PHASE, 2, Counter::BytesSent),
-            7
-        );
-        // Whole-layer sums see wire + self traffic together.
-        assert_eq!(rep.on_layer(2, Counter::BytesSent), 15);
+        assert_eq!(rep.ranks[0].get(app, 2, Counter::SelfBytes), 7);
+        // A layer's whole volume is its wire bytes plus its own parts.
+        let volume = rep.on_layer(2, Counter::BytesSent) + rep.on_layer(2, Counter::SelfBytes);
+        assert_eq!(volume, 15);
     }
 
     pub(crate) fn telemetry_counts_discard_consumed_arrivals_as_received<L: Link>(

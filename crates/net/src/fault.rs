@@ -15,7 +15,7 @@
 //! every link exactly once.
 
 use crate::comm::{Comm, CommError, RawComm, RawMessage};
-use crate::tag::Tag;
+use crate::tag::{count, Tag};
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry};
 use std::collections::HashMap;
@@ -311,15 +311,6 @@ impl<C: Comm> ChaosComm<C> {
         self.inner.as_mut().expect("endpoint crashed")
     }
 
-    /// Mirror one injected fault into the substrate's telemetry shard
-    /// (if any), keyed by the protocol tag it struck.
-    #[inline]
-    fn tel_bump(&self, tag: Tag, kind: Counter) {
-        if let Some(t) = self.inner.as_ref().and_then(|c| c.telemetry()) {
-            t.add(tag.phase(), tag.layer(), kind, 1);
-        }
-    }
-
     /// Release held-back messages captured before operation `before`.
     fn release_holdback(&mut self, before: u64) {
         if self.holdback.is_empty() || self.inner.is_none() {
@@ -368,12 +359,12 @@ impl<C: Comm> Comm for ChaosComm<C> {
         let lf = self.plan.link_faults(src, to);
 
         if self.plan.strikes(lf.drop_p, SALT_DROP, src, to, k) {
-            self.tel_bump(tag, Counter::FaultsDropped);
+            count(self.telemetry(), tag, Counter::FaultsDropped, 1);
         } else {
             let payload = if !payload.is_empty()
                 && self.plan.strikes(lf.corrupt_p, SALT_CORRUPT, src, to, k)
             {
-                self.tel_bump(tag, Counter::FaultsCorrupted);
+                count(self.telemetry(), tag, Counter::FaultsCorrupted, 1);
                 let mut buf = payload.to_vec();
                 let pos = self.plan.corrupt_pos(src, to, k, buf.len());
                 buf[pos] ^= 0x55;
@@ -382,7 +373,7 @@ impl<C: Comm> Comm for ChaosComm<C> {
                 payload
             };
             if self.plan.strikes(lf.delay_p, SALT_DELAY, src, to, k) {
-                self.tel_bump(tag, Counter::FaultsDelayed);
+                count(self.telemetry(), tag, Counter::FaultsDelayed, 1);
                 self.holdback.push(Held {
                     op: self.ops,
                     to,
@@ -391,7 +382,7 @@ impl<C: Comm> Comm for ChaosComm<C> {
                 });
             } else {
                 if self.plan.strikes(lf.dup_p, SALT_DUP, src, to, k) {
-                    self.tel_bump(tag, Counter::FaultsDuplicated);
+                    count(self.telemetry(), tag, Counter::FaultsDuplicated, 1);
                     self.inner_mut().send(to, tag, payload.clone());
                 }
                 self.inner_mut().send(to, tag, payload);

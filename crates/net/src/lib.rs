@@ -73,7 +73,7 @@ pub use comm::{Comm, CommError, PatienceComm, RawComm, RawMessage};
 pub use fault::{ChaosComm, Crash, FaultPlan, LinkFaults};
 pub use frame::{read_frame, write_frame, FrameError, FRAME_HEADER, MAX_FRAME_BYTES};
 pub use mailbox::Mailbox;
-pub use reliable::{ReliableComm, RetryConfig};
+pub use reliable::ReliableComm;
 pub use tag::{Phase, Tag};
 pub use tcp_comm::{TcpCluster, TcpComm};
 pub use thread_comm::ThreadComm;

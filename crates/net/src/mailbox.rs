@@ -30,7 +30,7 @@
 //! it.
 
 use crate::comm::RawMessage;
-use crate::tag::Tag;
+use crate::tag::{count, Tag};
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry};
 use std::collections::{HashMap, VecDeque};
@@ -39,6 +39,8 @@ use std::sync::Arc;
 /// Cap on remembered not-yet-arrived discards. A discard aimed at a
 /// dead peer never matches an arrival; without a bound those entries
 /// would leak instead of the stash. Oldest entries are evicted first.
+/// The eviction queue also holds entries of discards already spent; it
+/// is swept once it reaches twice this length.
 const MAX_PENDING_DISCARDS: usize = 4096;
 
 /// Cap on retained empty stash queues. Enough to cover the distinct
@@ -55,10 +57,14 @@ pub struct Mailbox<T> {
     stash: HashMap<Key, VecDeque<(T, Bytes)>>,
     /// Emptied stash queues kept for reuse.
     spare_queues: Vec<VecDeque<(T, Bytes)>>,
-    /// Discards registered before the matching message arrived.
-    pending_discards: HashMap<Key, u32>,
-    /// Insertion order of `pending_discards` keys, for eviction.
-    discard_order: VecDeque<Key>,
+    /// Discards registered before the matching message arrived: how
+    /// many per key, and the registration that entered the key.
+    pending_discards: HashMap<Key, (u32, u64)>,
+    /// Registrations in order, for eviction. An entry is live while its
+    /// registration still holds its key in `pending_discards`.
+    discard_order: VecDeque<(Key, u64)>,
+    /// Registrations made so far.
+    registrations: u64,
     /// Where receives are counted; `None` counts nothing.
     shard: Option<Arc<RankTelemetry>>,
 }
@@ -71,6 +77,7 @@ impl<T> Mailbox<T> {
             spare_queues: Vec::new(),
             pending_discards: HashMap::new(),
             discard_order: VecDeque::new(),
+            registrations: 0,
             shard,
         }
     }
@@ -80,25 +87,18 @@ impl<T> Mailbox<T> {
         self.shard.as_deref()
     }
 
-    #[inline]
-    fn count(&self, tag: Tag, kind: Counter, n: u64) {
-        if let Some(t) = &self.shard {
-            t.add(tag.phase(), tag.layer(), kind, n);
-        }
-    }
-
     /// Count one message consumed on the protocol's behalf; pairs with
     /// the send-side accounting so fault-free runs conserve messages
     /// per `(phase, layer)`.
     #[inline]
     fn record_recv(&self, tag: Tag, bytes: usize) {
-        self.count(tag, Counter::BytesRecv, bytes as u64);
-        self.count(tag, Counter::MsgsRecv, 1);
+        count(self.telemetry(), tag, Counter::BytesRecv, bytes as u64);
+        count(self.telemetry(), tag, Counter::MsgsRecv, 1);
     }
 
     fn consume_pending_discard(&mut self, key: Key) -> bool {
         match self.pending_discards.get_mut(&key) {
-            Some(n) => {
+            Some((n, _)) => {
                 *n -= 1;
                 if *n == 0 {
                     self.pending_discards.remove(&key);
@@ -130,7 +130,7 @@ impl<T> Mailbox<T> {
             self.record_recv(tag, payload.len());
             return;
         }
-        self.count(tag, Counter::StashParks, 1);
+        count(self.telemetry(), tag, Counter::StashParks, 1);
         self.stash
             .entry((src, tag))
             .or_insert_with(|| self.spare_queues.pop().unwrap_or_default())
@@ -185,18 +185,25 @@ impl<T> Mailbox<T> {
             if self.take(s, tag).is_some() {
                 continue;
             }
-            let n = self.pending_discards.entry((s, tag)).or_insert(0);
+            let reg = self.registrations;
+            let (n, _) = self.pending_discards.entry((s, tag)).or_insert((0, reg));
             if *n == 0 {
-                self.discard_order.push_back((s, tag));
+                self.discard_order.push_back(((s, tag), reg));
+                self.registrations += 1;
             }
             *n += 1;
         }
+        if self.discard_order.len() >= 2 * MAX_PENDING_DISCARDS {
+            let pending = &self.pending_discards;
+            self.discard_order
+                .retain(|(key, reg)| pending.get(key).is_some_and(|e| e.1 == *reg));
+        }
         while self.pending_discards.len() > MAX_PENDING_DISCARDS {
-            match self.discard_order.pop_front() {
-                Some(key) => {
-                    self.pending_discards.remove(&key);
-                }
-                None => break,
+            let Some((key, reg)) = self.discard_order.pop_front() else {
+                break;
+            };
+            if self.pending_discards.get(&key).is_some_and(|e| e.1 == reg) {
+                self.pending_discards.remove(&key);
             }
         }
     }
@@ -208,7 +215,10 @@ impl<T> Mailbox<T> {
 
     /// Number of registered not-yet-arrived discards.
     pub fn pending_discard_len(&self) -> usize {
-        self.pending_discards.values().map(|&n| n as usize).sum()
+        self.pending_discards
+            .values()
+            .map(|&(n, _)| n as usize)
+            .sum()
     }
 }
 
@@ -301,6 +311,43 @@ mod tests {
         }
         assert_eq!(mb.stash_len(), over as usize);
         assert_eq!(mb.pending_discard_len(), 0);
+    }
+
+    #[test]
+    fn spent_discards_do_not_grow_the_eviction_queue() {
+        let mut mb = Mailbox::<()>::new(None);
+        // Replicated runs: each race's losing copy lands after its
+        // discard was registered, and spends it.
+        for seq in 0..10_000 {
+            mb.discard(&[0], tag(0, seq));
+            mb.accept(0, tag(0, seq), (), b(b"late loser"));
+        }
+        assert_eq!((mb.pending_discard_len(), mb.stash_len()), (0, 0));
+        assert!(
+            mb.discard_order.len() <= 2 * MAX_PENDING_DISCARDS,
+            "eviction queue holds {} entries",
+            mb.discard_order.len()
+        );
+    }
+
+    #[test]
+    fn eviction_skips_spent_registrations() {
+        let mut mb = Mailbox::new(None);
+        // Key (0, seq 0) is registered and spent; the cap's worth of
+        // other keys follows, then seq 0 again, one over the cap. The
+        // oldest live registration (seq 1) must go, not the newest one
+        // behind the spent entry at the head of the queue.
+        mb.discard(&[0], tag(0, 0));
+        mb.accept(0, tag(0, 0), (), b(b"spent"));
+        for seq in 1..=MAX_PENDING_DISCARDS as u32 {
+            mb.discard(&[0], tag(0, seq));
+        }
+        mb.discard(&[0], tag(0, 0));
+        assert_eq!(mb.pending_discards.len(), MAX_PENDING_DISCARDS);
+        mb.accept(0, tag(0, 0), (), b(b"dropped"));
+        mb.accept(0, tag(0, 1), (), b(b"kept"));
+        assert_eq!(mb.stash_len(), 1);
+        assert_eq!(&mb.take(0, tag(0, 1)).unwrap().1[..], b"kept");
     }
 
     #[test]

@@ -39,7 +39,7 @@
 use crate::checksum::checksum;
 use crate::comm::{Comm, CommError, RawComm, RawMessage};
 use crate::mailbox::Mailbox;
-use crate::tag::Tag;
+use crate::tag::{count, Tag};
 use bytes::Bytes;
 use kylix_telemetry::{Counter, RankTelemetry};
 use std::collections::{BTreeMap, VecDeque};
@@ -52,9 +52,10 @@ const KIND_ACK: u8 = 2;
 const HEADER_LEN: usize = 5;
 const CRC_LEN: usize = 8;
 
-/// Retransmission parameters.
+/// Retransmission parameters. Only the tests here set anything but
+/// the defaults.
 #[derive(Debug, Clone, Copy)]
-pub struct RetryConfig {
+pub(crate) struct RetryConfig {
     /// Delay before the first retransmission.
     pub base: Duration,
     /// Upper bound on the (doubling) retransmission delay.
@@ -129,7 +130,7 @@ impl<C: RawComm> ReliableComm<C> {
     }
 
     /// Wrap `inner` with explicit retransmission parameters.
-    pub fn with_config(inner: C, cfg: RetryConfig) -> Self {
+    pub(crate) fn with_config(inner: C, cfg: RetryConfig) -> Self {
         let size = inner.size();
         Self {
             inner,
@@ -183,18 +184,9 @@ impl<C: RawComm> ReliableComm<C> {
         Some((kind, seq, buf.slice(HEADER_LEN..body_len)))
     }
 
-    /// Mirror one reliability event into the substrate's telemetry
-    /// shard (if any), keyed by the protocol tag it concerns.
-    #[inline]
-    fn tel_bump(&self, tag: Tag, kind: Counter) {
-        if let Some(t) = self.inner.telemetry() {
-            t.add(tag.phase(), tag.layer(), kind, 1);
-        }
-    }
-
     fn send_ack(&mut self, to: usize, tag: Tag, seq: u32) {
         let frame = Self::frame(KIND_ACK, seq, &[]);
-        self.tel_bump(tag, Counter::AcksSent);
+        count(self.inner.telemetry(), tag, Counter::AcksSent, 1);
         self.inner.send(to, tag, frame);
     }
 
@@ -203,7 +195,7 @@ impl<C: RawComm> ReliableComm<C> {
     /// damaged frame is rejected, both signs of a peer still talking.
     fn handle_frame(&mut self, msg: RawMessage) -> bool {
         let Some((kind, seq, payload)) = Self::open_frame(&msg.payload) else {
-            self.tel_bump(msg.tag, Counter::CorruptRejects);
+            count(self.inner.telemetry(), msg.tag, Counter::CorruptRejects, 1);
             return true;
         };
         match kind {
@@ -223,7 +215,7 @@ impl<C: RawComm> ReliableComm<C> {
                 self.send_ack(msg.src, msg.tag, seq);
                 let stream = &mut self.streams[msg.src];
                 if seq < stream.expected || stream.parked.contains_key(&seq) {
-                    self.tel_bump(msg.tag, Counter::DupesDropped);
+                    count(self.inner.telemetry(), msg.tag, Counter::DupesDropped, 1);
                 } else {
                     stream.parked.insert(seq, (msg.tag, payload));
                     // Deliver the in-sequence prefix.
@@ -254,7 +246,7 @@ impl<C: RawComm> ReliableComm<C> {
                     // Peer presumed dead; stop burning the link.
                     let tag = p.tag;
                     self.unacked.remove(i);
-                    self.tel_bump(tag, Counter::GaveUp);
+                    count(self.inner.telemetry(), tag, Counter::GaveUp, 1);
                     active = true;
                     continue;
                 }
@@ -272,7 +264,7 @@ impl<C: RawComm> ReliableComm<C> {
         }
         active |= !retransmit.is_empty();
         for (to, tag, frame) in retransmit {
-            self.tel_bump(tag, Counter::Retransmits);
+            count(self.inner.telemetry(), tag, Counter::Retransmits, 1);
             self.inner.send(to, tag, frame);
         }
         // Sleep no longer than the earliest retransmission deadline.

@@ -5,6 +5,12 @@
 //! up-pass gathered values, application payloads — and replication adds
 //! duplicate copies of each. A [`Tag`] identifies the stream so receivers
 //! can *selectively* receive: `(phase, layer, seq)` packs into one `u64`.
+//!
+//! The tag is also the telemetry key: [`count`] files a count under the
+//! tag's `(phase, layer)`, and every count in the workspace that belongs
+//! to a message goes through it.
+
+use kylix_telemetry::{Counter, RankTelemetry};
 
 /// Protocol phase of a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,6 +74,15 @@ impl Tag {
     #[inline]
     pub fn from_raw(raw: u64) -> Self {
         Tag(raw)
+    }
+}
+
+/// File `n` of `kind` under `tag`'s `(phase, layer)` in `tel`, if there
+/// is a shard to file into.
+#[inline]
+pub fn count(tel: Option<&RankTelemetry>, tag: Tag, kind: Counter, n: u64) {
+    if let Some(t) = tel {
+        t.add(tag.phase(), tag.layer(), kind, n);
     }
 }
 

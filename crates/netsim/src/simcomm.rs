@@ -61,6 +61,7 @@ use crate::nic::NicModel;
 use bytes::Bytes;
 use kylix_net::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use kylix_net::cluster::run_each;
+use kylix_net::tag::count;
 use kylix_net::{Comm, CommError, Mailbox, RawComm, RawMessage, Tag};
 use kylix_sparse::hash::mix_many;
 use kylix_telemetry::{Clock, Counter, RankTelemetry, Telemetry};
@@ -96,12 +97,11 @@ pub struct SimComm {
     rx: Receiver<SimEvent>,
     /// Per rank: false once its `Eof` has been drained.
     open: Vec<bool>,
-    /// This rank's telemetry shard (always present: the cluster owns a
-    /// virtual-clock `Telemetry`).
-    shard: Arc<RankTelemetry>,
-    /// Arrivals, each tagged with its virtual delivery time. Every
-    /// arrival parks here (the simulator has no direct-delivery path),
-    /// so its `StashParks` count is not comparable across substrates.
+    /// Arrivals, each tagged with its virtual delivery time, counted
+    /// into this rank's telemetry shard (always present: the cluster
+    /// owns a virtual-clock `Telemetry`). Every arrival parks here (the
+    /// simulator has no direct-delivery path), so its `StashParks`
+    /// count is not comparable across substrates.
     mailbox: Mailbox<f64>,
     /// Node-local virtual clock (seconds).
     t_local: f64,
@@ -186,24 +186,17 @@ impl Comm for SimComm {
         debug_assert!(to < self.size, "rank {to} out of range");
         // Counted whether or not the receiver is alive, like the real
         // substrates: traffic is charged when the sender commits it.
-        self.shard.add(
-            tag.phase(),
-            tag.layer(),
-            Counter::BytesSent,
-            payload.len() as u64,
-        );
-        self.shard
-            .add(tag.phase(), tag.layer(), Counter::MsgsSent, 1);
+        let tel = self.mailbox.telemetry();
+        count(tel, tag, Counter::BytesSent, payload.len() as u64);
+        count(tel, tag, Counter::MsgsSent, 1);
         let start = self.t_local.max(self.nic_free);
         let xfer = self.nic.xfer_time(payload.len()) * self.slowdown;
         self.nic_free = start + xfer;
         let deliver_t = start + xfer + self.nic.latency * self.jitter(to);
-        if self.shard.tracing() {
+        if let Some(tel) = self.mailbox.telemetry().filter(|t| t.tracing()) {
             let (phase, layer, bytes) = (tag.phase(), tag.layer(), payload.len() as u64);
-            self.shard
-                .trace_event(start, phase, layer, "sim_emit", bytes);
-            self.shard
-                .trace_event(deliver_t, phase, layer, "sim_deliver", bytes);
+            tel.trace_event(start, phase, layer, "sim_emit", bytes);
+            tel.trace_event(deliver_t, phase, layer, "sim_deliver", bytes);
         }
         // A dead rank's receiver is gone: the message vanishes.
         let _ = self.senders[to].send(SimEvent::Msg {
@@ -290,11 +283,8 @@ impl Comm for SimComm {
         self.t_local += seconds * self.slowdown;
     }
 
-    // `note_traffic` uses the trait default, which files self-addressed
-    // traffic under the telemetry pseudo-phase of this shard.
-
     fn telemetry(&self) -> Option<&RankTelemetry> {
-        Some(&self.shard)
+        self.mailbox.telemetry()
     }
 }
 
@@ -421,7 +411,6 @@ impl SimCluster {
                 senders: Arc::clone(&senders),
                 rx,
                 open: vec![true; self.m],
-                shard: Arc::clone(self.telemetry.rank(rank)),
                 mailbox: Mailbox::new(Some(Arc::clone(self.telemetry.rank(rank)))),
                 t_local: 0.0,
                 nic_free: 0.0,
@@ -754,14 +743,15 @@ mod tests {
         cluster.run_all(|mut c| {
             if c.rank() == 0 {
                 c.send(1, t(3, 0), Bytes::from(vec![0u8; 100]));
-                c.note_traffic(3, 25); // local (self) part
+                count(c.telemetry(), t(3, 1), Counter::SelfBytes, 25); // own part
             } else {
                 c.recv(0, t(3, 0)).unwrap();
             }
         });
         let r = cluster.telemetry().report();
-        assert_eq!(r.on_layer(3, Counter::BytesSent), 125);
-        assert_eq!(r.on_layer(3, Counter::MsgsSent), 2);
+        let volume = r.on_layer(3, Counter::BytesSent) + r.on_layer(3, Counter::SelfBytes);
+        assert_eq!(volume, 125);
+        assert_eq!(r.on_layer(3, Counter::MsgsSent), 1);
     }
 
     #[test]

@@ -165,6 +165,8 @@ impl RawComm for AnyComm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kylix_net::tag::count;
+    use kylix_net::telemetry::Counter;
     use kylix_net::Phase;
 
     fn tag(seq: u32) -> Tag {
@@ -172,7 +174,7 @@ mod tests {
     }
 
     /// Ranks 0 and 1 are replicas sending rank 2 the same message; each
-    /// rank charges compute and notes a self part. Rank 2 races the
+    /// rank charges compute and files an own part. Rank 2 races the
     /// replicas and discards the loser's copy, as a `ReplicatedComm`
     /// receive does, then takes a later message from each replica, so
     /// the loser's copy has surely arrived. Its stash is then empty
@@ -180,7 +182,12 @@ mod tests {
     fn race<C: Comm>(mut c: C) -> C {
         let me = c.rank();
         c.charge_compute(1e-3 * (me + 1) as f64);
-        c.note_traffic(0, 8 * (me + 1));
+        count(
+            c.telemetry(),
+            tag(0),
+            Counter::SelfBytes,
+            8 * (me + 1) as u64,
+        );
         if me < 2 {
             c.send(2, tag(0), Bytes::from(vec![me as u8; 64]));
             c.send(2, tag(1), Bytes::from_static(b"later"));

@@ -16,13 +16,6 @@ use std::fmt::Debug;
 pub trait Scalar: Copy + Send + Sync + Debug + PartialEq + Default + 'static {
     /// Encoded width in bytes.
     const WIDTH: usize;
-    /// Whether combining values of this type is sensitive to evaluation
-    /// order (floating point: addition is not associative in `f32`/`f64`).
-    /// The reduction's down pass reads it: order-sensitive scalars
-    /// buffer out-of-order arrivals and combine in a fixed order so
-    /// results stay bit-identical; exact integer types combine in
-    /// arrival order immediately.
-    const ORDER_SENSITIVE: bool;
     /// Write the little-endian encoding into exactly `WIDTH` bytes
     /// (encoders size the whole section once, then fill it).
     fn write_le_slice(&self, out: &mut [u8]);
@@ -31,10 +24,9 @@ pub trait Scalar: Copy + Send + Sync + Debug + PartialEq + Default + 'static {
 }
 
 macro_rules! impl_scalar {
-    ($($t:ty => $sensitive:expr),*) => {$(
+    ($($t:ty),*) => {$(
         impl Scalar for $t {
             const WIDTH: usize = std::mem::size_of::<$t>();
-            const ORDER_SENSITIVE: bool = $sensitive;
             #[inline]
             fn write_le_slice(&self, out: &mut [u8]) {
                 out.copy_from_slice(&self.to_le_bytes());
@@ -47,7 +39,7 @@ macro_rules! impl_scalar {
     )*};
 }
 
-impl_scalar!(f32 => true, f64 => true, u32 => false, u64 => false, i32 => false, i64 => false);
+impl_scalar!(f32, f64, u32, u64, i32, i64);
 
 /// An associative, commutative reduction operator over `V` with an
 /// identity element.
@@ -146,19 +138,6 @@ mod tests {
         round_trip(u64::MAX);
         round_trip(-42i32);
         round_trip(i64::MIN);
-    }
-
-    #[test]
-    fn only_floats_are_order_sensitive() {
-        fn sensitive<V: Scalar>() -> bool {
-            V::ORDER_SENSITIVE
-        }
-        assert!(sensitive::<f32>());
-        assert!(sensitive::<f64>());
-        assert!(!sensitive::<u32>());
-        assert!(!sensitive::<u64>());
-        assert!(!sensitive::<i32>());
-        assert!(!sensitive::<i64>());
     }
 
     #[test]

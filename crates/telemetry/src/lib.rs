@@ -38,27 +38,23 @@
 //! deterministic workloads. `BytesRecv`/`MsgsRecv` are recorded at
 //! every point a payload is handed to (or discarded on behalf of) the
 //! caller, so in a fault-free run Σ sent == Σ received per
-//! `(phase, layer)` once all ranks return. Self-addressed traffic that
-//! never touches the wire (a rank's own part of a scatter) is recorded
-//! under the pseudo-phase [`SELF_PHASE`] by `Comm::note_traffic`, and
-//! additionally under its true protocol phase as `SelfBytes`/`SelfMsgs`
-//! by every pass (config, combined, down and up) — the pseudo-phase
-//! keeps whole-layer traffic reports exact, the true-phase copy lets
-//! per-phase consumers (Fig. 5) separate the passes. Per rank and
-//! layer, `SelfBytes` summed over the wire phases equals the
-//! pseudo-phase's `BytesSent`, and `SelfMsgs` its `MsgsSent`.
+//! `(phase, layer)` once all ranks return. A rank's own part of a
+//! layer (the part of a scatter that never touches the wire, which the
+//! paper's Fig. 5 counts as a packet to self) is filed once, by every
+//! pass (config, combined, down and up), as `SelfBytes`/`SelfMsgs`
+//! under the pass's own phase and layer. A layer's whole volume is
+//! therefore `BytesSent + SelfBytes` there.
+//!
+//! Every count reaches a shard through [`RankTelemetry::add`] and is
+//! read back through a [`TelemetryReport`] snapshot.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of phase slots per rank. Slots 0–5 are the wire phases of
-/// `kylix_net::Phase`; slot [`SELF_PHASE`] holds self-addressed traffic.
-pub const PHASES: usize = 8;
-
-/// Pseudo-phase for self-addressed traffic recorded via `note_traffic`
-/// (payloads a rank "delivers" to itself without touching the wire).
-pub const SELF_PHASE: u8 = 7;
+/// Number of phase slots per rank: the six wire phases of
+/// `kylix_net::Phase`.
+pub const PHASES: usize = 6;
 
 /// Number of layer slots per phase; layers ≥ `MAX_LAYERS` clamp into
 /// the last slot (no Kylix machine in the paper's range has >6 layers).
@@ -179,7 +175,7 @@ impl Clock {
 pub struct TraceEvent {
     /// Timestamp in seconds on the owning instance's [`Clock`].
     pub t: f64,
-    /// Protocol phase (wire value, or [`SELF_PHASE`]).
+    /// Protocol phase (wire value).
     pub phase: u8,
     /// Butterfly layer.
     pub layer: u16,
@@ -281,22 +277,6 @@ impl RankTelemetry {
         self.cells[cell_index(phase, layer, kind)].load(Ordering::Relaxed)
     }
 
-    /// Sum a counter kind over every phase of one layer.
-    pub fn on_layer(&self, layer: u16, kind: Counter) -> u64 {
-        (0..PHASES as u8).map(|p| self.get(p, layer, kind)).sum()
-    }
-
-    /// Sum a counter kind over every phase and layer.
-    pub fn total(&self, kind: Counter) -> u64 {
-        (0..PHASES as u8)
-            .map(|p| {
-                (0..MAX_LAYERS as u16)
-                    .map(|l| self.get(p, l, kind))
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
     /// Record one timed operation of `nanos` duration.
     #[inline]
     pub fn record_op(&self, nanos: u64) {
@@ -327,24 +307,6 @@ impl RankTelemetry {
                 label,
                 value,
             });
-        }
-    }
-
-    /// Zero every counter, histogram bucket, and the trace ring.
-    pub fn reset(&self) {
-        for c in self.cells.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        for b in &self.hist {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.ops.store(0, Ordering::Relaxed);
-        self.op_nanos.store(0, Ordering::Relaxed);
-        if let Some(ring) = &self.trace {
-            let mut r = ring.lock().unwrap();
-            r.buf.clear();
-            r.next = 0;
-            r.total = 0;
         }
     }
 
@@ -430,13 +392,6 @@ impl Telemetry {
     /// The shard for one rank (shared; clone the `Arc` into a comm).
     pub fn rank(&self, rank: usize) -> &Arc<RankTelemetry> {
         &self.ranks[rank]
-    }
-
-    /// Zero every shard.
-    pub fn reset(&self) {
-        for r in &self.ranks {
-            r.reset();
-        }
     }
 
     /// Consistent point-in-time snapshot of every shard.
@@ -546,9 +501,10 @@ mod tests {
         assert_eq!(t.get(2, MAX_LAYERS as u16 - 1, Counter::MsgsSent), 7);
         assert_eq!(t.get(2, 40000, Counter::MsgsSent), 7);
         // Layer sums cross phases, totals cross everything.
-        t.add(SELF_PHASE, 3, Counter::BytesSent, 10);
-        assert_eq!(t.on_layer(3, Counter::BytesSent), 135);
-        assert_eq!(t.total(Counter::MsgsSent), 8);
+        t.add(3, 3, Counter::BytesSent, 10);
+        let snap = t.snapshot();
+        assert_eq!(snap.on_layer(3, Counter::BytesSent), 135);
+        assert_eq!(snap.total(Counter::MsgsSent), 8);
     }
 
     #[test]
@@ -557,8 +513,9 @@ mod tests {
         let shard = tel.rank(0);
         shard.add(1, 70, Counter::BytesSent, 11);
         shard.add(2, 70, Counter::BytesSent, 4);
-        assert_eq!(shard.on_layer(70, Counter::BytesSent), 15);
+        assert_eq!(shard.get(1, 70, Counter::BytesSent), 11);
         let rep = tel.report();
+        assert_eq!(rep.ranks[0].get(1, 70, Counter::BytesSent), 11);
         assert_eq!(rep.ranks[0].on_layer(70, Counter::BytesSent), 15);
         assert_eq!(rep.on_layer(70, Counter::BytesSent), 15);
         assert_eq!(rep.on_layer(MAX_LAYERS as u16 - 1, Counter::BytesSent), 15);
@@ -604,26 +561,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let tel = Telemetry::with_trace(2, Clock::Virtual, 4);
-        tel.rank(0).add(1, 2, Counter::BytesSent, 9);
-        tel.rank(1).record_op(50);
-        tel.rank(1).trace_event(1.0, 0, 0, "x", 0);
-        tel.reset();
-        let rep = tel.report();
-        assert_eq!(rep.total(Counter::BytesSent), 0);
-        assert_eq!(rep.ranks[1].ops, 0);
-        assert!(rep.ranks[1].events.is_empty());
-        assert_eq!(rep.ranks[1].events_total, 0);
-    }
-
-    #[test]
     fn report_aggregates_across_ranks() {
         let tel = Telemetry::new(3, Clock::Wall);
         tel.rank(0).add(1, 0, Counter::BytesSent, 10);
         tel.rank(1).add(1, 0, Counter::BytesSent, 20);
         tel.rank(2).add(2, 1, Counter::BytesSent, 5);
-        tel.rank(2).add(SELF_PHASE, 0, Counter::BytesSent, 7);
+        tel.rank(2).add(3, 0, Counter::BytesSent, 7);
         let rep = tel.report();
         assert_eq!(rep.on(1, 0, Counter::BytesSent), 30);
         assert_eq!(rep.on_layer(0, Counter::BytesSent), 37);

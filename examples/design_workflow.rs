@@ -6,7 +6,7 @@
 //! cargo run --release --example design_workflow
 //! ```
 
-use kylix::design::nic_like::SimpleNic;
+use kylix::design::SimpleNic;
 use kylix::{optimal_degrees, predict_reduce_time, DesignInput, Kylix, NetworkPlan};
 use kylix_net::Comm;
 use kylix_netsim::{NicModel, SimCluster};

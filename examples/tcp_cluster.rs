@@ -60,11 +60,13 @@ fn main() {
 
     let rep = tel.report();
     println!(
-        "\ntraffic: {} payload bytes in {} messages (self-addressed \
-         traffic loops back in-process; the rest crossed real sockets \
-         behind 12-byte frame headers)",
+        "\ntraffic: {} payload bytes in {} messages crossed real sockets \
+         behind 12-byte frame headers; {} bytes in {} own parts stayed \
+         in-process",
         rep.total(Counter::BytesSent),
         rep.total(Counter::MsgsSent),
+        rep.total(Counter::SelfBytes),
+        rep.total(Counter::SelfMsgs),
     );
     println!("index 7 received contributions from nodes 6 and 7: total 2.0 ✓");
 }

@@ -3,7 +3,10 @@
 
 The file must name the `fig5` experiment and hold at least one
 profile; every profile's telemetry must list ranks, and those ranks
-must have recorded sends. Exits 1 on the first failed check.
+must have recorded sends. Every counter slot must sit in one of the
+six wire phases, and every profile must file own parts (`self_bytes`)
+under the down pass (phase 1), where Fig. 5 reads them. Exits 1 on
+the first failed check.
 
     cargo run --release --offline -p kylix-bench --bin figures -- \\
         fig5 --quick --telemetry BENCH_fig5_telemetry.json
@@ -14,6 +17,9 @@ Standard library only.
 
 import argparse
 import json
+
+PHASES = 6
+DOWN = 1
 
 
 def main():
@@ -33,12 +39,13 @@ def main():
     for p in profiles:
         ranks = p["telemetry"]["ranks"]
         assert ranks, f"{p['dataset']}: no ranks in telemetry"
-        sent = sum(
-            row.get("msgs_sent", 0)
-            for r in ranks
-            for row in r["counters"]
-        )
+        rows = [row for r in ranks for row in r["counters"]]
+        sent = sum(row.get("msgs_sent", 0) for row in rows)
         assert sent > 0, f"{p['dataset']}: telemetry recorded no sends"
+        stray = sorted({row["phase"] for row in rows if row["phase"] >= PHASES})
+        assert not stray, f"{p['dataset']}: counters under phases {stray}"
+        own = sum(row.get("self_bytes", 0) for row in rows if row["phase"] == DOWN)
+        assert own > 0, f"{p['dataset']}: no self_bytes under the down pass"
     print(f"ok: {len(profiles)} profiles, {len(ranks)} ranks each")
 
 

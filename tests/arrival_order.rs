@@ -4,12 +4,11 @@
 //! (`recv_any`) instead of in fixed group order. These tests pin the
 //! contract that makes that safe to ship as the default:
 //!
-//! * float reductions, which park out-of-order arrivals and combine in
-//!   coordinate order, must produce results bit-identical to the
-//!   fixed-order schedule — on the virtual-time simulator under jitter,
-//!   across different jitter seeds, and on real racing threads;
-//! * integer reducers, which combine immediately on arrival, must stay
-//!   exact;
+//! * float reductions, which park arrivals and combine in coordinate
+//!   order, must produce results bit-identical to the fixed-order
+//!   schedule — on the virtual-time simulator under jitter, across
+//!   different jitter seeds, and on real racing threads;
+//! * integer reducers, which take the same path, must stay exact;
 //! * many pooled-buffer `reduce()` ops under ChaosComm
 //!   duplicate/delay faults (repaired by `ReliableComm`) must finish
 //!   correctly without leaking receive-stash entries.
@@ -123,7 +122,7 @@ fn thread_cluster_runs_are_bit_identical() {
     }
 }
 
-/// Integer reducers combine immediately on arrival and must stay exact.
+/// Integer reducers arrive opportunistically too and must stay exact.
 #[test]
 fn integer_arrival_order_is_exact() {
     let mut rng = Xoshiro256::new(53);

@@ -12,7 +12,7 @@
 
 use bytes::Bytes;
 use kylix::{Kylix, NetworkPlan};
-use kylix_net::telemetry::{Counter, SELF_PHASE};
+use kylix_net::telemetry::{Counter, PHASES};
 use kylix_net::{ChaosComm, Comm, FaultPlan, LinkFaults, Phase, ReliableComm, Tag};
 use kylix_netsim::Substrate;
 use kylix_powerlaw::{DensityModel, PartitionGenerator};
@@ -48,7 +48,7 @@ fn fault_free_conservation() {
             state.reduce(&mut comm, &vals, SumReducer).unwrap();
         });
         let rep = tel.report();
-        for phase in 0..SELF_PHASE {
+        for phase in 0..PHASES as u8 {
             for layer in rep.layers() {
                 assert_eq!(
                     rep.on(phase, layer, Counter::MsgsSent),

@@ -21,7 +21,7 @@ fn traffic_stats_match_routing_state_volumes() {
     let plan = NetworkPlan::new(&[4, 2]);
     let idx = workload(m, 4096, 0.25, 1);
     let cluster = SimCluster::new(m, NicModel::ideal(1e9));
-    // Configure, then reset counters and run exactly one reduce.
+    // Configure, then run exactly one reduce; the counters see both.
     let per_node: Vec<(Vec<usize>, usize)> = {
         let idx = &idx;
         let plan = &plan;
@@ -30,10 +30,6 @@ fn traffic_stats_match_routing_state_volumes() {
             let me = comm.rank();
             let kylix = Kylix::new(plan.clone());
             let mut state = kylix.configure(&mut comm, &idx[me], &idx[me], 0).unwrap();
-            // Reduce once after a traffic reset marker: we cannot reset
-            // globally from inside a node, so instead run the reduce on
-            // layer-tagged channels and subtract config bytes later via
-            // the routing state itself.
             let vals = vec![1.0f64; idx[me].len()];
             state.reduce(&mut comm, &vals, SumReducer).unwrap();
             (state.down_volume_elems(), state.bottom_elems())
@@ -47,7 +43,9 @@ fn traffic_stats_match_routing_state_volumes() {
     for (layer, &d) in plan.degrees().iter().enumerate() {
         let elems: usize = per_node.iter().map(|p| p.0[layer]).sum();
         let payload = elems as u64 * 8;
-        let measured = report.on_layer(layer as u16, Counter::BytesSent);
+        let l = layer as u16;
+        let measured =
+            report.on_layer(l, Counter::BytesSent) + report.on_layer(l, Counter::SelfBytes);
         // Layer traffic includes config (8B/index + headers) and reduce
         // down (8B/value + headers) and reduce up (8B/value + headers):
         // bound it between the pure down-pass payload and 4x it. Each of
