@@ -19,8 +19,6 @@
 //!   reducer.
 //! * [`diameter`] — HADI-style effective-diameter estimation with
 //!   Flajolet–Martin bitstrings and an OR reducer (§I.A.2, ref.\ 13).
-//! * [`eigen`] — dominant-eigenvector power iteration (§I.A.2's
-//!   "spectral clustering … eigenvalues").
 //! * [`sgd`] — mini-batch logistic regression: model features live at
 //!   home machines, every batch fetches weights and pushes gradients
 //!   through combined-mode allreduces whose index sets change each step
@@ -29,7 +27,6 @@
 pub mod bfs;
 pub mod components;
 pub mod diameter;
-pub mod eigen;
 pub mod matrix;
 pub mod pagerank;
 pub mod sgd;

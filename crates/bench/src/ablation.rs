@@ -23,7 +23,6 @@ use crate::scaling::scaled_nic;
 use crate::workload::{VectorWorkload, ELEM_BYTES};
 use bytes::Bytes;
 use kylix::{NetworkPlan, ReplicatedComm};
-use kylix_baselines::ring::ring_volume_elems;
 use kylix_net::telemetry::RankTelemetry;
 use kylix_net::{Comm, CommError, Tag};
 use kylix_netsim::SimCluster;
@@ -184,6 +183,18 @@ pub fn replication_factor(scale: u64, seed: u64) -> Vec<AblationRow> {
         .collect()
 }
 
+/// Wire volume per node of a dense ring allreduce (reduce-scatter +
+/// allgather) over `n` elements on `m` nodes, in elements: `2·(m−1)/m · n`
+/// whatever the sparsity. It is the bandwidth-optimal collective of the
+/// dense world the paper sets itself apart from (§VIII).
+fn ring_volume_elems(n: usize, m: usize) -> usize {
+    if m <= 1 {
+        0
+    } else {
+        2 * (m - 1) * (n / m + 1)
+    }
+}
+
 /// Ablation 4: sparse allreduce wire volume vs a dense ring allreduce
 /// over the same vector space.
 pub fn sparse_vs_dense(scale: u64, seed: u64) -> Vec<AblationRow> {
@@ -261,6 +272,12 @@ pub fn run(scale: u64, seed: u64) -> Vec<AblationRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ring_volume_is_sparsity_independent() {
+        assert!(ring_volume_elems(1_000_000, 64) > 1_900_000);
+        assert_eq!(ring_volume_elems(100, 1), 0);
+    }
 
     #[test]
     fn decreasing_degrees_win() {

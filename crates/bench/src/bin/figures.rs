@@ -1,13 +1,15 @@
 //! Regenerate every table and figure of the Kylix paper's evaluation.
 //!
 //! ```text
-//! figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|merge|all] \
-//!     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]
+//! figures [EXPERIMENT|all]… [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]
 //! ```
 //!
+//! The experiments are the names in `EXPERIMENTS` (`--help` lists them);
+//! `all`, or no name, runs every one in that order.
 //! Each experiment prints an aligned text table; `--json` additionally
 //! dumps machine-readable rows (used to refresh EXPERIMENTS.md); a
-//! missing or malformed flag value prints the usage and exits with 2.
+//! missing or malformed flag value prints the usage and exits with 2, as
+//! do an unknown experiment, `--scale 0` and `--telemetry` without `fig5`.
 //! `--telemetry` writes the per-rank telemetry behind the Fig. 5
 //! volumes (the CI build artifact) through the same JSON printer, one
 //! `{dataset, telemetry}` profile per dataset. `--quick` trims the fault
@@ -31,8 +33,28 @@ struct Args {
     telemetry: Option<String>,
 }
 
-const USAGE: &str = "usage: figures [fig2|fig4|fig5|fig6|fig7|table1|fig8|fig9|ablations|faults|straggler|merge|all]… \
-                     [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]";
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 12] = [
+    "fig2",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "table1",
+    "fig8",
+    "fig9",
+    "ablations",
+    "faults",
+    "straggler",
+    "merge",
+];
+
+fn usage() -> String {
+    format!(
+        "usage: figures [{}|all]… [--scale N] [--seed N] [--quick] [--json PATH] [--telemetry PATH]",
+        EXPERIMENTS.join("|")
+    )
+}
 
 /// Parse the command line; `Err` carries what was wrong with it.
 fn parse_args() -> Result<Args, String> {
@@ -52,30 +74,23 @@ fn parse_args() -> Result<Args, String> {
             "--json" => json = Some(value("PATH")?),
             "--telemetry" => telemetry = Some(value("PATH")?),
             "-h" | "--help" => {
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage());
                 std::process::exit(0);
             }
             other => which.push(other.to_string()),
         }
     }
     if which.is_empty() || which.iter().any(|w| w == "all") {
-        which = [
-            "fig2",
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "table1",
-            "fig8",
-            "fig9",
-            "ablations",
-            "faults",
-            "straggler",
-            "merge",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        which = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    }
+    if let Some(w) = which.iter().find(|w| !EXPERIMENTS.contains(&w.as_str())) {
+        return Err(format!("unknown experiment: {w}"));
+    }
+    if scale == 0 {
+        return Err("--scale needs a positive integer, got '0'".into());
+    }
+    if telemetry.is_some() && !which.iter().any(|w| w == "fig5") {
+        return Err("--telemetry writes fig5's telemetry, and fig5 is not run".into());
     }
     Ok(Args {
         which,
@@ -98,7 +113,7 @@ fn mb(bytes: f64) -> String {
 
 fn main() {
     let args = parse_args().unwrap_or_else(|e| {
-        eprintln!("figures: {e}\n{USAGE}");
+        eprintln!("figures: {e}\n{}", usage());
         std::process::exit(2);
     });
     let mut json_out: BTreeMap<String, Json> = BTreeMap::new();
@@ -517,10 +532,7 @@ fn main() {
                         .collect(),
                 );
             }
-            other => {
-                eprintln!("figures: unknown experiment: {other}\n{USAGE}");
-                std::process::exit(2);
-            }
+            other => unreachable!("{other} is not in EXPERIMENTS"),
         }
     }
 

@@ -26,7 +26,7 @@
 use crate::scaling::scaled_nic;
 use crate::workload::VectorWorkload;
 use kylix::{
-    reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm,
+    reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution, ReplicatedComm, Result,
 };
 use kylix_net::telemetry::Counter;
 use kylix_net::{ChaosComm, Comm, CommError, FaultPlan, ReliableComm};
@@ -72,6 +72,20 @@ fn contributions(w: &VectorWorkload) -> Vec<NodeContribution<f64>> {
         .collect()
 }
 
+/// Every rank's body: a combined-mode allreduce over `plan` of 1.0 at
+/// each of the rank's own indices.
+fn allreduce_ones<C: Comm>(comm: &mut C, plan: &NetworkPlan, idx: &[u64]) -> Result<Vec<f64>> {
+    let ones = vec![1.0f64; idx.len()];
+    Kylix::new(plan.clone())
+        .allreduce_combined(comm, idx, idx, &ones, SumReducer, 0)
+        .map(|(vals, _)| vals)
+}
+
+/// Does a rank's result match its reference values?
+fn matches_reference(got: &[f64], want: &[f64]) -> bool {
+    got.len() == want.len() && got.iter().zip(want).all(|(a, b)| (a - b).abs() < 1e-9)
+}
+
 /// One crash-sweep run: `k` replicas crash mid-protocol at virtual
 /// times staggered across `(0, horizon)`. Returns per *physical* rank
 /// `Some((logical result, final virtual time))`, or `None` where the
@@ -96,19 +110,7 @@ pub fn crash_run(scale: u64, seed: u64, k: usize, horizon: f64) -> Vec<Option<(V
         let chaos = ChaosComm::new(comm, faults.clone());
         let mut rc = ReplicatedComm::new(chaos, CRASH_REPLICATION);
         let me = rc.rank();
-        let ones = vec![1.0f64; w.node_indices[me].len()];
-        let kylix = Kylix::new(plan.clone());
-        let got = kylix
-            .allreduce_combined(
-                &mut rc,
-                &w.node_indices[me],
-                &w.node_indices[me],
-                &ones,
-                SumReducer,
-                0,
-            )
-            .map(|(vals, _)| vals);
-        match got {
+        match allreduce_ones(&mut rc, &plan, &w.node_indices[me]) {
             Ok(vals) => Some((vals, rc.now())),
             Err(_) => None, // this replica crashed mid-run
         }
@@ -129,14 +131,7 @@ pub fn crash_sweep(scale: u64, seed: u64, counts: &[usize]) -> Vec<FaultRow> {
         let completed = out.iter().flatten().count();
         let correct = out.iter().enumerate().all(|(phys, r)| match r {
             None => true,
-            Some((vals, _)) => {
-                let logical = phys % CRASH_LOGICAL;
-                vals.len() == expected[logical].len()
-                    && vals
-                        .iter()
-                        .zip(&expected[logical])
-                        .all(|(a, b)| (a - b).abs() < 1e-9)
-            }
+            Some((vals, _)) => matches_reference(vals, &expected[phys % CRASH_LOGICAL]),
         });
         let time = out.iter().flatten().map(|(_, t)| *t).fold(0.0, f64::max);
         rows.push(FaultRow {
@@ -174,33 +169,13 @@ pub fn loss_run(scale: u64, seed: u64, p: f64) -> Vec<(bool, f64, u64)> {
     let (out, tel) = Substrate::Thread.run(LOSS_NODES, |c| {
         let mut comm = ReliableComm::new(ChaosComm::new(c, faults.clone()));
         let me = comm.rank();
-        let ones = vec![1.0f64; w.node_indices[me].len()];
         let start = Instant::now();
-        let kylix = Kylix::new(plan.clone());
-        let got = kylix
-            .allreduce_combined(
-                &mut comm,
-                &w.node_indices[me],
-                &w.node_indices[me],
-                &ones,
-                SumReducer,
-                0,
-            )
-            .map(|(vals, _)| vals);
+        let got = allreduce_ones(&mut comm, &plan, &w.node_indices[me]);
         // Still drain the reliability layer; its stats now also live in
         // the telemetry shard read after the join.
         comm.flush().ok();
         let secs = start.elapsed().as_secs_f64();
-        let correct = match got {
-            Ok(vals) => {
-                vals.len() == expected[me].len()
-                    && vals
-                        .iter()
-                        .zip(&expected[me])
-                        .all(|(a, b)| (a - b).abs() < 1e-9)
-            }
-            Err(_) => false,
-        };
+        let correct = got.is_ok_and(|vals| matches_reference(&vals, &expected[me]));
         (correct, secs)
     });
     let rep = tel.report();
@@ -254,16 +229,7 @@ pub fn corrupt_check(scale: u64, seed: u64) -> FaultRow {
     let (out, _) = Substrate::Thread.run(m, |c| {
         let mut chaos = ChaosComm::new(c, faults.clone());
         let me = chaos.rank();
-        let ones = vec![1.0f64; w.node_indices[me].len()];
-        let kylix = Kylix::new(plan.clone());
-        kylix.allreduce_combined(
-            &mut chaos,
-            &w.node_indices[me],
-            &w.node_indices[me],
-            &ones,
-            SumReducer,
-            0,
-        )
+        allreduce_ones(&mut chaos, &plan, &w.node_indices[me])
     });
     let detected = out
         .iter()

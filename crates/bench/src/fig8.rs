@@ -8,10 +8,11 @@
 //! We reproduce it with:
 //! * **kylix** — `kylix_apps::distributed_pagerank` on the paper's
 //!   degrees, timed on the simulated cluster;
-//! * **powergraph-style** — the GAS engine of `kylix_baselines`
+//! * **powergraph-style** — the crate's `powergraph` GAS engine
 //!   (mirror→master→mirror direct all-to-all), same simulator, same
 //!   graph, same per-edge compute charge;
-//! * **hadoop/pegasus** — the calibrated linear cost model at the
+//! * **hadoop/pegasus** — the crate's calibrated linear cost model
+//!   (`hadoop`, the paper's own linear estimate of §VII.D) at the
 //!   *full-scale* edge count (a fixed 30 s job overhead cannot be
 //!   scaled down; that rigidity is precisely Hadoop's pathology).
 //!
@@ -25,10 +26,11 @@
 //! packet-size regime (64 MB/node for the Yahoo-like workload, as in
 //! Figs. 5/6). Reported times are multiplied back by the same factor.
 
+use crate::hadoop;
+use crate::powergraph::GasEngine;
 use crate::scaling::scaled_nic;
 use kylix::{Kylix, NetworkPlan};
 use kylix_apps::{distributed_pagerank, PageRankConfig};
-use kylix_baselines::{GasEngine, HadoopModel};
 use kylix_net::Comm;
 use kylix_netsim::SimCluster;
 use kylix_powerlaw::{DatasetSpec, EdgeList};
@@ -135,7 +137,6 @@ fn time_gas(
 
 /// Regenerate Fig. 8 at the given dataset scale divisor.
 pub fn run(dataset_scale: u64, seed: u64) -> Vec<Fig8Row> {
-    let hadoop = HadoopModel::default();
     let mut rows = Vec::new();
     for (spec, full_edges) in [
         (DatasetSpec::twitter_like(dataset_scale), 1_500_000_000u64),
@@ -150,7 +151,7 @@ pub fn run(dataset_scale: u64, seed: u64) -> Vec<Fig8Row> {
         let cpe = COMPUTE_PER_EDGE * dataset_scale as f64 / scale;
         let kylix_t = time_kylix(&spec, &parts, spec.paper_degrees, scale, cpe, seed, 3);
         let gas_t = time_gas(&spec, &parts, 64, scale, cpe, seed, 3);
-        let hadoop_t = hadoop.pagerank_iteration_time(full_edges);
+        let hadoop_t = hadoop::pagerank_iteration_time(full_edges);
         rows.push(Fig8Row {
             dataset: spec.name.into(),
             system: "kylix".into(),

@@ -31,11 +31,15 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+mod hadoop;
 pub mod json;
 pub mod merge;
+mod powergraph;
 pub mod scaling;
 pub mod straggler;
 pub mod table1;
+#[cfg(test)]
+mod tree;
 pub mod workload;
 
 /// Render a sequence of (label, value) pairs as an aligned text table.

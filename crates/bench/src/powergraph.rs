@@ -331,14 +331,6 @@ impl GasEngine {
         }
         Ok(())
     }
-
-    /// The `(vertex, rank)` pairs mastered on this machine.
-    pub fn mastered_ranks(&self) -> Vec<(u64, f64)> {
-        self.mastered
-            .indices()
-            .zip(self.master_rank.iter().copied())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -346,6 +338,16 @@ mod tests {
     use super::*;
     use kylix_net::LocalCluster;
     use kylix_powerlaw::{Csr, EdgeList};
+
+    impl GasEngine {
+        /// The `(vertex, rank)` pairs mastered on this machine.
+        fn mastered_ranks(&self) -> Vec<(u64, f64)> {
+            self.mastered
+                .indices()
+                .zip(self.master_rank.iter().copied())
+                .collect()
+        }
+    }
 
     /// Distributed GAS PageRank must match the single-node reference on
     /// every tracked vertex.

@@ -12,12 +12,16 @@ fn figures(args: &[&str]) -> Output {
 
 #[test]
 fn bad_flag_values_print_usage_and_exit_2() {
+    let telemetry = std::env::temp_dir().join(format!("figures-cli-{}.tel", std::process::id()));
+    let telemetry = telemetry.to_str().unwrap();
     for args in [
         &["fig2", "--scale", "x"][..],
         &["fig2", "--scale", "-1"],
+        &["fig2", "--scale", "0"],
         &["fig2", "--seed"],
         &["fig2", "--json"],
         &["fig2", "--telemetry"],
+        &["fig4", "--telemetry", telemetry],
         &["no-such-experiment"],
     ] {
         let out = figures(args);
@@ -26,6 +30,10 @@ fn bad_flag_values_print_usage_and_exit_2() {
         assert!(stderr.contains("usage: figures"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
+    assert!(
+        !std::path::Path::new(telemetry).exists(),
+        "a rejected --telemetry must write nothing"
+    );
 }
 
 #[test]

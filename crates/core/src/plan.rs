@@ -106,60 +106,12 @@ impl NetworkPlan {
         }
         r
     }
-
-    /// Total messages one node sends across all layers (the latency /
-    /// message-count tradeoff of §II): `Σ (dᵢ − 1)`.
-    pub fn messages_per_node(&self) -> usize {
-        self.degrees.iter().map(|&d| d - 1).sum()
-    }
 }
 
 impl std::fmt::Display for NetworkPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let parts: Vec<String> = self.degrees.iter().map(|d| d.to_string()).collect();
         write!(f, "{}", parts.join("x"))
-    }
-}
-
-/// Error parsing a plan string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// The offending token.
-    pub token: String,
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid degree token {:?} (expected e.g. \"8x4x2\")",
-            self.token
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-impl std::str::FromStr for NetworkPlan {
-    type Err = PlanParseError;
-
-    /// Parse `"8x4x2"`-style degree lists (the notation used throughout
-    /// the paper and this workspace's CLI output).
-    fn from_str(s: &str) -> std::result::Result<Self, Self::Err> {
-        let degrees: Vec<usize> = s
-            .split(['x', 'X'])
-            .map(|tok| {
-                tok.trim().parse::<usize>().map_err(|_| PlanParseError {
-                    token: tok.to_string(),
-                })
-            })
-            .collect::<std::result::Result<_, _>>()?;
-        if degrees.is_empty() || degrees.contains(&0) {
-            return Err(PlanParseError {
-                token: s.to_string(),
-            });
-        }
-        Ok(NetworkPlan::new(&degrees))
     }
 }
 
@@ -237,11 +189,11 @@ mod tests {
         let d = NetworkPlan::direct(16);
         assert_eq!(d.layers(), 1);
         assert_eq!(d.size(), 16);
-        assert_eq!(d.messages_per_node(), 15);
+        assert_eq!(d.degrees(), &[16]);
         let b = NetworkPlan::binary(16);
         assert_eq!(b.layers(), 4);
         assert_eq!(b.size(), 16);
-        assert_eq!(b.messages_per_node(), 4);
+        assert_eq!(b.degrees(), &[2, 2, 2, 2]);
     }
 
     #[test]
@@ -263,23 +215,6 @@ mod tests {
     #[test]
     fn display_formats_degrees() {
         assert_eq!(NetworkPlan::new(&[8, 4, 2]).to_string(), "8x4x2");
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        for s in ["8x4x2", "64", "2x2x2", "16X4"] {
-            let plan: NetworkPlan = s.parse().unwrap();
-            let back: NetworkPlan = plan.to_string().parse().unwrap();
-            assert_eq!(plan, back, "{s}");
-        }
-        assert_eq!("8x4x2".parse::<NetworkPlan>().unwrap().size(), 64);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!("".parse::<NetworkPlan>().is_err());
-        assert!("8x0x2".parse::<NetworkPlan>().is_err());
-        assert!("8xbanana".parse::<NetworkPlan>().is_err());
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl<C: Comm> ReplicatedComm<C> {
         }
     }
 
-    /// The replication factor `s`.
-    pub fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Physical ranks hosting a logical node.
     pub fn replicas_of(&self, logical: usize) -> Vec<usize> {
         (0..self.replication)

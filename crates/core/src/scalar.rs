@@ -40,11 +40,6 @@ impl ScalarCollective {
         Ok(self.state.reduce(comm, &[value], reducer)?[0])
     }
 
-    /// Sum convenience.
-    pub fn sum<C: Comm>(&mut self, comm: &mut C, value: f64) -> Result<f64> {
-        self.reduce(comm, value, kylix_sparse::SumReducer)
-    }
-
     /// Logical-or across nodes (any node true ⇒ all true), encoded as
     /// a `u64` sum being nonzero.
     pub fn any<C: Comm>(&mut self, comm: &mut C, flag: bool) -> Result<bool> {
@@ -56,7 +51,7 @@ impl ScalarCollective {
 mod tests {
     use super::*;
     use kylix_net::LocalCluster;
-    use kylix_sparse::{MaxReducer, MinReducer};
+    use kylix_sparse::{MaxReducer, MinReducer, SumReducer};
 
     #[test]
     fn sum_across_nodes() {
@@ -64,7 +59,7 @@ mod tests {
             let me = kylix_net::Comm::rank(&comm) as f64;
             let plan = NetworkPlan::new(&[3, 2]);
             let mut coll = ScalarCollective::new(&mut comm, &plan, 0).unwrap();
-            coll.sum(&mut comm, me).unwrap()
+            coll.reduce(&mut comm, me, SumReducer).unwrap()
         });
         assert!(out.iter().all(|&s| s == 15.0));
     }

@@ -73,10 +73,6 @@ impl<T> fmt::Debug for SendError<T> {
     }
 }
 
-/// The channel is empty and every sender is gone.
-#[derive(Debug, PartialEq, Eq, Clone, Copy)]
-pub struct RecvError;
-
 /// Why a non-blocking receive returned nothing.
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
 pub enum TryRecvError {
@@ -140,24 +136,6 @@ impl<T> Receiver<T> {
         }
     }
 
-    /// Block until a message arrives or every sender is gone.
-    pub fn recv(&self) -> Result<T, RecvError> {
-        let mut st = self.shared.lock();
-        loop {
-            if let Some(m) = st.queue.pop_front() {
-                return Ok(m);
-            }
-            if st.senders == 0 {
-                return Err(RecvError);
-            }
-            st = self
-                .shared
-                .ready
-                .wait(st)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
     /// Block for at most `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
@@ -201,7 +179,7 @@ mod tests {
         let (tx, rx) = unbounded();
         tx.send(1).unwrap();
         tx.send(2).unwrap();
-        assert_eq!(rx.recv(), Ok(1));
+        assert_eq!(rx.recv_timeout(Duration::from_millis(10)), Ok(1));
         assert_eq!(rx.try_recv(), Ok(2));
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
         drop(tx);
@@ -238,7 +216,7 @@ mod tests {
             }
             drop(tx);
             let mut next = [0u32; SENDERS as usize];
-            while let Ok((id, seq)) = rx.recv() {
+            while let Ok((id, seq)) = rx.recv_timeout(Duration::from_secs(10)) {
                 assert_eq!(seq, next[id as usize], "sender {id} reordered");
                 next[id as usize] += 1;
             }
@@ -262,7 +240,6 @@ mod tests {
             Err(RecvTimeoutError::Disconnected)
         );
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        assert_eq!(rx.recv(), Err(RecvError));
     }
 
     #[test]

@@ -258,11 +258,6 @@ impl<C: Comm> PatienceComm<C> {
         Self { inner, patience }
     }
 
-    /// The configured patience (the upper bound on every receive).
-    pub fn patience(&self) -> Duration {
-        self.patience
-    }
-
     /// Unwrap the inner communicator.
     pub fn into_inner(self) -> C {
         self.inner

@@ -128,11 +128,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Set the default per-message drop probability for every link.
     pub fn drop_rate(mut self, p: f64) -> Self {
         self.default_link.drop_p = p;

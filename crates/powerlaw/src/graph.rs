@@ -72,11 +72,6 @@ impl EdgeList {
         shares
     }
 
-    /// Build the compressed-sparse-row form (rows = sources).
-    pub fn to_csr(&self) -> Csr {
-        Csr::from_edges(self.n_vertices, &self.edges)
-    }
-
     /// Distinct destination vertices ("in" features of a PageRank
     /// iteration for this share: the columns of `Xᵢ`).
     pub fn distinct_dsts(&self) -> Vec<u32> {
@@ -191,7 +186,7 @@ mod tests {
     #[test]
     fn head_vertices_have_high_degree() {
         let g = EdgeList::power_law(10_000, 100_000, 1.4, 1.4, 5);
-        let csr = g.to_csr();
+        let csr = Csr::from_edges(g.n_vertices, &g.edges);
         let deg0 = csr.degree(0);
         let mid_degrees: usize = (4000u32..4100).map(|v| csr.degree(v)).sum();
         assert!(

@@ -129,19 +129,6 @@ impl IndexSet {
         start..end
     }
 
-    /// Split the set into `d` contiguous slices, one per equal sub-range of
-    /// `range`. The concatenation of the slices is exactly the whole set
-    /// (assuming all keys lie within `range`, which the caller guarantees
-    /// in the Kylix protocol).
-    pub fn split_by_range<'a>(&'a self, range: &HashRange, d: usize) -> Vec<&'a [Key]> {
-        let parts = range.split(d);
-        let mut out = Vec::with_capacity(d);
-        for p in &parts {
-            out.push(&self.keys[self.span_of(p)]);
-        }
-        out
-    }
-
     /// Check every key lies within `range` (protocol invariant; used by
     /// debug assertions and tests).
     pub fn all_within(&self, range: &HashRange) -> bool {
@@ -240,6 +227,15 @@ mod tests {
         keys.iter().map(|k| (k.hash, k.index)).collect()
     }
 
+    /// The keys of each of the `d` equal parts of the hash space, cut
+    /// with `span_of` as the config pass cuts its layer parts.
+    fn split_spans(s: &IndexSet, d: usize) -> impl Iterator<Item = &[Key]> {
+        HashRange::full()
+            .split(d)
+            .into_iter()
+            .map(|r| &s.keys()[s.span_of(&r)])
+    }
+
     /// Both constructors agree with a comparison sort + dedup of
     /// `indices`, and `with_positions` maps every input to the position
     /// a binary search of that oracle finds.
@@ -332,12 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn split_by_range_concatenates_to_whole() {
+    fn split_spans_concatenate_to_whole() {
         let mut rng = Xoshiro256::new(17);
         let s = IndexSet::from_indices((0..5000).map(|_| rng.next_below(1_000_000)));
         for d in [1usize, 2, 3, 7, 16] {
-            let parts = s.split_by_range(&HashRange::full(), d);
-            let cat: Vec<Key> = parts.iter().flat_map(|p| p.iter().copied()).collect();
+            let cat: Vec<Key> = split_spans(&s, d).flatten().copied().collect();
             assert_eq!(cat, s.keys(), "d={d}");
         }
     }
@@ -347,9 +342,8 @@ mod tests {
         let mut rng = Xoshiro256::new(19);
         let s = IndexSet::from_indices((0..2000).map(|_| rng.next_u64()));
         let ranges = HashRange::full().split(8);
-        let parts = s.split_by_range(&HashRange::full(), 8);
-        for (r, p) in ranges.iter().zip(&parts) {
-            for k in *p {
+        for (r, p) in ranges.iter().zip(split_spans(&s, 8)) {
+            for k in p {
                 assert!(r.contains(k.hash));
             }
         }
@@ -360,8 +354,7 @@ mod tests {
         // Indices 0..n with Zipf-ish duplication collapse to 0..n distinct
         // keys; hashing must spread them evenly across 8 ranges.
         let s = IndexSet::from_indices(0..80_000u64);
-        let parts = s.split_by_range(&HashRange::full(), 8);
-        for p in &parts {
+        for p in split_spans(&s, 8) {
             let frac = p.len() as f64 / s.len() as f64;
             assert!((frac - 0.125).abs() < 0.01, "unbalanced: {}", p.len());
         }

@@ -89,25 +89,6 @@ impl HashRange {
         debug_assert_eq!(lo, self.hi);
         parts
     }
-
-    /// Which of the `d` equal parts does `hash` fall into?
-    ///
-    /// Equivalent to finding the index of the part of [`Self::split`]
-    /// containing `hash`, but in O(1).
-    pub fn part_of(&self, hash: u64, d: usize) -> usize {
-        debug_assert!(self.contains(hash), "hash outside range");
-        let d128 = d as u128;
-        let base = self.len() / d128;
-        let extra = self.len() % d128;
-        let off = hash as u128 - self.lo;
-        // First `extra` parts have length base+1.
-        let wide = extra * (base + 1);
-        if off < wide {
-            (off / (base + 1)) as usize
-        } else {
-            (extra + (off - wide) / base) as usize
-        }
-    }
 }
 
 #[cfg(test)]
@@ -149,16 +130,15 @@ mod tests {
     }
 
     #[test]
-    fn part_of_agrees_with_split() {
+    fn interior_split_puts_each_hash_in_one_part() {
         let mut rng = Xoshiro256::new(21);
         for d in [2usize, 3, 8, 13] {
             let r = HashRange::full().split(5)[2]; // some interior range
             let parts = r.split(d);
             for _ in 0..2000 {
                 let h = r.lo() as u128 + (rng.next_u64() as u128 % r.len());
-                let h = h as u64;
-                let want = parts.iter().position(|p| p.contains(h)).unwrap();
-                assert_eq!(r.part_of(h, d), want, "hash {h}, d {d}");
+                let owners = parts.iter().filter(|p| p.contains(h as u64)).count();
+                assert_eq!(owners, 1, "hash {h}, d {d}");
             }
         }
     }

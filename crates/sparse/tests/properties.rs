@@ -80,29 +80,14 @@ fn split_partitions_any_set() {
         let ids = arb_indices(&mut rng, 200, 1_000_000);
         let d = 1 + rng.next_index(11);
         let set = IndexSet::from_indices(ids.iter().copied());
-        let parts = set.split_by_range(&HashRange::full(), d);
-        let cat: Vec<Key> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        assert_eq!(cat, set.keys().to_vec(), "seed {seed}");
         let ranges = HashRange::full().split(d);
+        let parts: Vec<&[Key]> = ranges.iter().map(|r| &set.keys()[set.span_of(r)]).collect();
+        assert_eq!(parts.concat(), set.keys(), "seed {seed}");
         for (r, p) in ranges.iter().zip(&parts) {
             for k in *p {
                 assert!(r.contains(k.hash), "seed {seed}");
             }
         }
-    }
-}
-
-/// part_of agrees with split membership for every key.
-#[test]
-fn part_of_matches_split() {
-    for seed in 0..CASES {
-        let mut rng = Xoshiro256::new(seed);
-        let h = rng.next_u64();
-        let d = 1 + rng.next_index(9);
-        let full = HashRange::full();
-        let idx = full.part_of(h, d);
-        let parts = full.split(d);
-        assert!(parts[idx].contains(h), "seed {seed}");
     }
 }
 

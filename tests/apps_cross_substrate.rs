@@ -8,7 +8,6 @@ use kylix::{Kylix, NetworkPlan, ReplicatedComm};
 use kylix_apps::bfs::{bfs_reference, distributed_bfs};
 use kylix_apps::components::{components_reference, distributed_components};
 use kylix_apps::diameter::distributed_diameter;
-use kylix_apps::eigen::{power_iteration, power_iteration_reference};
 use kylix_apps::sgd::{sgd_reference, Example, SgdWorker};
 use kylix_apps::{distributed_pagerank, PageRankConfig};
 use kylix_netsim::{NicModel, SimCluster, Substrate};
@@ -102,26 +101,6 @@ fn diameter_on_simulator_is_deterministic_and_sane() {
         "64-cycle effective diameter ≈ 0.9·32, got {}",
         a[0]
     );
-}
-
-#[test]
-fn eigen_on_simulator_matches_reference() {
-    let n = 100u64;
-    let g = EdgeList::power_law(n, 900, 1.2, 1.2, 31);
-    let iters = 10;
-    let (_, ref_lambda) = power_iteration_reference(n, &g.edges, iters);
-    let parts = split_edges(&g.edges, 4);
-    let cluster = SimCluster::new(4, NicModel::ec2_10g()).seed(3);
-    let results = cluster.run_all(|mut comm| {
-        let me = kylix_net::Comm::rank(&comm);
-        let kylix = Kylix::new(NetworkPlan::new(&[2, 2]));
-        power_iteration(&mut comm, &kylix, n, &parts[me], iters)
-            .unwrap()
-            .eigenvalue
-    });
-    for lambda in results {
-        assert!((lambda - ref_lambda).abs() < 1e-9);
-    }
 }
 
 /// The flagship workload on the third substrate: PageRank on a
