@@ -23,7 +23,7 @@ const PER_EDGE_S: f64 = 1.6e-7;
 
 /// Estimated Hadoop/Pegasus PageRank iteration time on a graph with
 /// `edges` edges, seconds.
-pub fn pagerank_iteration_time(edges: u64) -> f64 {
+pub(crate) fn pagerank_iteration_time(edges: u64) -> f64 {
     JOB_OVERHEAD_S + PER_EDGE_S * edges as f64
 }
 

@@ -27,7 +27,7 @@ use kylix_net::{Comm, Phase, Tag};
 use kylix_sparse::{mix64, IndexSet, Key};
 
 /// Per-peer routing tables plus master state for PageRank.
-pub struct GasEngine {
+pub(crate) struct GasEngine {
     m: usize,
     n_vertices: u64,
     /// Edges as (src position in `srcs`, dst position in `dsts`).
@@ -66,7 +66,7 @@ impl GasEngine {
     /// One-time graph finalisation: exchange subscriber/contributor
     /// tables and aggregate global out-degrees at the masters.
     #[allow(clippy::needless_range_loop)] // `p` is a peer rank, not an index
-    pub fn setup<C: Comm>(
+    pub(crate) fn setup<C: Comm>(
         comm: &mut C,
         n_vertices: u64,
         local_edges: &[(u32, u32)],
@@ -225,7 +225,12 @@ impl GasEngine {
 
     /// One PageRank GAS super-step. `iter` namespaces the message tags.
     #[allow(clippy::needless_range_loop)] // `p` is a peer rank, not an index
-    pub fn pagerank_step<C: Comm>(&mut self, comm: &mut C, damping: f64, iter: u32) -> Result<()> {
+    pub(crate) fn pagerank_step<C: Comm>(
+        &mut self,
+        comm: &mut C,
+        damping: f64,
+        iter: u32,
+    ) -> Result<()> {
         let me = comm.rank();
         // Gather (local): partial sums over local edges.
         let mut partial = vec![0.0f64; self.dsts.len()];

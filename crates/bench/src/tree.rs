@@ -17,17 +17,17 @@ use kylix_sparse::{tree_merge, IndexSet, Key, Reducer, Scalar};
 
 /// Statistics the tree allreduce reports alongside its results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TreeStats {
+pub(crate) struct TreeStats {
     /// Union size this node held when it forwarded up the tree.
-    pub forwarded_elems: usize,
+    forwarded_elems: usize,
     /// Size of the fully reduced vector broadcast back down.
-    pub broadcast_elems: usize,
+    broadcast_elems: usize,
 }
 
 /// Sparse allreduce over a binary reduction tree rooted at rank 0.
 ///
 /// Returns values aligned with `in_indices`, plus volume statistics.
-pub fn tree_allreduce<C, V, R>(
+pub(crate) fn tree_allreduce<C, V, R>(
     comm: &mut C,
     in_indices: &[u64],
     out_indices: &[u64],
