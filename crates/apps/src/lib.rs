@@ -23,6 +23,10 @@
 //!   home machines, every batch fetches weights and pushes gradients
 //!   through combined-mode allreduces whose index sets change each step
 //!   (§I.A.1).
+//!
+//! Each application runs in a paper figure (`pagerank` in Figs. 8 and 9)
+//! or an example, and the root suite's `apps_cross_substrate` test runs
+//! each one on the simulator, over TCP or under replication.
 
 pub mod bfs;
 pub mod components;

@@ -9,6 +9,15 @@
 //! them; the crate's tests pin the qualitative shapes the paper reports
 //! (who wins, roughly by how much, what is monotone).
 //!
+//! The comparators the paper measures Kylix against are tools of this
+//! evaluation, not part of the system, so they are private here: the
+//! PowerGraph-style GAS engine (`powergraph`) and the Hadoop/Pegasus
+//! cost model (`hadoop`) behind [`fig8`], the dense ring allreduce's
+//! wire volume inside [`ablation`], and the tree allreduce of Fig. 1(a)
+//! (`tree`), which only its tests run. Direct all-to-all and the binary
+//! butterfly of Fig. 6 are plans of the Kylix engine itself:
+//! `kylix::NetworkPlan::{direct, binary}`.
+//!
 //! ## Scaling discipline
 //!
 //! The paper's testbed held ~100 MB of reduced data per node; running
