@@ -17,8 +17,10 @@
 //!   list, its values, and the in-request index list, concatenated.
 //!
 //! Every payload is **sealed**: an 8-byte [`kylix_net::checksum()`] of the
-//! body is appended by [`seal`] (and by the `encode_*` helpers) and
-//! verified by [`Decoder::new`] before any field is parsed. The checksum
+//! body is appended by [`seal`] (and by the `encode_*` helpers). The
+//! value encoders seal while they write: each 32-byte block of the body
+//! is stepped into a streaming [`Checksum`] as soon as it is full, so a
+//! value is touched once on its way into the message. The checksum
 //! hashes 8-byte words over four independent lanes (about 16 GB/s per
 //! core) and detects every single-word change — so every flipped bit
 //! and every changed byte — with certainty. A flipped bit in a value
@@ -28,10 +30,25 @@
 //! mismatch decodes to [`KylixError::Codec`] with
 //! [`CHECKSUM_MISMATCH`], which the protocol layers re-surface as
 //! `CommError::Corrupt` with the sender's identity attached.
+//!
+//! Which pass verifies when:
+//!
+//! * [`Decoder::new`] verifies a whole message before any field is
+//!   parsed. The configuration and combined passes read every message
+//!   through it, and the reduce down pass verifies each arrival through
+//!   it as it lands, before parking its value section.
+//! * [`decode_values_into`] verifies an up-pass message *while* it
+//!   copies the values into their destination: one walk hashes each
+//!   block and decodes it. The destination therefore holds unverified
+//!   values until the call returns; on any error its contents are
+//!   scratch. What still holds is that no caller result is written from
+//!   a message before its seal has been checked: the up pass writes the
+//!   caller's output only after every layer has succeeded.
 
 use crate::error::{KylixError, Result};
 use bytes::{Bytes, BytesMut};
-use kylix_net::checksum;
+use kylix_net::{checksum, Checksum};
+use kylix_sparse::vec::copy_from_le;
 use kylix_sparse::{Key, Scalar};
 
 /// Bytes the seal appends to every payload.
@@ -41,6 +58,14 @@ pub const SEAL_LEN: usize = 8;
 /// fails checksum verification. Protocol layers match on it to convert
 /// decode failures into `CommError::Corrupt`.
 pub const CHECKSUM_MISMATCH: &str = "payload checksum mismatch";
+
+/// `what` string of the [`KylixError::Codec`] raised when an intact
+/// value vector does not hold the number of values its receiver
+/// configured for it.
+pub const MISALIGNED: &str = "reduce values misaligned with configuration";
+
+/// Bytes per checksum block.
+const BLOCK: usize = Checksum::BLOCK;
 
 /// Finalise a wire buffer: append the 8-byte [`kylix_net::checksum()`] of
 /// its contents, which detects any single changed byte in the sealed
@@ -74,13 +99,15 @@ pub fn put_values<V: Scalar>(buf: &mut Vec<u8>, vals: &[V]) {
     buf.extend_from_slice(&(vals.len() as u64).to_le_bytes());
     let start = buf.len();
     buf.resize(start + vals.len() * V::WIDTH, 0);
-    write_values(&mut buf[start..], vals);
+    write_values(&mut buf[start..], &mut vals.iter().copied());
 }
 
-/// Write `vals` little-endian into `dst`, exactly `vals.len()` scalars
-/// long.
-fn write_values<V: Scalar>(dst: &mut [u8], vals: &[V]) {
-    for (v, chunk) in vals.iter().zip(dst.chunks_exact_mut(V::WIDTH)) {
+/// Write the next values of `vals` little-endian into `dst`, until
+/// either runs out.
+#[inline(always)]
+fn write_values<V: Scalar>(dst: &mut [u8], vals: &mut impl Iterator<Item = V>) {
+    // `dst` leads the zip: it runs out first, and must not consume a value.
+    for (chunk, v) in dst.chunks_exact_mut(V::WIDTH).zip(vals) {
         v.write_le_slice(chunk);
     }
 }
@@ -195,16 +222,98 @@ pub fn encode_values<V: Scalar>(vals: &[V]) -> Bytes {
 /// stops allocating per message — the zero-copy half of the paper's
 /// §VI.B "multi-threaded opportunistic communication" hot path.
 pub fn encode_values_into<V: Scalar>(arena: &mut BytesMut, vals: &[V]) -> Bytes {
+    encode_iter_into(arena, vals.iter().copied())
+}
+
+/// [`encode_values_into`] from any exact-size source of values, such
+/// as a gather through a position map: the up pass encodes the values a
+/// peer requested straight from its layout, with no staging buffer. One
+/// pass: each scalar is written once, and each 32-byte block is stepped
+/// into the seal as soon as it is full. The bytes equal
+/// [`encode_values`] of the collected values.
+pub fn encode_iter_into<V: Scalar>(
+    arena: &mut BytesMut,
+    vals: impl ExactSizeIterator<Item = V>,
+) -> Bytes {
     debug_assert!(arena.is_empty(), "send arena must start empty");
     let body = 8 + vals.len() * V::WIDTH;
     arena.reserve(body + SEAL_LEN);
-    arena.extend_from_slice(&(vals.len() as u64).to_le_bytes());
-    let start = arena.len();
-    arena.resize(start + vals.len() * V::WIDTH, 0);
-    write_values(&mut arena[start..], vals);
-    let sum = checksum(&arena[..]);
+    arena.resize(body, 0);
+    let sum = write_body(&mut arena[..], vals);
     arena.extend_from_slice(&sum.to_le_bytes());
     arena.split().freeze()
+}
+
+/// Write a value section — its count, then `vals` — into `body`,
+/// which is exactly as long as the section, and return the body's
+/// checksum, taken block by block as the blocks fill.
+fn write_body<V: Scalar>(body: &mut [u8], mut vals: impl Iterator<Item = V>) -> u64 {
+    let len = body.len();
+    body[..8].copy_from_slice(&(((len - 8) / V::WIDTH) as u64).to_le_bytes());
+    let mut sum = Checksum::new();
+    let (blocks, tail) = body.as_chunks_mut::<BLOCK>();
+    match blocks.split_first_mut() {
+        Some((head, rest)) => {
+            // The count word heads the first block.
+            write_values(&mut head[8..], &mut vals);
+            sum.block(head);
+            for block in rest {
+                // Staged in a local block, which stays in registers: each
+                // value is written, hashed and stored without a reload.
+                let mut staged = [0u8; BLOCK];
+                write_values(&mut staged, &mut vals);
+                sum.block(&staged);
+                *block = staged;
+            }
+            write_values(tail, &mut vals);
+        }
+        None => write_values(&mut tail[8..], &mut vals),
+    }
+    sum.finish(len, tail)
+}
+
+/// Verify a sealed value vector and decode it straight into `dst`, in
+/// one walk that hashes each block and copies its values out: the up
+/// pass's receive, with no separate verification pass.
+///
+/// Errors as [`Decoder::new`] would: [`CHECKSUM_MISMATCH`] for any
+/// changed or truncated message, and [`MISALIGNED`] for an intact one
+/// that does not hold exactly `dst.len()` values. A message whose
+/// length or count disagrees with `dst` is verified in full before the
+/// error is chosen, so a corrupted header still reads as corruption.
+/// On error `dst` holds scratch.
+pub fn decode_values_into<V: Scalar>(msg: &[u8], dst: &mut [V]) -> Result<()> {
+    let body_len = 8 + dst.len() * V::WIDTH;
+    if msg.len() != body_len + SEAL_LEN || msg[..8] != (dst.len() as u64).to_le_bytes() {
+        let mut dec = Decoder::new(msg)?;
+        dec.raw_values::<V>()?;
+        return Err(KylixError::Codec { what: MISALIGNED });
+    }
+    let (body, seal) = msg.split_at(body_len);
+    let mut sum = Checksum::new();
+    let (blocks, tail) = body.as_chunks::<BLOCK>();
+    match blocks.split_first() {
+        Some((head, rest)) => {
+            // The count word heads the first block; each later block
+            // fills the next `BLOCK / WIDTH` slots.
+            let (head_dst, rest_dst) = dst.split_at_mut((BLOCK - 8) / V::WIDTH);
+            sum.block(head);
+            copy_from_le(head_dst, &head[8..]);
+            let mut rest_dst = rest_dst.chunks_exact_mut(BLOCK / V::WIDTH);
+            for (block, d) in rest.iter().zip(&mut rest_dst) {
+                sum.block(block);
+                copy_from_le(d, block);
+            }
+            copy_from_le(rest_dst.into_remainder(), tail);
+        }
+        None => copy_from_le(dst, &tail[8..]),
+    }
+    if sum.finish(body_len, tail) != u64::from_le_bytes(seal.try_into().expect("8 bytes")) {
+        return Err(KylixError::Codec {
+            what: CHECKSUM_MISMATCH,
+        });
+    }
+    Ok(())
 }
 
 /// Decode a standalone value vector.
@@ -421,6 +530,84 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Values of every width whose bytes all differ from one position
+    /// to the next.
+    fn ramp<V: Scalar>(n: usize, from: impl Fn(u64) -> V) -> Vec<V> {
+        (0..n as u64)
+            .map(|i| from(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ i))
+            .collect()
+    }
+
+    #[test]
+    fn one_pass_encoder_matches_the_two_pass_bytes() {
+        // Every length 0..=40 puts the section's end at every offset of
+        // a 32-byte checksum block, for both widths.
+        fn check<V: Scalar>(from: impl Fn(u64) -> V) {
+            let mut arena = BytesMut::new();
+            for n in 0..=40 {
+                let vals = ramp(n, &from);
+                let two_pass = encode_values(&vals);
+                assert_eq!(&encode_values_into(&mut arena, &vals)[..], &two_pass[..]);
+                // A gathered source: every other value, backwards.
+                let map: Vec<usize> = (0..n).rev().step_by(2).collect();
+                let gathered: Vec<V> = map.iter().map(|&p| vals[p]).collect();
+                let one_pass = encode_iter_into(&mut arena, map.iter().map(|&p| vals[p]));
+                assert_eq!(&one_pass[..], &encode_values(&gathered)[..], "{n} values");
+            }
+        }
+        check(|x| x as u32);
+        check(|x| f32::from_bits(x as u32));
+        check(|x| x);
+        check(f64::from_bits);
+    }
+
+    #[test]
+    fn verify_and_copy_keeps_the_error_kinds() {
+        fn check<V: Scalar>(from: impl Fn(u64) -> V) {
+            let mismatch = KylixError::Codec {
+                what: CHECKSUM_MISMATCH,
+            };
+            for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 13, 40] {
+                let vals = ramp(n, &from);
+                let msg = encode_values(&vals).to_vec();
+                let mut dst = vec![V::default(); n];
+                decode_values_into(&msg, &mut dst).unwrap();
+                assert_eq!(&encode_values(&dst)[..], &msg[..], "{n} values decode");
+                // Every changed byte: count word, values and seal.
+                for pos in 0..msg.len() {
+                    let mut bad = msg.clone();
+                    bad[pos] ^= 1 + (pos * 37 % 255) as u8;
+                    let got = decode_values_into(&bad, &mut dst);
+                    assert_eq!(got, Err(mismatch.clone()), "{n} values: byte {pos}");
+                }
+                // Every truncation.
+                for len in 0..msg.len() {
+                    let got = decode_values_into(&msg[..len], &mut dst);
+                    assert_eq!(got, Err(mismatch.clone()), "{n} values cut to {len}");
+                }
+                // An intact message with the wrong count, of the wrong
+                // length or of the right one.
+                let misaligned = Err(KylixError::Codec { what: MISALIGNED });
+                for wrong in [n + 1, n.wrapping_sub(1)] {
+                    if wrong < n + 2 {
+                        let mut dst = vec![V::default(); wrong];
+                        assert_eq!(decode_values_into(&msg, &mut dst), misaligned);
+                    }
+                }
+                if n > 0 {
+                    let mut buf = Vec::new();
+                    put_values(&mut buf, &vals[1..]);
+                    buf.extend_from_slice(&vec![0; V::WIDTH]);
+                    let padded = seal(buf);
+                    assert_eq!(padded.len(), msg.len());
+                    assert_eq!(decode_values_into(&padded, &mut dst), misaligned);
+                }
+            }
+        }
+        check(|x| x as u32);
+        check(f64::from_bits);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 use crate::codec::{put_keys, put_values, seal, Decoder, SEAL_LEN};
 use crate::error::{surface_corrupt, KylixError, Result};
 use crate::plan::NetworkPlan;
-use crate::reduce::{fold_parked, recv_layer, section, send_layer, ReduceScratch};
+use crate::reduce::{fold_parked, load, recv_layer, section, send_layer, ReduceScratch};
 use bytes::Bytes;
 use kylix_net::{Comm, Phase, Tag};
 use kylix_sparse::{tree_merge, IndexSet, Key, Reducer, Scalar};
@@ -156,8 +156,15 @@ pub struct Configured {
     pub bottom_in_to_out: Vec<u32>,
     /// User in-list position → sorted `in0` position.
     pub in_user_map: Vec<u32>,
-    /// User out-list position → sorted `out0` position.
-    pub out_user_map: Vec<u32>,
+    /// Sorted `out0` position → the first user out-list position that
+    /// holds its index. A reduce loads the caller's values into sorted
+    /// layout by gathering through it.
+    pub out_first: Vec<u32>,
+    /// `(out0 position, user out-list position)` for every later
+    /// occurrence of an index in the user out list, in out-list order
+    /// per position: folded in after the gather, so duplicates combine
+    /// in the caller's order.
+    pub out_repeats: Vec<(u32, u32)>,
     /// Receive scheduling of the reduction passes (default: arrival
     /// order, §VI.B).
     pub recv_order: RecvOrder,
@@ -184,8 +191,8 @@ pub(crate) fn values_wire_len<V: Scalar>(n: usize) -> usize {
 /// Run the configuration down pass, optionally carrying reduction
 /// values (combined mode).
 ///
-/// `user_out_values`, when provided, is aligned with `out_user_map` /
-/// the caller's original out list; the rider is reduced on the way down
+/// `user_out_values`, when provided, is aligned with the caller's
+/// original out list; the rider is reduced on the way down
 /// exactly like a standalone reduce pass would. Returns the configured
 /// state and the pooled scratch the pass ran on; in combined mode its
 /// `a` holds the node's fully reduced values, aligned with the bottom
@@ -213,20 +220,20 @@ where
         comm.size()
     );
     let (in0, in_user_map) = IndexSet::with_positions(in_indices);
-    let (out0, out_user_map) = IndexSet::with_positions(out_indices);
+    let (out0, out_first, out_repeats) = IndexSet::with_sources(out_indices);
 
     // Combined mode rides the reduce pass's pooled buffers: the rider
     // starts in sorted layout in `a` and is folded into `b` per layer.
     let mut scratch: Box<ReduceScratch<V>> = Box::default();
     let phase = match user_out_values {
         None => Phase::Config,
-        Some(uv) if uv.len() != out_user_map.len() => {
+        Some(uv) if uv.len() != out_indices.len() => {
             return Err(KylixError::Usage {
                 what: "out_values length != out_indices length",
             })
         }
         Some(uv) => {
-            scratch.load_sorted(uv, &out_user_map, out0.len(), reducer);
+            load(&mut scratch.a, uv, &out_first, &out_repeats, reducer);
             Phase::Combined
         }
     };
@@ -362,7 +369,8 @@ where
         layers,
         bottom_in_to_out,
         in_user_map,
-        out_user_map,
+        out_first,
+        out_repeats,
         recv_order: RecvOrder::default(),
         scratch: ScratchStore::default(),
     };

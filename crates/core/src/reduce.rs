@@ -41,15 +41,27 @@
 //! Steady-state operations are also **allocation-free**: a
 //! `ReduceScratch` slot kept on [`Configured`] pools the send arena
 //! (split-and-frozen per message, reclaimed when receivers drop their
-//! handles), ping-pong accumulator buffers, and the gather staging
-//! buffer; received slices are scatter-combined straight from the
-//! verified wire body (`Decoder::raw_values` +
-//! `scatter_combine_le`/`copy_from_le`) without an intermediate
-//! `Vec<V>`.
+//! handles) and the ping-pong accumulator buffers.
+//!
+//! Each value crosses every step in one pass:
+//!
+//! * **Load.** The caller's values enter sorted layout by a gather
+//!   through `out_first` (`a[p] = identity ⊕ v[first[p]]`), then the
+//!   few `out_repeats` fold in, in the caller's order.
+//! * **Send.** Messages are sealed while they are written: each 32-byte
+//!   block is stepped into the checksum as soon as it is full. The up
+//!   pass gathers a peer's requested values through map `g` straight
+//!   into its message, and its own part straight into its span.
+//! * **Receive.** The down pass verifies each arrival and combines it
+//!   straight from the wire body (`Decoder::raw_values` +
+//!   `scatter_combine_le`). The up pass verifies each arrival while it
+//!   decodes it into its span (`codec::decode_values_into`), and only
+//!   resizes its accumulator: the spans tile it, so every slot is
+//!   written without a refill.
 //!
 //! Every value loop writes its destination by slice (`scatter_combine`,
-//! `copy_from_le`, `copy_from_slice`) or with one `extend` over a map
-//! iterator (`gather_into`, the bottom projection in `finish_op`), never
+//! a span's `iter_mut`) or with one `extend` over a map iterator
+//! (`gather_into`, the load, the bottom projection in `finish_op`), never
 //! with a per-element `push` through `&mut Vec`: a `push` stores the
 //! length and loads it back for every element, while `extend` over a
 //! sized iterator keeps one write pointer in a register. On twitter-thread
@@ -60,14 +72,16 @@
 //! the per-iteration path of PageRank-style workloads where the vertex
 //! sets are fixed and only values change.
 
-use crate::codec::{encode_values_into, Decoder, SEAL_LEN};
+use crate::codec::{
+    decode_values_into, encode_iter_into, encode_values_into, Decoder, MISALIGNED, SEAL_LEN,
+};
 use crate::config::{values_wire_len, Configured, RecvOrder};
 use crate::error::{comm_err, surface_corrupt, KylixError, Result};
 use bytes::{Bytes, BytesMut};
 use kylix_net::tag::count;
 use kylix_net::telemetry::Counter;
 use kylix_net::{Comm, Phase, Tag};
-use kylix_sparse::vec::{copy_from_le, gather_into, scatter_combine, scatter_combine_le};
+use kylix_sparse::vec::{gather_into, scatter_combine, scatter_combine_le};
 use kylix_sparse::{Reducer, Scalar};
 
 /// Pooled per-op buffers for one value type, kept on [`Configured`]
@@ -83,8 +97,6 @@ pub(crate) struct ReduceScratch<V> {
     /// config pass carries its value rider in them too.
     pub(crate) a: Vec<V>,
     pub(crate) b: Vec<V>,
-    /// Up-pass gather staging.
-    gathered: Vec<V>,
     /// Raw value sections per coordinate, held until their turn in the
     /// combine order: down-pass arrivals and combined-mode riders.
     pub(crate) parked: Vec<Option<Bytes>>,
@@ -138,7 +150,7 @@ impl Configured {
         V: Scalar,
         R: Reducer<V>,
     {
-        if out_values.len() != self.out_user_map.len() {
+        if out_values.len() != self.out_first.len() + self.out_repeats.len() {
             return Err(KylixError::Usage {
                 what: "out_values length != out_indices length",
             });
@@ -175,7 +187,13 @@ impl Configured {
         V: Scalar,
         R: Reducer<V>,
     {
-        s.load_sorted(out_values, &self.out_user_map, self.out0.len(), reducer);
+        load(
+            &mut s.a,
+            out_values,
+            &self.out_first,
+            &self.out_repeats,
+            reducer,
+        );
         self.down_values(comm, reducer, seq, s)?;
         self.finish_op(comm, reducer, seq, s, out)
     }
@@ -282,7 +300,6 @@ impl Configured {
             arena,
             a,
             b,
-            gathered,
             pending,
             ..
         } = &mut *s;
@@ -290,22 +307,26 @@ impl Configured {
             let tag = Tag::new(Phase::ReduceUp, layer as u16, seq);
             let (group, my_pos) = (&lr.group[..], lr.my_pos);
             let own = values_wire_len::<V>(lr.in_maps[my_pos].len()) + SEAL_LEN;
+            // Each peer's requested values are gathered straight into
+            // its message.
             send_layer(comm, group, my_pos, tag, own, |c| {
-                gather_into(a, &lr.in_maps[c], gathered);
-                encode_values_into(arena, gathered)
+                encode_iter_into(arena, gather(a, &lr.in_maps[c]))
             });
-            // Every position is overwritten by a returned slice; the
-            // default is just an initialiser.
-            b.clear();
+            // The spans tile `b`, and every one is written below: the own
+            // part from local memory, each peer's part as it lands. So
+            // `b` is only resized, never refilled.
             b.resize(lr.in_prev_len(), V::default());
-            // Own requested part comes straight from local memory.
-            gather_into(a, &lr.in_maps[my_pos], gathered);
-            b[lr.in_spans[my_pos].clone()].copy_from_slice(gathered);
+            let own = &mut b[lr.in_spans[my_pos].clone()];
+            for (d, v) in own.iter_mut().zip(gather(a, &lr.in_maps[my_pos])) {
+                *d = v;
+            }
             let on_part = |c: usize, payload: Bytes| -> Result<()> {
                 let span = &mut b[lr.in_spans[c].clone()];
-                let raw = value_section::<V>(&payload, span.len(), group[c], tag)?;
-                copy_from_le(span, raw);
-                Ok(())
+                decode_values_into(&payload, span).map_err(surface_corrupt(
+                    pass_of(tag),
+                    group[c],
+                    tag,
+                ))
             };
             recv_layer(comm, self.recv_order, pending, group, my_pos, tag, on_part)?;
             std::mem::swap(a, b);
@@ -314,22 +335,33 @@ impl Configured {
     }
 }
 
-impl<V: Scalar> ReduceScratch<V> {
-    /// Put the caller's values, aligned with `user_map`, into sorted
-    /// layout in `a` (`len` slots), combining duplicate indices.
-    pub(crate) fn load_sorted<R: Reducer<V>>(
-        &mut self,
-        values: &[V],
-        user_map: &[u32],
-        len: usize,
-        reducer: R,
-    ) {
-        self.a.clear();
-        self.a.resize(len, reducer.identity());
-        for (x, &sp) in values.iter().zip(user_map) {
-            reducer.combine(&mut self.a[sp as usize], *x);
-        }
+/// Put the caller's values into sorted layout in `a`, one slot per set
+/// position: `a[p] = identity ⊕ values[first[p]]`, then each repeat
+/// `(p, i)` folds `values[i]` into `a[p]`. The repeats of a position
+/// come in input order, so duplicate indices combine in the caller's
+/// order, as a scatter of the whole list into an identity-filled
+/// layout would.
+pub(crate) fn load<V: Scalar, R: Reducer<V>>(
+    a: &mut Vec<V>,
+    values: &[V],
+    first: &[u32],
+    repeats: &[(u32, u32)],
+    reducer: R,
+) {
+    a.clear();
+    a.extend(first.iter().map(|&i| {
+        let mut x = reducer.identity();
+        reducer.combine(&mut x, values[i as usize]);
+        x
+    }));
+    for &(p, i) in repeats {
+        reducer.combine(&mut a[p as usize], values[i as usize]);
     }
+}
+
+/// The values of `src` at `map`'s positions, in map order (map `g`).
+fn gather<'a, V: Copy>(src: &'a [V], map: &'a [u32]) -> impl ExactSizeIterator<Item = V> + 'a {
+    map.iter().map(move |&p| src[p as usize])
 }
 
 /// Send one layer's parts in coordinate order, all before the layer's
@@ -437,17 +469,14 @@ pub(crate) fn section(payload: &Bytes, raw: &[u8]) -> Bytes {
     payload.slice(start..start + raw.len())
 }
 
-/// Verify one reduce-pass message from `peer` and return its value
-/// section, which must hold `n` scalars: the down pass combines it
-/// straight from the wire body, the up pass decodes it straight into a
-/// partition span (no intermediate `Vec<V>`).
+/// Verify one down-pass message from `peer` and return its value
+/// section, which must hold `n` scalars; the pass combines it straight
+/// from the wire body (no intermediate `Vec<V>`).
 fn value_section<V: Scalar>(payload: &[u8], n: usize, peer: usize, tag: Tag) -> Result<&[u8]> {
     let mut dec = Decoder::new(payload).map_err(surface_corrupt(pass_of(tag), peer, tag))?;
     let (len, raw) = dec.raw_values::<V>()?;
     if len != n || !dec.finished() {
-        return Err(KylixError::Codec {
-            what: "reduce values misaligned with configuration",
-        });
+        return Err(KylixError::Codec { what: MISALIGNED });
     }
     Ok(raw)
 }

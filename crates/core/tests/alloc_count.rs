@@ -67,9 +67,13 @@ fn indices(rank: usize) -> Vec<u64> {
 fn old_reduce<C: Comm>(state: &mut Configured, comm: &mut C, out_values: &[f64]) -> Vec<f64> {
     state.ops_issued += 1;
     let seq = state.channel.wrapping_add(state.ops_issued);
-    let mut vals = vec![0.0f64; state.out0.len()];
-    for (x, &sp) in out_values.iter().zip(&state.out_user_map) {
-        vals[sp as usize] += *x;
+    let mut vals: Vec<f64> = state
+        .out_first
+        .iter()
+        .map(|&i| 0.0 + out_values[i as usize])
+        .collect();
+    for &(sp, i) in &state.out_repeats {
+        vals[sp as usize] += out_values[i as usize];
     }
     for (layer, lr) in state.layers.iter().enumerate() {
         let tag = Tag::new(Phase::ReduceDown, layer as u16, seq);

@@ -437,6 +437,76 @@ fn duplicate_user_indices_are_combined_and_served() {
     }
 }
 
+/// Duplicate out indices combine in the caller's order, from the
+/// identity: on every substrate, `reduce` and `allreduce_combined` over
+/// out lists with repeats give, bit for bit, what the same values
+/// pre-combined per rank in input order give with distinct indices.
+/// The repeats at index 7 round differently in any other order
+/// (`(1e16 + 1) - 1e16` is 0, `(1e16 - 1e16) + 1` is 1), and index 11
+/// carries a lone `-0.0`.
+#[test]
+fn duplicate_out_indices_fold_in_the_callers_order() {
+    let plan = NetworkPlan::new(&[2, 2]);
+    let m = plan.size();
+    // Rank r's out list: index 7 three times, index 11 once (-0.0), and
+    // indices 20 + r and 3 twice each, the copies spread through the list.
+    let dup_out = |r: usize| -> (Vec<u64>, Vec<f64>) {
+        let f = r as f64;
+        let pairs = [
+            (7, 1e16),
+            (20 + r as u64, 0.25 + f),
+            (3, 1e-3 * (f + 1.0)),
+            (7, 1.0),
+            (11, -0.0),
+            (20 + r as u64, 1e17),
+            (7, -1e16),
+            (3, 1e19),
+        ];
+        pairs.iter().copied().unzip()
+    };
+    // The same values pre-combined in input order from the identity,
+    // one entry per distinct index, in first-occurrence order.
+    let distinct = |idx: &[u64], vals: &[f64]| -> (Vec<u64>, Vec<f64>) {
+        let (mut di, mut dv): (Vec<u64>, Vec<f64>) = (Vec::new(), Vec::new());
+        for (&i, &v) in idx.iter().zip(vals) {
+            match di.iter().position(|&d| d == i) {
+                Some(p) => dv[p] += v,
+                None => {
+                    di.push(i);
+                    dv.push(0.0 + v);
+                }
+            }
+        }
+        (di, dv)
+    };
+    let in_idx: Vec<u64> = vec![7, 11, 3, 20, 21, 22, 23, 7];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for s in Substrate::all(NicModel::ec2_10g(), 5) {
+        let (got, _) = s.run(m, |mut comm| {
+            let me = comm.rank();
+            let kylix = Kylix::new(plan.clone());
+            let (out, vals) = dup_out(me);
+            let (d_out, d_vals) = distinct(&out, &vals);
+            let mut dup = kylix.configure(&mut comm, &in_idx, &out, 0).unwrap();
+            let reduced = dup.reduce(&mut comm, &vals, SumReducer).unwrap();
+            let (combined, _) = kylix
+                .allreduce_combined(&mut comm, &in_idx, &out, &vals, SumReducer, 1 << 16)
+                .unwrap();
+            let mut pre = kylix
+                .configure(&mut comm, &in_idx, &d_out, 2 << 16)
+                .unwrap();
+            let want = pre.reduce(&mut comm, &d_vals, SumReducer).unwrap();
+            (reduced, combined, want)
+        });
+        for (rank, (reduced, combined, want)) in got.iter().enumerate() {
+            assert_eq!(bits(reduced), bits(want), "{s} rank {rank}: reduce");
+            assert_eq!(bits(combined), bits(want), "{s} rank {rank}: combined");
+            // Each rank's repeats at index 7 pre-combine to 0, not 1.
+            assert_eq!(want[0], 0.0, "{s} rank {rank}");
+        }
+    }
+}
+
 #[test]
 fn empty_ranks_still_participate() {
     // Ranks with no index in or out (a machine holding an empty matrix

@@ -16,6 +16,14 @@
 //! core of a 2-vCPU Intel Xeon VM: 0.063 ns/byte (about 16 GB/s) on
 //! 32 KB inputs and 0.16 ns/byte on 64-byte ones.
 //!
+//! The definition is streaming. [`Checksum`] holds the four lanes and
+//! takes one 32-byte block at a time; `finish(len, tail)` folds them
+//! with the length and the bytes past the last block. [`checksum()`] is
+//! that form applied to a slice, so a caller that feeds the same bytes
+//! block by block — the codec, sealing a message as it writes it or
+//! verifying one as it copies it out — gets the same value without a
+//! second walk over the bytes.
+//!
 //! Two detection guarantees hold by construction, not by chance:
 //!
 //! * **Every single-word change is detected with certainty.** The step
@@ -63,28 +71,67 @@ fn step(state: u64, word: u64) -> u64 {
 /// Word-parallel 64-bit checksum of `bytes`. Shared integrity
 /// primitive: the codec seals payloads with it and the reliable-delivery
 /// frames carry it. See the [module docs](self) for its guarantees.
+///
+/// This is the streaming [`Checksum`] applied to a slice: every whole
+/// block, then the length and the tail.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut lanes = LANE_SEEDS;
-    let mut blocks = bytes.chunks_exact(BLOCK);
-    for block in &mut blocks {
-        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-            *lane = step(
-                *lane,
-                u64::from_le_bytes(word.try_into().expect("8-byte word")),
-            );
+    let (blocks, tail) = bytes.as_chunks::<BLOCK>();
+    let mut sum = Checksum::new();
+    for block in blocks {
+        sum.block(block);
+    }
+    sum.finish(bytes.len(), tail)
+}
+
+/// The streaming form of [`checksum`]: the four lane states, fed one
+/// 32-byte block at a time, so a caller can hash a message while it
+/// writes or reads it. `finish(len, tail)` over the same bytes gives
+/// exactly `checksum(bytes)`.
+#[derive(Debug, Clone, Copy)]
+pub struct Checksum {
+    lanes: [u64; 4],
+}
+
+impl Default for Checksum {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Checksum {
+    /// Bytes per block.
+    pub const BLOCK: usize = BLOCK;
+
+    /// The state before any input.
+    pub fn new() -> Self {
+        Self { lanes: LANE_SEEDS }
+    }
+
+    /// Take the next whole block: one little-endian word per lane.
+    #[inline(always)]
+    pub fn block(&mut self, block: &[u8; BLOCK]) {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in self.lanes.iter_mut().zip(words) {
+            *lane = step(*lane, u64::from_le_bytes(*word));
         }
     }
-    let mut h = lanes.iter().fold(FOLD_SEED, |h, &lane| step(h, lane));
-    h = step(h, bytes.len() as u64);
-    for &b in blocks.remainder() {
-        h = step(h, u64::from(b));
+
+    /// The checksum of an input of `len` bytes whose whole blocks have
+    /// all been taken, and whose last `len % 32` bytes are `tail`.
+    pub fn finish(self, len: usize, tail: &[u8]) -> u64 {
+        debug_assert_eq!(tail.len(), len % BLOCK, "tail is what follows the blocks");
+        let mut h = self.lanes.iter().fold(FOLD_SEED, |h, &lane| step(h, lane));
+        h = step(h, len as u64);
+        for &b in tail {
+            h = step(h, u64::from(b));
+        }
+        // xorshift-multiply finaliser (MurmurHash3's fmix64): bijective.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
-    // xorshift-multiply finaliser (MurmurHash3's fmix64): bijective.
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
 }
 
 #[cfg(test)]

@@ -67,7 +67,7 @@ pub mod tag;
 pub mod tcp_comm;
 pub mod thread_comm;
 
-pub use checksum::checksum;
+pub use checksum::{checksum, Checksum};
 pub use cluster::LocalCluster;
 pub use comm::{Comm, CommError, PatienceComm, RawComm, RawMessage};
 pub use fault::{ChaosComm, Crash, FaultPlan, LinkFaults};

@@ -22,8 +22,9 @@
 //! case O(n log n) instead. The count and scatter passes hash straight
 //! from the caller's indices into the one output buffer. The dedup pass
 //! that follows can also record where each input landed
-//! ([`IndexSet::with_positions`]), so callers that need their own list
-//! in set positions get it without a binary search per element —
+//! ([`IndexSet::with_positions`]), or where each set entry comes from
+//! ([`IndexSet::with_sources`]), so callers that need their own list in
+//! set positions get it without a binary search per element —
 //! random-access lookups, not comparisons, were the cost (§VI.A's point,
 //! applied to set construction).
 
@@ -55,25 +56,54 @@ impl IndexSet {
     /// `map[i]` is the position of `indices[i]` in the returned set.
     /// Duplicates share a position.
     pub fn with_positions(indices: &[u64]) -> (Self, Vec<u32>) {
+        let mut map = vec![0u32; indices.len()];
+        let set = Self::dedup_sources(indices, |pos, p, _| map[pos] = p as u32);
+        (set, map)
+    }
+
+    /// Build from raw feature indices and report where each set entry
+    /// comes from, so a caller can load its values into set order by a
+    /// gather: `first[p]` is the smallest input position holding set
+    /// position `p`, and `repeats` holds `(p, i)` for every later input
+    /// position `i` of the same index, sorted by `p` and then by `i` —
+    /// so each position's repeats come in input order.
+    pub fn with_sources(indices: &[u64]) -> (Self, Vec<u32>, Vec<(u32, u32)>) {
+        let mut first = Vec::with_capacity(indices.len());
+        let mut repeats = Vec::new();
+        let set = Self::dedup_sources(indices, |pos, p, is_first| {
+            if is_first {
+                first.push(pos as u32);
+            } else {
+                repeats.push((p as u32, pos as u32));
+            }
+        });
+        (set, first, repeats)
+    }
+
+    /// Sort `indices` and dedup them in one pass, calling
+    /// `source(input position, set position, first)` for every input in
+    /// set order; the inputs of one index come in input order, so the
+    /// one with `first` set is the smallest.
+    fn dedup_sources(indices: &[u64], mut source: impl FnMut(usize, usize, bool)) -> Self {
         // Sort (hash, input position) pairs; the index is restored in
         // the dedup pass. mix64 is a bijection, so equal hashes mean
         // equal indices.
         let mut keys = bucket_sort(indices, |pos, _| pos as u64);
-        let mut map = vec![0u32; indices.len()];
         let mut len = 0;
         for r in 0..keys.len() {
             let Key { hash, index: pos } = keys[r];
             let index = indices[pos as usize];
-            if len == 0 || keys[len - 1].hash != hash {
+            let is_first = len == 0 || keys[len - 1].hash != hash;
+            if is_first {
                 // `len <= r`: the write never clobbers an unread entry.
                 keys[len] = Key { hash, index };
                 len += 1;
             }
             debug_assert_eq!(keys[len - 1].index, index, "mix64 collision");
-            map[pos as usize] = (len - 1) as u32;
+            source(pos as usize, len - 1, is_first);
         }
         keys.truncate(len);
-        (Self { keys }, map)
+        Self { keys }
     }
 
     /// Build from keys that are already sorted and deduplicated.
@@ -147,7 +177,8 @@ const INSERTION_MAX: u32 = 16;
 /// The hashes are scattered into about `indices.len()` buckets by their
 /// top bits, then sorted within the buckets: one insertion pass if none
 /// is wider than [`INSERTION_MAX`], else `sort_unstable` per bucket,
-/// which bounds the worst case. Both the count and the scatter pass hash
+/// which bounds the worst case. Either way equal hashes end up ordered
+/// by their tag. Both the count and the scatter pass hash
 /// straight from `indices`, so no keyed copy of the input is built.
 fn bucket_sort(indices: &[u64], tag: impl Fn(usize, u64) -> u64) -> Vec<Key> {
     let key = |p: usize, index: u64| Key {
@@ -201,9 +232,11 @@ fn bucket_sort(indices: &[u64], tag: impl Fn(usize, u64) -> u64) -> Vec<Key> {
             sorted[j] = k;
         }
     } else {
+        // Ties (equal hashes) go by `tag`, the input position where
+        // callers tag by it: the order the insertion pass keeps too.
         let mut lo = 0;
         for &hi in &ends {
-            sorted[lo..hi as usize].sort_unstable();
+            sorted[lo..hi as usize].sort_unstable_by_key(|k| (k.hash, k.index));
             lo = hi as usize;
         }
     }
@@ -236,9 +269,10 @@ mod tests {
             .map(|r| &s.keys()[s.span_of(&r)])
     }
 
-    /// Both constructors agree with a comparison sort + dedup of
-    /// `indices`, and `with_positions` maps every input to the position
-    /// a binary search of that oracle finds.
+    /// Every constructor agrees with a comparison sort + dedup of
+    /// `indices`, `with_positions` maps every input to the position a
+    /// binary search of that oracle finds, and `with_sources` passes
+    /// [`check_sources`].
     fn check_constructors(indices: &[u64]) {
         let mut want: Vec<Key> = indices.iter().map(|&i| Key::new(i)).collect();
         want.sort_unstable();
@@ -251,6 +285,49 @@ mod tests {
         for (&i, &p) in indices.iter().zip(&map) {
             assert_eq!(want.binary_search(&Key::new(i)), Ok(p as usize));
         }
+        check_sources(indices, &map);
+    }
+
+    /// `with_sources` builds the same set as `with_positions`, whose
+    /// `map` is given. `first[p]` is the smallest input position of set
+    /// position `p`, and the repeats are every other input position,
+    /// sorted by set position and then by input position.
+    fn check_sources(indices: &[u64], map: &[u32]) {
+        let (set, first, repeats) = IndexSet::with_sources(indices);
+        assert_eq!(
+            fields(set.keys()),
+            fields(IndexSet::with_positions(indices).0.keys())
+        );
+        let mut want_first = vec![u32::MAX; set.len()];
+        let mut want_repeats = Vec::new();
+        for (i, &p) in map.iter().enumerate() {
+            if want_first[p as usize] == u32::MAX {
+                want_first[p as usize] = i as u32;
+            } else {
+                want_repeats.push((p, i as u32));
+            }
+        }
+        want_repeats.sort_unstable();
+        assert_eq!(first, want_first, "first input position per set position");
+        assert_eq!(repeats, want_repeats, "repeats in (set, input) order");
+    }
+
+    #[test]
+    fn with_sources_orders_duplicates_by_input_position() {
+        // Insertion path: few keys per bucket, each index up to 5 times.
+        let mut rng = Xoshiro256::new(31);
+        let mut indices: Vec<u64> = (0..400).map(|_| rng.next_below(120)).collect();
+        rng.shuffle(&mut indices);
+        check_constructors(&indices);
+        // Crowded-bucket path: one bucket of 50 000 keys, 500 of them
+        // repeated twice more, the copies shuffled among the originals
+        // so that a repeat can precede its first occurrence's bucket
+        // neighbours in any order.
+        let mut indices = in_bucket(&mut rng, 16, 0xBEEF, 50_000);
+        indices.extend_from_within(..500);
+        indices.extend_from_within(..500);
+        rng.shuffle(&mut indices);
+        check_constructors(&indices);
     }
 
     #[test]

@@ -16,10 +16,13 @@ are never measured; `git stash create` names a commit of the working
 tree without moving any ref. Targets never share a directory: workspace
 artifact names do not depend on the checkout path, so two checkouts
 sharing one target directory can run each other's binary. `--builds 2`
-adds a second checkout and build of each side under another directory,
-so the spread between two builds of the same source (code placement)
-shows next to the gap between the sides. Pair i runs seed i + 1 on both
-sides; even pairs run the parent first, odd pairs the change.
+adds a second checkout and build of each side under another directory;
+pairs alternate between the builds, and the script says whether the two
+builds of a side have byte-identical `.text` sections. Where they do,
+the spread between them is host drift over the run, not code placement.
+Pair i runs seed i + 1 on both sides and uses build i mod --builds; the
+side that runs first flips after each round of builds (with one build,
+even pairs run the parent first, odd pairs the change).
 
 Run it from inside the repository. Standard library only, and
 BENCHMARK.json is only read.
@@ -31,6 +34,7 @@ import json
 import os
 import shutil
 import statistics
+import struct
 import subprocess
 import sys
 import tarfile
@@ -59,6 +63,29 @@ def checkout(root, sha, dest):
     with open(stamp, "w") as f:
         f.write(sha)
     return src
+
+
+def text_section(path):
+    """The bytes of the `.text` section of the ELF64 file at `path`."""
+    with open(path, "rb") as f:
+        elf = f.read()
+    if elf[:4] != b"\x7fELF" or elf[4] != 2:
+        raise ValueError(f"{path}: not an ELF64 file")
+    end = "<" if elf[5] == 1 else ">"
+    shoff, = struct.unpack_from(end + "Q", elf, 0x28)
+    shentsize, shnum, shstrndx = struct.unpack_from(end + "HHH", elf, 0x3A)
+
+    def header(i):
+        # sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size
+        return struct.unpack_from(end + "IIQQQQ", elf, shoff + i * shentsize)
+
+    names = header(shstrndx)
+    for i in range(shnum):
+        name, _, _, _, offset, size = header(i)
+        at = names[4] + name
+        if elf[at : elf.index(b"\0", at)] == b".text":
+            return elf[offset : offset + size]
+    raise ValueError(f"{path}: no .text section")
 
 
 def run_one(build, command, workload, seed, seconds, trace):
@@ -129,13 +156,22 @@ def main():
                 name = f"{side} {sha[:10]} build {b + 1}"
                 print(f"building {name} in {src}", file=sys.stderr, flush=True)
                 subprocess.run(build_cmd, cwd=src, env=env, check=True)
-                builds[side, b] = {"name": name, "src": src, "env": env}
+                binary = os.path.join(dest, "target", "release", command[command.index("--bin") + 1])
+                builds[side, b] = {"name": name, "src": src, "env": env, "binary": binary}
+        # Whether a side's builds hold the same machine code, read before
+        # the workdir may be removed.
+        same_text = {
+            side: len({text_section(builds[side, b]["binary"]) for b in range(a.builds)}) == 1
+            for side in SIDES
+        }
 
         # runs[side] = [(build, metrics)] in pair order
         runs = {side: [] for side in SIDES}
         for i in range(a.pairs):
-            b = (i // 2) % a.builds
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            b = i % a.builds
+            # The side that runs first flips every round of builds, so
+            # each build runs first and second equally often.
+            order = SIDES if (i // a.builds) % 2 == 0 else SIDES[::-1]
             for side in order:
                 got = run_one(builds[side, b], command, a.workload, i + 1, a.seconds, a.trace)
                 runs[side].append((b, got))
@@ -184,13 +220,17 @@ def main():
             f"{won:>3}/{len(pairs):<3}  {'holds' if holds else 'no'}"
         )
     if a.builds > 1:
-        print("ops_s median per build (the spread between builds of one source is code placement):")
+        print("ops_s median per build (builds alternate every pair):")
         for side in SIDES:
             per = []
             for b in range(a.builds):
                 xs = [m["ops_s"] for bb, m in runs[side] if bb == b and "ops_s" in m]
                 per.append(f"build {b + 1} {fmt(statistics.median(xs)) if xs else '-'}")
-            print(f"  {side}: " + ", ".join(per))
+            if same_text[side]:
+                spread = ".text byte-identical, so the spread is host drift"
+            else:
+                spread = ".text differs, so the spread is code placement and host drift"
+            print(f"  {side}: " + ", ".join(per) + f" ({spread})")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,8 @@
 //!   timeout fail with `Timeout { from, tag }`, and a race with
 //!   `TimeoutAny { sources, tag }`, once that timeout has passed.
 //! * A payload corrupted on one link fails `Kylix::configure` on its
-//!   receiver with `Corrupt { from: <sender>, .. }`.
+//!   receiver with `Corrupt { from: <sender>, .. }`, and one byte changed
+//!   in an up-pass message fails `reduce` on its receiver the same way.
 
 use bytes::Bytes;
 use kylix::{reference_allreduce, Kylix, KylixError, NetworkPlan, NodeContribution};
@@ -355,4 +356,122 @@ on_every_substrate!(
     sim_corrupt_payload_is_corrupt_from_its_sender,
     thread_corrupt_payload_is_corrupt_from_its_sender,
     tcp_corrupt_payload_is_corrupt_from_its_sender
+);
+
+/// Where in a payload of the given length [`FlipFirstUp`] flips a byte.
+type Offset = fn(usize) -> usize;
+
+/// When `armed`, flips one byte — at offset `at(len)` of a payload of
+/// `len` bytes — of the first `ReduceUp` payload its rank receives, and
+/// remembers which peer sent it.
+struct FlipFirstUp<C> {
+    inner: C,
+    armed: bool,
+    at: Offset,
+    flipped_from: Option<usize>,
+}
+
+impl<C: Comm> Comm for FlipFirstUp<C> {
+    fn rank(&self) -> usize {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&mut self, to: usize, tag: Tag, payload: Bytes) {
+        self.inner.send(to, tag, payload)
+    }
+
+    fn recv_any_timeout(
+        &mut self,
+        sources: &[usize],
+        tag: Tag,
+        timeout: Duration,
+    ) -> Result<(usize, Bytes), CommError> {
+        let (from, payload) = self.inner.recv_any_timeout(sources, tag, timeout)?;
+        if !self.armed || self.flipped_from.is_some() || tag.phase() != Phase::ReduceUp as u8 {
+            return Ok((from, payload));
+        }
+        self.flipped_from = Some(from);
+        let mut bad = payload.to_vec();
+        let at = (self.at)(bad.len());
+        bad[at] ^= 0x10;
+        Ok((from, Bytes::from(bad)))
+    }
+
+    fn now(&self) -> f64 {
+        self.inner.now()
+    }
+
+    fn telemetry(&self) -> Option<&kylix_net::telemetry::RankTelemetry> {
+        self.inner.telemetry()
+    }
+}
+
+/// The up pass verifies each arrival while it copies it into place: a
+/// byte changed in the count word, the values or the seal of the first
+/// up-pass message rank 0 receives still fails its `reduce` with
+/// `Corrupt` naming that message's sender. Every other rank finishes or
+/// is `Closed` by rank 0's exit.
+fn corrupt_up_pass_payload_is_corrupt_from_its_sender(s: Substrate) {
+    let nodes = workload(10);
+    let plan = NetworkPlan::new(&[2, 2]);
+    let offsets: [(_, Offset); 3] = [
+        ("count word", |_| 0),
+        ("values", |len| len / 2),
+        ("seal", |len| len - 1),
+    ];
+    for (what, at) in offsets {
+        let (got, _) = promptly(&format!("{s}: reduce over a corrupt {what}"), || {
+            s.run(M, |c| {
+                let me = c.rank();
+                let mut c = FlipFirstUp {
+                    inner: c,
+                    armed: me == CORRUPT_DST,
+                    at,
+                    flipped_from: None,
+                };
+                let n = &nodes[me];
+                let mut state = Kylix::new(plan.clone())
+                    .configure(&mut c, &n.in_indices, &n.out_indices, 0)
+                    .expect("configuration is not corrupted");
+                let got = state.reduce(&mut c, &n.out_values, SumReducer).map(drop);
+                (got, c.flipped_from)
+            })
+        });
+        match &got[CORRUPT_DST] {
+            (
+                Err(KylixError::Comm {
+                    source: CommError::Corrupt { from, .. },
+                    ..
+                }),
+                Some(sender),
+            ) => assert_eq!(from, sender, "{s}: the corrupt {what}'s sender"),
+            other => {
+                panic!("{s} rank {CORRUPT_DST}, corrupt {what}: expected Corrupt, got {other:?}")
+            }
+        }
+        for (rank, (res, _)) in got.iter().enumerate() {
+            if rank == CORRUPT_DST {
+                continue;
+            }
+            match res {
+                Ok(())
+                | Err(KylixError::Comm {
+                    source: CommError::Closed,
+                    ..
+                }) => {}
+                Err(e) => panic!("{s} rank {rank}, corrupt {what}: expected Ok or Closed, got {e}"),
+            }
+        }
+    }
+}
+
+on_every_substrate!(
+    corrupt_up_pass_payload_is_corrupt_from_its_sender:
+    sim_corrupt_up_pass_payload_is_corrupt_from_its_sender,
+    thread_corrupt_up_pass_payload_is_corrupt_from_its_sender,
+    tcp_corrupt_up_pass_payload_is_corrupt_from_its_sender
 );
