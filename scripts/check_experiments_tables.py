@@ -2,11 +2,13 @@
 """Check the EXPERIMENTS.md tables against results.json.
 
 EXPERIMENTS.md quotes the simulator's numbers by hand. This compares
-every cell of the Fig. 6, Fig. 7, Fig. 9, Table I and straggler tables
-with the matching results.json row, at the precision the cell is
-printed with ("0.193" must be the value rounded to three decimals, and
-"2.6×" the speedup rounded to one). Exits 1 and names each cell that
-differs.
+every cell of the Fig. 6, Fig. 7, Fig. 9, Table I and straggler tables,
+the measured rows of the Fig. 5 table, the measured column of the
+Fig. 8 table and every value of the Ablations table with the matching
+results.json row, at the precision the cell is printed with ("0.193"
+must be the value rounded to three decimals, "2.6×" the speedup rounded
+to one, and "1633" the full-scale MB rounded to a whole one). Exits 1
+and names each cell that differs.
 
     python3 scripts/check_experiments_tables.py [--experiments EXPERIMENTS.md] [--results results.json]
 
@@ -54,6 +56,11 @@ def topology(cell):
     return cell.replace("×", "x")
 
 
+def words(label):
+    """`8×4 rep=2, straggler` -> {'8x4', 'rep=2', 'straggler'}."""
+    return set(re.findall(r"[\w=.]+", label.replace("×", "x").replace("-", " ").lower()))
+
+
 class Checker:
     def __init__(self):
         self.bad = []
@@ -88,8 +95,25 @@ def main():
     with open(a.experiments) as f:
         text = f.read()
     with open(a.results) as f:
-        exps = json.load(f)["experiments"]
+        results = json.load(f)
+    exps, scale = results["experiments"], results["scale"]
     ck = Checker()
+
+    # Fig. 5's measured rows, in full-scale MB; the predicted rows come
+    # from the model and are not in results.json.
+    mb = scale / 1e6
+    table = [row for row in table_after(text, "Fig. 5")[1:] if row[0].endswith("(measured)")]
+    for row, r in ck.rows("Fig. 5", table, exps["fig5"]):
+        where = f"Fig. 5 {row[0]}"
+        dataset, plan = row[0].removesuffix(" (measured)").split(", ")
+        ck.same(where + " dataset", dataset, r["dataset"])
+        ck.same(where + " plan", plan.replace("×", "x"), "x".join(map(str, r["degrees"])))
+        for l, cell in enumerate(row[1:-1]):
+            if l < len(r["measured_bytes"]):
+                ck.num(f"{where} layer {l + 1}", cell, r["measured_bytes"][l] * mb)
+            else:
+                ck.same(f"{where} layer {l + 1}", cell, "—")
+        ck.num(where + " bottom", row[-1], r["bottom_bytes"] * mb)
 
     table = table_after(text, "Fig. 6")[1:]
     for i, (row, r) in enumerate(ck.rows("Fig. 6", table, exps["fig6"])):
@@ -128,6 +152,40 @@ def main():
         ck.same(where + " dead", row[1], str(r["dead_nodes"]))
         ck.num(where + " config", row[2], r["config_time"])
         ck.num(where + " reduce", row[3], r["reduce_time"])
+
+    table = table_after(text, "Fig. 8")[1:]
+    for i, (row, r) in enumerate(ck.rows("Fig. 8", table, exps["fig8"])):
+        where = f"Fig. 8 row {i + 1}"
+        ck.same(where + " dataset", row[0] + "-like", r["dataset"])
+        ck.same(where + " system", row[1].removesuffix(" (model)"), r["system"])
+        ck.num(where + " measured", row[2], r["seconds_per_iter"])
+
+    # An Ablations row is one study: its variants cell names them (in
+    # its own order, by a subset of each results.json variant's words)
+    # and its result cell quotes their values in that order, in MB when
+    # it says so.
+    unquoted = list(exps["ablations"])
+    for row in table_after(text, "Ablations")[1:]:
+        study, variants, result = row[0], row[1].split(" / "), row[2].split(" — ")[0]
+        values = re.findall(r"\d+(?:\.\d+)?", result)
+        ck.cells += 1
+        if len(values) != len(variants):
+            ck.bad.append(f"Ablations {study}: {len(variants)} variants, {len(values)} values")
+            continue
+        for variant, cell in zip(variants, values):
+            where = f"Ablations {study} / {variant}"
+            found = [
+                r
+                for r in unquoted
+                if study.startswith(r["study"].replace("-", " ")) and words(variant) <= words(r["variant"])
+            ]
+            if len(found) != 1:
+                ck.bad.append(f"{where}: matches {len(found)} unquoted results.json rows")
+                continue
+            unquoted.remove(found[0])
+            ck.num(where, cell, found[0]["value"] / (1e6 if "MB" in result else 1))
+    for r in unquoted:
+        ck.bad.append(f"Ablations: {r['study']} / {r['variant']} is not quoted")
 
     table = table_after(text, "Straggler sweep")[1:]
     for i, (row, r) in enumerate(ck.rows("Straggler", table, exps["straggler"])):
