@@ -68,11 +68,6 @@ impl PartitionGenerator {
         Self::new(model, lambda0, seed)
     }
 
-    /// The underlying density model.
-    pub fn model(&self) -> &DensityModel {
-        &self.model
-    }
-
     /// The per-node scaling factor.
     pub fn lambda0(&self) -> f64 {
         self.lambda0

@@ -32,16 +32,6 @@ impl Zipf {
         Self { n, alpha, span }
     }
 
-    /// Number of ranks.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// The power-law exponent.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
     /// Draw one rank in `1..=n`.
     pub fn sample(&self, rng: &mut Xoshiro256) -> u64 {
         let u = rng.next_f64();

@@ -39,11 +39,6 @@ pub struct IndexSet {
 }
 
 impl IndexSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Build from raw feature indices (hashes computed, sorted, deduped).
     pub fn from_indices(indices: impl IntoIterator<Item = u64>) -> Self {
         let indices: Vec<u64> = indices.into_iter().collect();
