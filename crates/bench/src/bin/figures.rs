@@ -210,13 +210,15 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
         // bottom, its (label, measured, predicted) bytes at full scale.
         let s = a.scale as f64;
         for p in &profiles {
-            let mut layers: Vec<(String, f64, f64)> = (p.measured_bytes.iter())
+            let mut layers: Vec<(String, f64, f64)> = p
+                .measured_bytes
+                .iter()
                 .zip(&p.predicted_bytes)
                 .enumerate()
                 .map(|(l, (&m, &pr))| (format!("layer {}", l + 1), m as f64 * s, pr * s))
                 .collect();
-            let bottom = (p.bottom_bytes as f64 * s, p.predicted_bottom * s);
-            layers.push(("reduced (bottom)".into(), bottom.0, bottom.1));
+            let bottom = p.bottom_bytes as f64 * s;
+            layers.push(("reduced (bottom)".into(), bottom, p.predicted_bottom * s));
             let degrees = Dims.print(&p.degrees.to_json());
             table(
                 &format!(
@@ -398,7 +400,8 @@ fn parse_args() -> Result<Args, String> {
         EXPERIMENTS.to_vec()
     } else {
         let find = |w: &String| EXPERIMENTS.iter().find(|(name, _)| name == w).copied();
-        (names.iter())
+        names
+            .iter()
             .map(|w| find(w).ok_or_else(|| format!("unknown experiment: {w}")))
             .collect::<Result<_, _>>()?
     };
@@ -428,7 +431,9 @@ fn main() {
         eprintln!("figures: {e}\n{}", usage());
         std::process::exit(2);
     });
-    let experiments: BTreeMap<String, Json> = (args.which.iter())
+    let experiments: BTreeMap<String, Json> = args
+        .which
+        .iter()
         .map(|&(name, run)| (name.to_string(), run(&args)))
         .collect();
     if let Some(path) = &args.json {
